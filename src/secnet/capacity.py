@@ -7,14 +7,14 @@ shrinks as 1/N).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import geometry
 from .equilibrium import Scenario, solve_equilibrium
-from .errors import InfeasibleError
+from .errors import InfeasibleError, UnstableQueueError
 from .queueing import mean_delay
 
 MODE_FIXED_PER_BAND = "fixed_per_band"
@@ -55,45 +55,37 @@ class HomogeneousSetup:
         return self.user_density / (self.bs_density * self.n_bands)
 
     def with_mode(self, mode):
-        return HomogeneousSetup(
-            self.n_bands, self.user_density, self.bs_density, self.vacancy,
-            self.band_width, mode, self.thinning,
-        )
-
-
-def _limit_service(setup, coverage):
-    """Per-band service probability at the stability boundary, where every
-    user is active and the per-band load is user/BS ratio over N."""
-    cell = geometry.CellLoad(setup.load_per_band, coverage, setup.thinning)
-    return setup.vacancy * coverage * geometry.access_probability(cell)
-
-
-def _limit_capacity(setup, rate, coverage):
-    eps_n = _limit_service(setup, coverage)
-    miss = setup.n_bands * math.log1p(-min(eps_n, 1.0 - 1e-300))
-    return rate * (1.0 - math.exp(miss))
+        return replace(self, bandwidth_mode=mode)
 
 
 def capacity_limit_fixed_band(setup: HomogeneousSetup, rate):
     """Largest stable per-user throughput at target rate ``rate``, mode I."""
-    if setup.bandwidth_mode != MODE_FIXED_PER_BAND:
-        raise ValueError("setup is not in fixed-per-band mode")
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    p = geometry.sinr_ccdf_lim(2.0 ** (rate / setup.band_width) - 1.0)
-    return _limit_capacity(setup, rate, p)
+    return _capacity_limit(setup, rate, MODE_FIXED_PER_BAND)
 
 
 def capacity_limit_fixed_system(setup: HomogeneousSetup, rate):
     """Mode II: total bandwidth fixed, each band gets 1/N of it."""
-    if setup.bandwidth_mode != MODE_FIXED_SYSTEM:
-        raise ValueError("setup is not in fixed-system mode")
+    return _capacity_limit(setup, rate, MODE_FIXED_SYSTEM)
+
+
+def _capacity_limit(setup, rate, mode):
+    """Rate times the probability that some band serves a user at the
+    stability boundary, where every user is active and the per-band load is
+    the user/BS ratio over N."""
+    if setup.bandwidth_mode != mode:
+        raise ValueError(f"setup is not in {mode} mode")
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    p = geometry.sinr_ccdf_lim(
-        2.0 ** (rate * setup.n_bands / setup.band_width) - 1.0
+    # in mode II a band has 1/N of the bandwidth: coverage sees N times the rate
+    band_rate = rate if mode == MODE_FIXED_PER_BAND else rate * setup.n_bands
+    p = geometry.coverage_probability(
+        geometry.CoverageQuery(band_rate, setup.band_width)
     )
-    return _limit_capacity(setup, rate, p)
+    eps_n = geometry.service_probability(
+        setup.vacancy, p, setup.load_per_band, setup.thinning
+    )
+    miss = setup.n_bands * math.log1p(-min(eps_n, 1.0 - 1e-300))
+    return rate * (1.0 - math.exp(miss))
 
 
 def capacity_limit_derivative(setup: HomogeneousSetup, rate):
@@ -109,11 +101,13 @@ def capacity_limit_derivative(setup: HomogeneousSetup, rate):
     chi2 = 2.0 ** (rate / w) - 1.0
     chi = math.sqrt(chi2)
     p = 1.0 / (1.0 + chi * math.atan(chi))
-    eps_n = _limit_service(setup, p)
+    eps_n = geometry.service_probability(setup.vacancy, p, lam_n, thin)
     f0 = 1.0 - (1.0 - eps_n) ** setup.n_bands
     dp_dchi = -(math.atan(chi) + chi / (1.0 + chi2)) * p * p
     dchi_dr = math.log(2.0) * 2.0 ** (rate / w) / (2.0 * w * chi)
-    deps_dp = setup.vacancy * (1.0 + thin * lam_n * p / 3.5) ** (-4.5)
+    deps_dp = setup.vacancy * (1.0 + thin * lam_n * p / geometry._A) ** (
+        -(geometry._A + 1.0)
+    )
     df0_dr = (
         setup.n_bands
         * (1.0 - eps_n) ** (setup.n_bands - 1)
@@ -209,12 +203,9 @@ class DelayOptimum:
 def _delay_at_rate(scenario: Scenario, rate):
     try:
         sol = solve_equilibrium(scenario.with_rate(rate))
-    except InfeasibleError:
+        return mean_delay(scenario.traffic, scenario.outage, sol.epsilon, rate)
+    except (InfeasibleError, UnstableQueueError):
         return math.inf
-    capacity = scenario.traffic.capacity
-    if sol.epsilon <= capacity / rate:
-        return math.inf
-    return mean_delay(scenario.traffic, scenario.outage, sol.epsilon, rate)
 
 
 def min_delay_over_rate(scenario: Scenario, rate_span=(1e-2, 50.0),

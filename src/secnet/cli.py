@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -85,11 +86,13 @@ def load_config(path):
 
 
 def _getfloat(parser, section, key, default=None):
+    """Float value of ``[section] key``; ``default`` when the key or the whole
+    section is absent, and a ``ConfigError`` when no default is given."""
+    if default is not None and not parser.has_option(section, key):
+        return default
     try:
-        if default is not None and key not in parser[section]:
-            return default
         return parser.getfloat(section, key)
-    except (configparser.Error, KeyError, ValueError) as exc:
+    except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"bad or missing value for [{section}] {key}: {exc}")
 
 
@@ -176,31 +179,33 @@ def _echo_config(parser, extra=None):
     return echo
 
 
+def _spaced(section, lo, hi, points, scale):
+    """``points`` values from ``lo`` to ``hi`` on the ``[section]`` scale."""
+    if scale == "linear":
+        return np.linspace(lo, hi, points)
+    if scale == "log":
+        if min(lo, hi) <= 0:
+            raise ConfigError(f"log {section} needs min and max > 0")
+        return np.geomspace(lo, hi, points)
+    raise ConfigError(f"unknown {section} scale {scale!r}")
+
+
 def _sweep_values(parser):
     points = int(_getfloat(parser, "sweep", "points"))
     if points < 2:
         raise ConfigError("sweep points must be >= 2")
     lo = _getfloat(parser, "sweep", "min")
     hi = _getfloat(parser, "sweep", "max")
-    scale = parser.get("sweep", "scale", fallback="linear")
-    if scale == "linear":
-        return np.linspace(lo, hi, points)
-    if scale == "log":
-        if lo <= 0:
-            raise ConfigError("log sweep needs min > 0")
-        return np.geomspace(lo, hi, points)
-    raise ConfigError(f"unknown sweep scale {scale!r}")
+    return _spaced("sweep", lo, hi, points,
+                   parser.get("sweep", "scale", fallback="linear"))
 
 
 def _with_capacity(scenario, capacity):
     """Scenario with the traffic interarrival retuned to demand ``capacity``."""
     mean = scenario.traffic.file_size.mean
     inter = math.inf if capacity == 0.0 else mean / capacity
-    traffic = TrafficModel(inter, scenario.traffic.file_size)
-    return Scenario(
-        scenario.user_density, scenario.bands, scenario.target_rate, traffic,
-        scenario.outage, scenario.thinning,
-    )
+    traffic = replace(scenario.traffic, session_interarrival_mean=inter)
+    return replace(scenario, traffic=traffic)
 
 
 def _tradeoff_point(args):
@@ -211,29 +216,16 @@ def _tradeoff_point(args):
         scenario = scenario.with_rate(value)
     capacity = scenario.traffic.capacity
     try:
-        if fixed_rate is not None or parameter == "target_rate":
-            rate = fixed_rate if fixed_rate is not None else scenario.target_rate
-            sol = solve_equilibrium(scenario.with_rate(rate))
-            if capacity == 0.0:
-                delay = scenario.traffic.file_size.mean / (rate * sol.epsilon)
-            else:
-                delay = mean_delay(
-                    scenario.traffic, scenario.outage, sol.epsilon, rate
-                )
-            eps = sol.epsilon
-        elif capacity == 0.0:
-            opt = cap.min_delay_over_rate(
-                _with_capacity(scenario, 1e-9)
-            )  # vanishing-load proxy to pick a rate
-            rate = opt.rate
-            sol = solve_equilibrium(scenario.with_rate(rate))
-            eps = sol.epsilon
-            delay = scenario.traffic.file_size.mean / (rate * eps)
+        if fixed_rate is not None:
+            rate = fixed_rate
+        elif parameter == "target_rate":
+            rate = scenario.target_rate
         else:
-            opt = cap.min_delay_over_rate(scenario)
-            rate = opt.rate
-            delay = opt.delay
-            eps = solve_equilibrium(scenario.with_rate(rate)).epsilon
+            # with no traffic a vanishing-load proxy picks the rate
+            proxy = scenario if capacity > 0.0 else _with_capacity(scenario, 1e-9)
+            rate = cap.min_delay_over_rate(proxy).rate
+        eps = solve_equilibrium(scenario.with_rate(rate)).epsilon
+        delay = mean_delay(scenario.traffic, scenario.outage, eps, rate)
         return (value, capacity, rate, eps, delay, 1)
     except (InfeasibleError, UnstableQueueError):
         return (value, capacity, math.nan, math.nan, math.nan, 0)
@@ -250,6 +242,8 @@ def cmd_tradeoff(parser, args, out):
     if "fixed_rate" in parser["sweep"]:
         fixed_rate = _getfloat(parser, "sweep", "fixed_rate")
     values = _sweep_values(parser)
+    if not np.all(values >= 0) or parameter == "target_rate" and 0 in values:
+        raise ConfigError(f"[sweep] {parameter} values must be >= 0 (rates > 0)")
     tasks = [(scenario, parameter, float(v), fixed_rate) for v in values]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -269,11 +263,19 @@ def cmd_tradeoff(parser, args, out):
 
 def cmd_capacity(parser, args, out):
     scenario = build_scenario(parser)
-    n_min = int(_getfloat(parser, "capacity", "n_min", default=1.0)) if "capacity" in parser else 1
-    n_max = int(_getfloat(parser, "capacity", "n_max", default=10.0)) if "capacity" in parser else 10
+    n_min = int(_getfloat(parser, "capacity", "n_min", default=1.0))
+    n_max = int(_getfloat(parser, "capacity", "n_max", default=10.0))
+    if n_min < 1:
+        raise ConfigError(f"[capacity] n_min must be >= 1, got {n_min}")
     band = scenario.bands[0]
-    if "capacity" in parser and "ratios" in parser["capacity"]:
-        ratios = [float(x) for x in parser.get("capacity", "ratios").split(",")]
+    if parser.has_option("capacity", "ratios"):
+        text = parser.get("capacity", "ratios")
+        try:
+            ratios = [float(x) for x in text.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [capacity] ratios: {exc}")
+        if not all(r > 0 for r in ratios):
+            raise ConfigError(f"[capacity] ratios must be > 0, got {text!r}")
     else:
         ratios = [scenario.user_density / band.bs_density]
     writer = Writer(
@@ -309,6 +311,25 @@ def _auto_grid(handle, points=200):
     return np.geomspace(hi / 1e4, hi, points)
 
 
+def _queue_sim_config(scenario, epsilon, sessions, seed):
+    """Queue simulator input of the analytic delay model at ``epsilon``."""
+    if sessions < 1:
+        raise ConfigError(f"[validate] sessions must be >= 1, got {sessions}")
+    outage = scenario.outage
+    rho_o = 1.0 - epsilon
+    return QueueSimConfig(
+        session_interarrival_mean=scenario.traffic.session_interarrival_mean,
+        outage_interarrival_mean=outage.outage_interarrival_mean,
+        file_size=scenario.traffic.file_size,
+        outage_duration=outage.duration_distribution(
+            outage.outage_interarrival_mean * rho_o
+        ),
+        rate=scenario.target_rate,
+        horizon_sessions=sessions,
+        seed=seed,
+    )
+
+
 def cmd_delay_cdf(parser, args, out):
     scenario = build_scenario(parser)
     sol = solve_equilibrium(scenario)
@@ -319,8 +340,13 @@ def cmd_delay_cdf(parser, args, out):
         points = int(_getfloat(parser, "grid", "points", default=200.0))
         lo = _getfloat(parser, "grid", "t_min")
         hi = _getfloat(parser, "grid", "t_max")
-        scale = parser.get("grid", "scale", fallback="log")
-        grid = np.geomspace(lo, hi, points) if scale == "log" else np.linspace(lo, hi, points)
+        if points < 1 or not 0 < lo < hi:
+            raise ConfigError(
+                f"[grid] needs points >= 1 and 0 < t_min < t_max, got "
+                f"points {points}, t_min {lo:g}, t_max {hi:g}"
+            )
+        grid = _spaced("grid", lo, hi, points,
+                       parser.get("grid", "scale", fallback="log"))
     else:
         grid = _auto_grid(handle)
     result = delay_cdf(handle, grid)
@@ -330,21 +356,10 @@ def cmd_delay_cdf(parser, args, out):
     columns = ["t", "cdf"]
     empirical = None
     if args.validate:
-        rho_o = 1.0 - sol.epsilon
-        sim_cfg = QueueSimConfig(
-            session_interarrival_mean=scenario.traffic.session_interarrival_mean,
-            outage_interarrival_mean=scenario.outage.outage_interarrival_mean,
-            file_size=scenario.traffic.file_size,
-            outage_duration=scenario.outage.duration_distribution(
-                scenario.outage.outage_interarrival_mean * rho_o
-            ),
-            rate=scenario.target_rate,
-            horizon_sessions=int(
-                _getfloat(parser, "validate", "sessions", default=200000.0)
-            ) if "validate" in parser else 200000,
-            seed=args.seed,
+        sessions = int(_getfloat(parser, "validate", "sessions", default=200000.0))
+        rep = run_priority_queue(
+            _queue_sim_config(scenario, sol.epsilon, sessions, args.seed)
         )
-        rep = run_priority_queue(sim_cfg)
         empirical = empirical_cdf(rep.arrays["delays"], grid)
         ks = float(np.abs(empirical - result.values).max())
         extra["validate.ks"] = _fmt(ks)
@@ -388,12 +403,11 @@ def cmd_equilibrium(parser, args, out):
 
 def cmd_validate(parser, args, out):
     scenario = build_scenario(parser)
-    v = parser["validate"] if "validate" in parser else {}
-    users = int(float(v.get("users", 20000)))
-    cells = int(float(v.get("cells", 20000)))
-    sessions = int(float(v.get("sessions", 100000)))
-    thinning = float(v.get("thinning", scenario.thinning))
-    ratio = float(v.get("ratio", 5.0))
+    users = int(_getfloat(parser, "validate", "users", default=20000.0))
+    cells = int(_getfloat(parser, "validate", "cells", default=20000.0))
+    sessions = int(_getfloat(parser, "validate", "sessions", default=100000.0))
+    thinning = _getfloat(parser, "validate", "thinning", default=scenario.thinning)
+    ratio = _getfloat(parser, "validate", "ratio", default=5.0)
     seed = args.seed
     checks = []
 
@@ -432,8 +446,7 @@ def cmd_validate(parser, args, out):
     checks.append(("thinning_refit", refit, 0.80, 0.55 <= refit <= 0.80))
 
     # 3. Voronoi cell-size laws
-    reps3 = max(int(cells / (0.36 * 500)), 1)
-    cfg3 = SpatialSimConfig(math.sqrt(500.0), 1.0, 1.0, 0.2, reps3, seed)
+    cfg3 = SpatialSimConfig(math.sqrt(500.0), 1.0, 1.0, 0.2, reps, seed)
     rep3 = sample_voronoi_cells(cfg3)
     ks_t = rep3.estimates["ks_typical"].value
     ks_u = rep3.estimates["ks_user_weighted"].value
@@ -442,27 +455,13 @@ def cmd_validate(parser, args, out):
 
     # 4. queue: DES against the analytic mean delay and delay CDF
     sol = solve_equilibrium(scenario)
-    rho_o = 1.0 - sol.epsilon
-    qcfg = QueueSimConfig(
-        session_interarrival_mean=scenario.traffic.session_interarrival_mean,
-        outage_interarrival_mean=scenario.outage.outage_interarrival_mean,
-        file_size=scenario.traffic.file_size,
-        outage_duration=scenario.outage.duration_distribution(
-            scenario.outage.outage_interarrival_mean * rho_o
-        ),
-        rate=scenario.target_rate,
-        horizon_sessions=sessions,
-        seed=seed,
-    )
-    qrep = run_priority_queue(qcfg)
-    analytic = mean_delay(
-        scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
-    )
-    rel = abs(qrep.estimates["mean_delay"].value - analytic) / analytic
-    checks.append(("queue_mean_delay_rel", rel, 0.03, rel <= 0.03))
+    qrep = run_priority_queue(_queue_sim_config(scenario, sol.epsilon, sessions, seed))
     handle = delay_transform(
         scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
     )
+    analytic = handle.mean
+    rel = abs(qrep.estimates["mean_delay"].value - analytic) / analytic
+    checks.append(("queue_mean_delay_rel", rel, 0.03, rel <= 0.03))
     grid = np.geomspace(analytic / 100, analytic * 20, 120)
     ana = delay_cdf(handle, grid).values
     emp = empirical_cdf(qrep.arrays["delays"], grid)

@@ -7,7 +7,7 @@ epsilon; everything per-band follows.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,10 +61,7 @@ class Scenario:
         return self.traffic.capacity / self.target_rate
 
     def with_rate(self, rate):
-        return Scenario(
-            self.user_density, self.bands, rate, self.traffic, self.outage,
-            self.thinning,
-        )
+        return replace(self, target_rate=rate)
 
     def coverage_probabilities(self):
         return np.array(
@@ -107,30 +104,13 @@ def _band_loads(scenario: Scenario, coverages, eps_trial):
     return (scenario.user_density / bs) * (scenario.rho_s / eps_trial) * share
 
 
-def _band_service(scenario, coverage, load, vacancy):
-    cell = geometry.CellLoad(load, coverage, scenario.thinning)
-    # service = vacancy * coverage * fair-access probability; the access
-    # factor absorbs the load -> 0 limit analytically
-    return vacancy * coverage * geometry.access_probability(cell)
-
-
-def band_service_probability(band: BandConfig, scenario: Scenario, eps_trial):
-    """Service probability of one band at trial total service probability."""
-    if not 0.0 < eps_trial <= 1.0:
-        raise ValueError(f"eps_trial must be in (0, 1], got {eps_trial}")
-    coverages = scenario.coverage_probabilities()
-    loads = _band_loads(scenario, coverages, eps_trial)
-    idx = scenario.bands.index(band)
-    return _band_service(scenario, coverages[idx], loads[idx], band.vacancy)
-
-
 def _epsilon_map(scenario, coverages, eps):
     """1 - prod(1 - eps_n(eps)); evaluated in log space for tiny factors."""
     loads = _band_loads(scenario, coverages, eps)
     eps_n = np.array(
         [
-            _band_service(scenario, coverages[i], loads[i], b.vacancy)
-            for i, b in enumerate(scenario.bands)
+            geometry.service_probability(b.vacancy, c, load, scenario.thinning)
+            for b, c, load in zip(scenario.bands, coverages, loads)
         ]
     )
     log_miss = np.sum(np.log1p(-np.minimum(eps_n, 1.0 - 1e-300)))
@@ -173,7 +153,7 @@ def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
             converged = True
             break
         eps = nxt
-    if converged and abs(h(eps)) < _RESIDUAL_TOL:
+    if converged:
         multiple = False
     else:
         # pre-scan for sign changes, bisect the right-most bracket
@@ -216,20 +196,16 @@ def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
         raise InfeasibleError(
             f"equilibrium solver stalled with residual {residual:.3e}"
         )
-    access = np.array(
-        [
-            eps_n[i] / (scenario.bands[i].vacancy * coverages[i])
-            for i in range(len(scenario.bands))
-        ]
-    )
     bands = tuple(
         BandEquilibrium(
-            service=float(eps_n[i]),
-            coverage=float(coverages[i]),
-            access=float(access[i]),
-            load=float(loads[i]),
+            service=float(service),
+            coverage=float(coverage),
+            access=float(service / (band.vacancy * coverage)),
+            load=float(load),
         )
-        for i in range(len(scenario.bands))
+        for service, coverage, load, band in zip(
+            eps_n, coverages, loads, scenario.bands
+        )
     )
     return EquilibriumSolution(
         epsilon=float(eps),
@@ -241,51 +217,4 @@ def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
         iterations=iterations,
         method=method,
         multiple_roots=multiple,
-    )
-
-
-@dataclass(frozen=True)
-class SingleBandComparison:
-    solver_value: float
-    closed_form: float | None
-    applicable: bool
-    note: str
-
-
-def single_band_explicit(scenario: Scenario) -> SingleBandComparison:
-    """Evaluate the printed single-band closed form next to the solver.
-
-    The closed form is of doubtful provenance (see the comparison note in
-    the tests); the solver value is authoritative and is always returned.
-    """
-    if len(scenario.bands) != 1:
-        raise ValueError("single_band_explicit needs a one-band scenario")
-    band = scenario.bands[0]
-    solution = solve_equilibrium(scenario)
-    p = float(scenario.coverage_probabilities()[0])
-    lam = scenario.thinning
-    ratio = scenario.user_density / band.bs_density
-    c_over_r = scenario.rho_s
-    inner = 1.0 - lam * ratio * c_over_r / band.vacancy
-    if inner <= 0.0:
-        return SingleBandComparison(
-            solver_value=solution.epsilon,
-            closed_form=None,
-            applicable=False,
-            note=f"closed form inapplicable: inner base {inner:g} <= 0",
-        )
-    bracket = 1.0 - inner ** (-2.0 / 7.0)
-    if bracket == 0.0:
-        return SingleBandComparison(
-            solver_value=solution.epsilon,
-            closed_form=None,
-            applicable=False,
-            note="closed form inapplicable: bracket term is zero",
-        )
-    value = (p / 3.5) * lam * ratio * c_over_r / bracket
-    return SingleBandComparison(
-        solver_value=solution.epsilon,
-        closed_form=float(value),
-        applicable=True,
-        note=f"closed form {value:g} vs solver {solution.epsilon:g}",
     )

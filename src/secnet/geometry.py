@@ -7,7 +7,7 @@ come out in closed form.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -154,6 +154,13 @@ def access_probability(load: CellLoad):
     """
     c = load.contention
     return _access_probability_from_contention(c)
+
+
+def service_probability(vacancy, coverage, load, thinning):
+    """Probability that a band serves the typical user: vacant, covering and
+    won in fair contention at normalized load ``load``.  The access factor
+    absorbs the load -> 0 limit analytically."""
+    return vacancy * coverage * access_probability(CellLoad(load, coverage, thinning))
 
 
 def _access_probability_from_contention(c):

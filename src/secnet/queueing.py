@@ -46,8 +46,6 @@ class SizeDistribution:
 
     @property
     def second_moment(self):
-        if self.family == "exponential":
-            return 2.0 * self.mean**2
         return self.mean**2 * (self.shape + 1.0) / self.shape
 
     @property
@@ -156,8 +154,9 @@ def mean_delay(traffic: TrafficModel, outage: OutageModel, epsilon, rate):
     """Mean sojourn time of a session at service probability ``epsilon``
     and transmission rate ``rate``.
 
-    The outage duration mean is derived from the equilibrium identity
-    (outage time fraction = 1 - epsilon).
+    The M/G/1 preemptive-resume mean, from the second moments of the file
+    and outage laws, for any family.  The outage duration mean is derived
+    from the equilibrium identity (outage time fraction = 1 - epsilon).
     """
     capacity = traffic.capacity
     _check_stability(capacity, epsilon, rate)
@@ -167,13 +166,6 @@ def mean_delay(traffic: TrafficModel, outage: OutageModel, epsilon, rate):
     rho_o = 1.0 - epsilon
     alpha_s = traffic.session_interarrival_mean
     alpha_o = outage.outage_interarrival_mean
-    if traffic.file_size.family == "exponential" and outage.duration_shape == 1.0:
-        # Exponential special case, kept as a separate branch so the Gamma
-        # expression can be checked against it.
-        burst = capacity * file_mean / rate**2 + rho_o**2 * alpha_o
-        return burst / (epsilon * (epsilon - capacity / rate)) + file_mean / (
-            rate * epsilon
-        )
     beta_s = traffic.file_size.scaled(1.0 / rate)
     if epsilon == 1.0:
         second = beta_s.second_moment / alpha_s
@@ -233,29 +225,6 @@ def _busy_root_iterate(s, dist, alpha_o):
         last=x,
         alpha_o=alpha_o,
     )
-
-
-def busy_root_polynomial(s, outage_duration: SizeDistribution, outage_interarrival_mean):
-    """Verification path: for integer Gamma shapes the defining equation is
-    polynomial in x; enumerate all roots and return the smallest modulus."""
-    k = outage_duration.shape
-    if k != int(k):
-        raise ValueError("polynomial route needs an integer Gamma shape")
-    k = int(k)
-    theta = outage_duration.scale
-    alpha_o = outage_interarrival_mean
-    # x * (1 + theta*s + theta/alpha_o - (theta/alpha_o) x)^k = 1
-    a = 1.0 + theta * s + theta / alpha_o
-    b = -theta / alpha_o
-    poly = np.zeros(k + 2, dtype=complex)  # highest degree first
-    for j in range(k + 1):
-        poly[k - j] = math.comb(k, j) * a ** (k - j) * b**j
-    poly[k + 1] = -1.0
-    roots = np.roots(poly)
-    root = roots[np.argmin(np.abs(roots))]
-    if abs(root.imag) < 1e-10 and not isinstance(s, complex):
-        root = root.real
-    return root
 
 
 class DelayTransform:

@@ -5,9 +5,9 @@ FCFS among themselves, so their workload process is independent of the
 sessions.  The engine exploits that: it first builds the outage busy
 periods, turns them into a piecewise-linear "available service time"
 clock, and then runs the session FCFS recursion in that clock.  This is
-event-for-event equivalent to a naive event-driven loop (a reference loop
-lives in `_reference_delays` and the tests pin exact agreement) but runs
-as a handful of vectorized scans.
+event-for-event equivalent to a naive event-driven loop (the tests pin
+exact agreement with such a reference loop) but runs as a handful of
+vectorized scans.
 
 Ties are deterministic by construction: an outage arriving exactly at a
 session completion instant does not delay it (the session has already
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from ..errors import UnstableQueueError
 from ..queueing import SizeDistribution
 from .report import SimReport
 
@@ -90,13 +89,11 @@ class _AvailabilityClock:
     def forward(self, t):
         """A(t) for a sorted or unsorted array of times."""
         idx = np.searchsorted(self.starts, t, side="right") - 1
-        blocked = np.where(idx >= 0, self.blocked_before[np.maximum(idx, 0)], 0.0)
-        inside = (idx >= 0) & (t < self.ends[np.maximum(idx, 0)])
+        safe = np.maximum(idx, 0)
+        blocked = np.where(idx >= 0, self.blocked_before[safe], 0.0)
+        # blocked time of the latest busy period starting at or before t
         extra = np.where(
-            inside,
-            t - self.starts[np.maximum(idx, 0)],
-            np.where(idx >= 0, self.ends[np.maximum(idx, 0)]
-                     - self.starts[np.maximum(idx, 0)], 0.0),
+            idx >= 0, np.minimum(t, self.ends[safe]) - self.starts[safe], 0.0
         )
         return t - blocked - extra
 
@@ -117,10 +114,6 @@ class _AvailabilityClock:
             a,
         )
 
-    @property
-    def last_blocked_end(self):
-        return self.ends[-1] if len(self.ends) else 0.0
-
 
 def _merged_busy_periods(arrivals, durations):
     """Busy periods of the FCFS single-class workload fed by ``arrivals``
@@ -129,6 +122,12 @@ def _merged_busy_periods(arrivals, durations):
     offset = np.concatenate([[0.0], cum[:-1]])
     # completion of job i: cum_i + max_{j<=i}(arrival_j - cum_{j-1})
     frees = cum + np.maximum.accumulate(arrivals - offset)
+    return _busy_periods(arrivals, frees)
+
+
+def _busy_periods(arrivals, frees):
+    """(starts, ends) of the busy periods of an FCFS queue whose jobs arrive
+    at ``arrivals`` and leave at the nondecreasing ``frees``."""
     new_period = np.empty(len(arrivals), dtype=bool)
     new_period[0] = True
     new_period[1:] = arrivals[1:] >= frees[:-1]
@@ -136,8 +135,7 @@ def _merged_busy_periods(arrivals, durations):
     # each period ends at the free time of the last job before the next period
     period_last = np.concatenate([np.nonzero(new_period)[0][1:] - 1,
                                   [len(arrivals) - 1]])
-    ends = frees[period_last]
-    return starts, ends
+    return starts, frees[period_last]
 
 
 def _session_sweep(arr_s, service, clock):
@@ -168,13 +166,7 @@ def _busy_time(arrivals, completions, window_start, window_end):
     """Lebesgue measure of union of [arrival, completion] clipped to a
     window; completions are nondecreasing (FCFS), so periods merge by a
     simple scan over period starts."""
-    new_period = np.empty(len(arrivals), dtype=bool)
-    new_period[0] = True
-    new_period[1:] = arrivals[1:] >= completions[:-1]
-    starts = arrivals[new_period]
-    period_last = np.concatenate([np.nonzero(new_period)[0][1:] - 1,
-                                  [len(arrivals) - 1]])
-    ends = completions[period_last]
+    starts, ends = _busy_periods(arrivals, completions)
     lo = np.clip(starts, window_start, window_end)
     hi = np.clip(ends, window_start, window_end)
     return float(np.sum(hi - lo))
@@ -228,11 +220,10 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
     d = delays[kept]
     sp = spans[kept]
 
-    batches = np.array_split(d, cfg.n_batches)
-    batch_means = np.array([b.mean() for b in batches])
-    report.add_mean_estimate("mean_delay", batch_means)
-    span_batches = np.array_split(sp, cfg.n_batches)
-    report.add_mean_estimate("mean_span", [b.mean() for b in span_batches])
+    for name, x in (("mean_delay", d), ("mean_span", sp)):
+        report.add_mean_estimate(
+            name, [b.mean() for b in np.array_split(x, cfg.n_batches)]
+        )
 
     t_lo = arr_s[k0] if k0 > 0 else 0.0
     t_hi = completions[-1]
@@ -261,53 +252,3 @@ def empirical_cdf(samples, grid):
 def ks_distance(samples, cdf):
     """Exact one-sample KS distance of ``samples`` against a CDF callable."""
     return float(stats.kstest(np.asarray(samples), cdf).statistic)
-
-
-def _reference_delays(arr_s, service, arr_o, dur_o):
-    """Plain event-by-event reference implementation (small inputs only).
-
-    Sweeps merged arrival events in time order, always serving pending
-    outage work before session work, resuming sessions where they left
-    off.  Returns (completions, first_service_starts).
-    """
-    events = [(t, 0, i) for i, t in enumerate(arr_s)]
-    events += [(t, -1, i) for i, t in enumerate(arr_o)]
-    events.sort()  # outage before session at equal timestamps
-    now = 0.0
-    outage_left = []   # FIFO of remaining outage durations
-    sessions = []      # FIFO of [index, remaining]
-    completions = np.full(len(arr_s), np.nan)
-    starts = np.full(len(arr_s), np.nan)
-
-    def advance(until):
-        nonlocal now
-        while now < until:
-            budget = until - now
-            if outage_left:
-                work = min(budget, outage_left[0])
-                outage_left[0] -= work
-                now += work
-                if outage_left[0] <= 1e-15:
-                    outage_left.pop(0)
-            elif sessions:
-                idx, remaining = sessions[0]
-                if np.isnan(starts[idx]):
-                    starts[idx] = now
-                work = min(budget, remaining)
-                sessions[0][1] -= work
-                now += work
-                if sessions[0][1] <= 1e-15:
-                    completions[idx] = now
-                    sessions.pop(0)
-            else:
-                now = until
-
-    for t, kind, i in events:
-        advance(t)
-        if kind == -1:
-            outage_left.append(dur_o[i])
-        else:
-            sessions.append([i, service[i]])
-    while sessions or outage_left:
-        advance(now + 1.0)
-    return completions, starts

@@ -41,15 +41,3 @@ class SimReport:
             half = math.inf
         self.estimates[name] = Estimate(mean, half, n)
         return self.estimates[name]
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "config": self.config,
-            "estimates": {
-                k: {"value": v.value, "ci99_half_width": v.ci99_half_width, "n": v.n}
-                for k, v in self.estimates.items()
-            },
-            "arrays": {k: np.asarray(v).tolist() for k, v in self.arrays.items()},
-            "warnings": list(self.warnings),
-        }

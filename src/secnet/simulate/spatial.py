@@ -7,7 +7,7 @@ missing far-field interference negligible for interior points.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats
@@ -55,14 +55,7 @@ class SpatialSimConfig:
         return self.guard_fraction * self.window_side
 
     def echo(self):
-        return {
-            "window_side": self.window_side,
-            "bs_density": self.bs_density,
-            "user_density": self.user_density,
-            "guard_fraction": self.guard_fraction,
-            "replications": self.replications,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _draw_ppp(rng, density, side):

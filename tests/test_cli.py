@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +74,55 @@ class TestConfigHandling:
     def test_missing_band_section(self, tmp_path):
         cfg = write(tmp_path, "c.ini", BASE)
         assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
+
+    GRID = "\n[grid]\nt_min = {lo}\nt_max = {hi}\npoints = {n}\nscale = {scale}\n"
+
+    @pytest.mark.parametrize("subcommand, extra", [
+        pytest.param("capacity", "\n[capacity]\nratios = 5,abc\n",
+                     id="ratio-not-a-number"),
+        pytest.param("capacity", "\n[capacity]\nratios = 5,-1\n",
+                     id="ratio-negative"),
+        pytest.param("capacity", "\n[capacity]\nn_min = 0\nn_max = 2\n",
+                     id="n_min-zero"),
+        pytest.param("tradeoff", "\n[sweep]\nmin = -0.1\nmax = 0.1\npoints = 3\n",
+                     id="sweep-capacity-negative"),
+        pytest.param("tradeoff", "\n[sweep]\nmin = 0.1\nmax = -0.1\npoints = 3\n"
+                     "scale = log\n", id="sweep-log-crosses-zero"),
+        pytest.param("tradeoff", "\n[sweep]\nparameter = target_rate\nmin = 0\n"
+                     "max = 4\npoints = 3\n", id="sweep-rate-zero"),
+        pytest.param("delay-cdf", GRID.format(lo=0, hi=10, n=20, scale="linear"),
+                     id="grid-t_min-zero-linear"),
+        pytest.param("delay-cdf", GRID.format(lo=0, hi=10, n=20, scale="log"),
+                     id="grid-t_min-zero-log"),
+        pytest.param("delay-cdf", GRID.format(lo=1, hi=10, n=0, scale="log"),
+                     id="grid-no-points"),
+        pytest.param("delay-cdf", GRID.format(lo=10, hi=10, n=20, scale="log"),
+                     id="grid-t_max-equals-t_min"),
+        pytest.param("delay-cdf", GRID.format(lo=10, hi=1, n=20, scale="linear"),
+                     id="grid-t_max-below-t_min"),
+        pytest.param("delay-cdf", GRID.format(lo=1, hi=10, n=20, scale="lgo"),
+                     id="grid-unknown-scale"),
+        pytest.param("validate", "\n[validate]\nusers = abc\n",
+                     id="validate-users-not-a-number"),
+        pytest.param("delay-cdf --validate", "\n[validate]\nsessions = 0\n",
+                     id="validate-no-sessions"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys,
+                                             subcommand, extra):
+        cfg = write(tmp_path, "c.ini", FIVE_BANDS + extra)
+        assert run(subcommand.split() + ["--config", cfg]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""  # rejected before any output is written
+        assert err.startswith("config error:")
+
+
+def test_readme_subcommands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = re.findall(r"^- `secnet ([^`]*)`", readme, flags=re.MULTILINE)
+    assert sorted(c.split()[0] for c in commands) == sorted(cli._COMMANDS)
+    for command in commands:
+        args = cli.make_parser().parse_args(shlex.split(command))
+        assert args.config == "cfg.ini"
 
 
 class TestEquilibriumCommand:

@@ -1,16 +1,62 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from secnet import BandConfig, InfeasibleError, Scenario, solve_equilibrium
-from secnet.equilibrium import (
-    band_service_probability,
-    single_band_explicit,
-)
+from secnet.equilibrium import _epsilon_map
 
 from conftest import make_scenario
+
+
+@dataclass(frozen=True)
+class SingleBandComparison:
+    solver_value: float
+    closed_form: float | None
+    applicable: bool
+    note: str
+
+
+def single_band_explicit(scenario: Scenario) -> SingleBandComparison:
+    """Evaluate the printed single-band closed form next to the solver.
+
+    The closed form is of doubtful provenance (see the comparison note in
+    ``TestSingleBandExplicit``); the solver value is authoritative and is
+    always returned.
+    """
+    if len(scenario.bands) != 1:
+        raise ValueError("single_band_explicit needs a one-band scenario")
+    band = scenario.bands[0]
+    solution = solve_equilibrium(scenario)
+    p = float(scenario.coverage_probabilities()[0])
+    lam = scenario.thinning
+    ratio = scenario.user_density / band.bs_density
+    c_over_r = scenario.rho_s
+    inner = 1.0 - lam * ratio * c_over_r / band.vacancy
+    if inner <= 0.0:
+        return SingleBandComparison(
+            solver_value=solution.epsilon,
+            closed_form=None,
+            applicable=False,
+            note=f"closed form inapplicable: inner base {inner:g} <= 0",
+        )
+    bracket = 1.0 - inner ** (-2.0 / 7.0)
+    if bracket == 0.0:
+        return SingleBandComparison(
+            solver_value=solution.epsilon,
+            closed_form=None,
+            applicable=False,
+            note="closed form inapplicable: bracket term is zero",
+        )
+    value = (p / 3.5) * lam * ratio * c_over_r / bracket
+    return SingleBandComparison(
+        solver_value=solution.epsilon,
+        closed_form=float(value),
+        applicable=True,
+        note=f"closed form {value:g} vs solver {solution.epsilon:g}",
+    )
 
 
 class TestSolveEquilibrium:
@@ -26,8 +72,6 @@ class TestSolveEquilibrium:
     def test_root_verified_by_independent_scan(self, default_scenario):
         sol = solve_equilibrium(default_scenario)
         # brute-force the scalar fixed point on a fine grid
-        from secnet.equilibrium import _epsilon_map
-
         cov = default_scenario.coverage_probabilities()
         grid = np.linspace(0.26, 1.0, 20_000)
         h = np.array(
@@ -59,9 +103,8 @@ class TestSolveEquilibrium:
 
     def test_band_service_probability_matches_solution(self, default_scenario):
         sol = solve_equilibrium(default_scenario)
-        v = band_service_probability(
-            default_scenario.bands[0], default_scenario, sol.epsilon
-        )
+        cov = default_scenario.coverage_probabilities()
+        v = _epsilon_map(default_scenario, cov, sol.epsilon)[1][0]
         assert v == pytest.approx(sol.bands[0].service, rel=1e-12)
 
     def test_heterogeneous_bands(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from secnet.errors import ConvergenceError, UnstableQueueError
 from secnet.queueing import (
@@ -12,12 +12,34 @@ from secnet.queueing import (
     TrafficModel,
     active_probability,
     busy_root,
-    busy_root_polynomial,
     delay_cdf,
     delay_transform,
     mean_delay,
     transmission_time_mean,
 )
+
+
+def busy_root_polynomial(s, outage_duration: SizeDistribution, outage_interarrival_mean):
+    """Verification path: for integer Gamma shapes the defining equation is
+    polynomial in x; enumerate all roots and return the smallest modulus."""
+    k = outage_duration.shape
+    if k != int(k):
+        raise ValueError("polynomial route needs an integer Gamma shape")
+    k = int(k)
+    theta = outage_duration.scale
+    alpha_o = outage_interarrival_mean
+    # x * (1 + theta*s + theta/alpha_o - (theta/alpha_o) x)^k = 1
+    a = 1.0 + theta * s + theta / alpha_o
+    b = -theta / alpha_o
+    poly = np.zeros(k + 2, dtype=complex)  # highest degree first
+    for j in range(k + 1):
+        poly[k - j] = math.comb(k, j) * a ** (k - j) * b**j
+    poly[k + 1] = -1.0
+    roots = np.roots(poly)
+    root = roots[np.argmin(np.abs(roots))]
+    if abs(root.imag) < 1e-10 and not isinstance(s, complex):
+        root = root.real
+    return root
 
 
 def two_class_setup(rho_s=0.2, rho_o=0.3, alpha_s=10.0, alpha_o=0.5, rate=1.0,
@@ -28,6 +50,21 @@ def two_class_setup(rho_s=0.2, rho_o=0.3, alpha_s=10.0, alpha_o=0.5, rate=1.0,
     )
     outage = OutageModel(alpha_o, outage_shape)
     return traffic, outage, 1.0 - rho_o
+
+
+def exponential_mean_delay(traffic, outage, epsilon, rate):
+    """Closed-form mean delay for exponential files and outages: the
+    M/M/1 preemptive-resume special case of ``mean_delay``."""
+    capacity = traffic.capacity
+    file_mean = traffic.file_size.mean
+    if capacity == 0.0:
+        return file_mean / (rate * epsilon)
+    rho_o = 1.0 - epsilon
+    alpha_o = outage.outage_interarrival_mean
+    burst = capacity * file_mean / rate**2 + rho_o**2 * alpha_o
+    return burst / (epsilon * (epsilon - capacity / rate)) + file_mean / (
+        rate * epsilon
+    )
 
 
 class TestSizeDistribution:
@@ -122,6 +159,26 @@ class TestMeanDelay:
         d_e = mean_delay(t_e, o_e, eps, 1.0)
         d_g = mean_delay(t_g, o_g, eps, 1.0)
         assert d_g == pytest.approx(d_e, rel=1e-12)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.95)),
+           st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.95)),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.floats(min_value=0.1, max_value=50.0),
+           st.floats(min_value=0.1, max_value=100.0))
+    @example(0.0, 0.0, 1.0, 1.0, 1.0)       # C = 0 and epsilon = 1
+    @example(0.3, 0.0, 1.0, 2.0, 5.0)       # epsilon = 1
+    @example(0.0, 0.4, 10.0, 4.0, 10.0)     # C = 0
+    def test_matches_exponential_closed_form(self, rho_s, rho_o, alpha_o, rate,
+                                             file_mean):
+        assume(rho_s + rho_o < 0.99)
+        alpha_s = math.inf if rho_s == 0.0 else file_mean / (rate * rho_s)
+        traffic = TrafficModel(alpha_s, SizeDistribution("exponential", file_mean))
+        outage = OutageModel(alpha_o)
+        eps = 1.0 - rho_o
+        assert mean_delay(traffic, outage, eps, rate) == pytest.approx(
+            exponential_mean_delay(traffic, outage, eps, rate), rel=1e-12
+        )
 
     def test_unstable_raises(self):
         traffic, outage, _ = two_class_setup(rho_s=0.5)

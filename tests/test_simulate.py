@@ -17,8 +17,63 @@ from secnet.simulate import (
     sample_voronoi_cells,
     spatial_coverage,
 )
-from secnet.simulate.queue_sim import _reference_delays
+from secnet.simulate.queue_sim import (
+    _AvailabilityClock,
+    _busy_time,
+    _merged_busy_periods,
+    _session_sweep,
+)
 from secnet.simulate.spatial import _draw_layers
+
+
+def _reference_delays(arr_s, service, arr_o, dur_o):
+    """Plain event-by-event reference implementation (small inputs only).
+
+    Sweeps merged arrival events in time order, always serving pending
+    outage work before session work, resuming sessions where they left
+    off.  Returns (completions, first_service_starts).
+    """
+    events = [(t, 0, i) for i, t in enumerate(arr_s)]
+    events += [(t, -1, i) for i, t in enumerate(arr_o)]
+    events.sort()  # outage before session at equal timestamps
+    now = 0.0
+    outage_left = []   # FIFO of remaining outage durations
+    sessions = []      # FIFO of [index, remaining]
+    completions = np.full(len(arr_s), np.nan)
+    starts = np.full(len(arr_s), np.nan)
+
+    def advance(until):
+        nonlocal now
+        while now < until:
+            budget = until - now
+            if outage_left:
+                work = min(budget, outage_left[0])
+                outage_left[0] -= work
+                now += work
+                if outage_left[0] <= 1e-15:
+                    outage_left.pop(0)
+            elif sessions:
+                idx, remaining = sessions[0]
+                if np.isnan(starts[idx]):
+                    starts[idx] = now
+                work = min(budget, remaining)
+                sessions[0][1] -= work
+                now += work
+                if sessions[0][1] <= 1e-15:
+                    completions[idx] = now
+                    sessions.pop(0)
+            else:
+                now = until
+
+    for t, kind, i in events:
+        advance(t)
+        if kind == -1:
+            outage_left.append(dur_o[i])
+        else:
+            sessions.append([i, service[i]])
+    while sessions or outage_left:
+        advance(now + 1.0)
+    return completions, starts
 
 
 def small_spatial(reps=8, ratio=1.0, seed=0):
@@ -119,30 +174,57 @@ def queue_config(rho_s=0.2, rho_o=0.3, alpha_o=0.5, n=100_000, seed=0,
     )
 
 
+def small_queue_case():
+    """Session and outage streams of a 2000-session run, drawn as
+    ``run_priority_queue`` draws them, and the session completions and
+    first service starts of the vectorized sweep."""
+    cfg = queue_config(n=2000)
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.horizon_sessions
+    arr_s = np.cumsum(rng.exponential(cfg.session_interarrival_mean, n))
+    service = cfg.file_size.sample(rng, n) / cfg.rate
+    horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
+    m = int(horizon / cfg.outage_interarrival_mean * 1.2) + 100
+    arr_o = np.cumsum(rng.exponential(cfg.outage_interarrival_mean, m))
+    dur_o = cfg.outage_duration.sample(rng, m)
+    starts, ends = _merged_busy_periods(arr_o, dur_o)
+    completions, first_starts = _session_sweep(
+        arr_s, service, _AvailabilityClock(starts, ends)
+    )
+    return arr_s, service, arr_o, dur_o, completions, first_starts
+
+
+def interval_union_length(starts, ends, lo, hi):
+    """Measure of the union of [starts_i, ends_i] inside [lo, hi], by
+    merging the intervals one at a time."""
+    merged = []
+    for a, b in sorted(zip(starts, ends)):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return float(np.sum([min(max(b, lo), hi) - min(max(a, lo), hi)
+                         for a, b in merged]))
+
+
 class TestQueueSim:
     def test_matches_event_loop_reference_exactly(self):
-        cfg = queue_config(n=2000)
-        rng = np.random.default_rng(cfg.seed)
-        n = cfg.horizon_sessions
-        arr_s = np.cumsum(rng.exponential(cfg.session_interarrival_mean, n))
-        service = cfg.file_size.sample(rng, n) / cfg.rate
-        horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
-        m = int(horizon / cfg.outage_interarrival_mean * 1.2) + 100
-        arr_o = np.cumsum(rng.exponential(cfg.outage_interarrival_mean, m))
-        dur_o = cfg.outage_duration.sample(rng, m)
-
-        from secnet.simulate.queue_sim import (
-            _AvailabilityClock,
-            _merged_busy_periods,
-            _session_sweep,
+        arr_s, service, arr_o, dur_o, completions, first_starts = (
+            small_queue_case()
         )
-
-        starts, ends = _merged_busy_periods(arr_o, dur_o)
-        clock = _AvailabilityClock(starts, ends)
-        completions, first_starts = _session_sweep(arr_s, service, clock)
         ref_completions, ref_starts = _reference_delays(arr_s, service, arr_o, dur_o)
         assert np.allclose(completions, ref_completions, rtol=0, atol=1e-8)
         assert np.allclose(first_starts, ref_starts, rtol=0, atol=1e-8)
+
+    def test_busy_time_is_interval_union_measure(self):
+        arr_s, _, _, _, completions, _ = small_queue_case()
+        edges = np.linspace(arr_s[200], completions[-1], 21)
+        windows = list(zip(edges[:-1], edges[1:]))
+        windows.append((0.0, completions[-1] + 1.0))
+        for lo, hi in windows:
+            assert _busy_time(arr_s, completions, lo, hi) == interval_union_length(
+                arr_s, completions, lo, hi
+            )
 
     def test_no_outage_mm1_sojourn(self):
         cfg = QueueSimConfig(
