@@ -1,13 +1,13 @@
 """Capacity limits of homogeneous multi-band deployments and the
 capacity-delay tradeoff front.
 
-Two spectrum-scaling modes: fixed bandwidth per band (system bandwidth
-grows with the band count) and fixed system bandwidth (per-band bandwidth
-shrinks as 1/N).
+Two spectrum-scaling modes: fixed bandwidth per band (mode I, system
+bandwidth grows with the band count) and fixed system bandwidth (mode II,
+per-band bandwidth shrinks as 1/N).  The function called fixes the mode.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -17,9 +17,6 @@ from .equilibrium import Scenario, solve_equilibrium
 from .errors import InfeasibleError, UnstableQueueError
 from .queueing import mean_delay
 
-MODE_FIXED_PER_BAND = "fixed_per_band"
-MODE_FIXED_SYSTEM = "fixed_system"
-
 _GOLDEN_TOL = 1e-8
 _BRACKET_POINTS = 256
 _BRACKET_SPAN = (1e-3, 20.0)
@@ -27,15 +24,16 @@ _BRACKET_SPAN = (1e-3, 20.0)
 
 @dataclass(frozen=True)
 class HomogeneousSetup:
-    """N identical bands; ``band_width`` is per band in mode I and the
-    total system bandwidth in mode II."""
+    """N identical bands.  ``band_width`` is the width of each band for
+    ``capacity_limit_fixed_band``, ``capacity_limit_derivative`` and
+    ``optimal_rate_fixed_band`` (mode I), and the system total split N ways
+    for ``capacity_limit_fixed_system`` and ``max_capacity_fixed_system``."""
 
     n_bands: int
     user_density: float
     bs_density: float
     vacancy: float = 1.0
     band_width: float = 1.0
-    bandwidth_mode: str = MODE_FIXED_PER_BAND
     thinning: float = geometry.DEFAULT_THINNING
 
     def __post_init__(self):
@@ -47,39 +45,33 @@ class HomogeneousSetup:
             raise ValueError(f"vacancy must be in (0,1], got {self.vacancy}")
         if self.band_width <= 0:
             raise ValueError(f"band_width must be > 0, got {self.band_width}")
-        if self.bandwidth_mode not in (MODE_FIXED_PER_BAND, MODE_FIXED_SYSTEM):
-            raise ValueError(f"unknown bandwidth mode {self.bandwidth_mode!r}")
+        if self.thinning <= 0:
+            raise ValueError(f"thinning must be > 0, got {self.thinning}")
 
     @property
     def load_per_band(self):
         return self.user_density / (self.bs_density * self.n_bands)
 
-    def with_mode(self, mode):
-        return replace(self, bandwidth_mode=mode)
-
 
 def capacity_limit_fixed_band(setup: HomogeneousSetup, rate):
     """Largest stable per-user throughput at target rate ``rate``, mode I."""
-    return _capacity_limit(setup, rate, MODE_FIXED_PER_BAND)
+    return _capacity_limit(setup, rate, 1)
 
 
 def capacity_limit_fixed_system(setup: HomogeneousSetup, rate):
     """Mode II: total bandwidth fixed, each band gets 1/N of it."""
-    return _capacity_limit(setup, rate, MODE_FIXED_SYSTEM)
+    return _capacity_limit(setup, rate, setup.n_bands)
 
 
-def _capacity_limit(setup, rate, mode):
+def _capacity_limit(setup, rate, sharing):
     """Rate times the probability that some band serves a user at the
     stability boundary, where every user is active and the per-band load is
-    the user/BS ratio over N."""
-    if setup.bandwidth_mode != mode:
-        raise ValueError(f"setup is not in {mode} mode")
+    the user/BS ratio over N.  ``sharing`` bands split ``band_width`` (1 or
+    N), so a band's coverage sees ``sharing`` times the rate."""
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    # in mode II a band has 1/N of the bandwidth: coverage sees N times the rate
-    band_rate = rate if mode == MODE_FIXED_PER_BAND else rate * setup.n_bands
     p = geometry.coverage_probability(
-        geometry.CoverageQuery(band_rate, setup.band_width)
+        geometry.CoverageQuery(rate * sharing, setup.band_width)
     )
     eps_n = geometry.service_probability(
         setup.vacancy, p, setup.load_per_band, setup.thinning
@@ -131,8 +123,6 @@ def optimal_rate_fixed_band(setup: HomogeneousSetup) -> RateOptimum:
     Falls back to direct golden-section maximization if no sign change of
     the derivative is bracketed.
     """
-    if setup.bandwidth_mode != MODE_FIXED_PER_BAND:
-        raise ValueError("setup is not in fixed-per-band mode")
     w = setup.band_width
     grid = np.geomspace(_BRACKET_SPAN[0] * w, _BRACKET_SPAN[1] * w, _BRACKET_POINTS)
     dv = np.array([capacity_limit_derivative(setup, r) for r in grid])
@@ -164,7 +154,7 @@ def optimal_rate_fixed_band(setup: HomogeneousSetup) -> RateOptimum:
 def max_capacity_fixed_system(setup: HomogeneousSetup):
     """Mode-II maximum capacity: the mode-I maximum divided by N (the
     rate rescaling R -> RN leaves the maximum value unchanged)."""
-    opt = optimal_rate_fixed_band(setup.with_mode(MODE_FIXED_PER_BAND))
+    opt = optimal_rate_fixed_band(setup)
     return opt.capacity / setup.n_bands
 
 

@@ -96,6 +96,14 @@ def _getfloat(parser, section, key, default=None):
         raise ConfigError(f"bad or missing value for [{section}] {key}: {exc}")
 
 
+def _getint(parser, section, key, default=None):
+    """``_getfloat`` for a count: 200 or 200.0, and a fraction is an error."""
+    value = _getfloat(parser, section, key, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"[{section}] {key} must be an integer, got {value:g}")
+    return int(value)
+
+
 def build_scenario(parser):
     try:
         bands = []
@@ -191,7 +199,7 @@ def _spaced(section, lo, hi, points, scale):
 
 
 def _sweep_values(parser):
-    points = int(_getfloat(parser, "sweep", "points"))
+    points = _getint(parser, "sweep", "points")
     if points < 2:
         raise ConfigError("sweep points must be >= 2")
     lo = _getfloat(parser, "sweep", "min")
@@ -263,8 +271,8 @@ def cmd_tradeoff(parser, args, out):
 
 def cmd_capacity(parser, args, out):
     scenario = build_scenario(parser)
-    n_min = int(_getfloat(parser, "capacity", "n_min", default=1.0))
-    n_max = int(_getfloat(parser, "capacity", "n_max", default=10.0))
+    n_min = _getint(parser, "capacity", "n_min", default=1)
+    n_max = _getint(parser, "capacity", "n_max", default=10)
     if n_min < 1:
         raise ConfigError(f"[capacity] n_min must be >= 1, got {n_min}")
     band = scenario.bands[0]
@@ -337,7 +345,7 @@ def cmd_delay_cdf(parser, args, out):
         scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
     )
     if "grid" in parser:
-        points = int(_getfloat(parser, "grid", "points", default=200.0))
+        points = _getint(parser, "grid", "points", default=200)
         lo = _getfloat(parser, "grid", "t_min")
         hi = _getfloat(parser, "grid", "t_max")
         if points < 1 or not 0 < lo < hi:
@@ -356,7 +364,7 @@ def cmd_delay_cdf(parser, args, out):
     columns = ["t", "cdf"]
     empirical = None
     if args.validate:
-        sessions = int(_getfloat(parser, "validate", "sessions", default=200000.0))
+        sessions = _getint(parser, "validate", "sessions", default=200000)
         rep = run_priority_queue(
             _queue_sim_config(scenario, sol.epsilon, sessions, args.seed)
         )
@@ -403,9 +411,9 @@ def cmd_equilibrium(parser, args, out):
 
 def cmd_validate(parser, args, out):
     scenario = build_scenario(parser)
-    users = int(_getfloat(parser, "validate", "users", default=20000.0))
-    cells = int(_getfloat(parser, "validate", "cells", default=20000.0))
-    sessions = int(_getfloat(parser, "validate", "sessions", default=100000.0))
+    users = _getint(parser, "validate", "users", default=20000)
+    cells = _getint(parser, "validate", "cells", default=20000)
+    sessions = _getint(parser, "validate", "sessions", default=100000)
     thinning = _getfloat(parser, "validate", "thinning", default=scenario.thinning)
     ratio = _getfloat(parser, "validate", "ratio", default=5.0)
     seed = args.seed

@@ -55,6 +55,8 @@ class Scenario:
             raise ValueError("at least one band is required")
         if self.target_rate <= 0:
             raise ValueError(f"target_rate must be > 0, got {self.target_rate}")
+        if self.thinning <= 0:
+            raise ValueError(f"thinning must be > 0, got {self.thinning}")
 
     @property
     def rho_s(self):

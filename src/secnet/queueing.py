@@ -23,6 +23,7 @@ from .laplace import euler_inversion, talbot_inversion
 
 _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 10_000
+_RAW_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -290,10 +291,10 @@ class DelayCdf:
     metadata: dict = field(default_factory=dict)
 
 
-def delay_cdf(handle, t_grid, method="euler", terms=20, raw_tolerance=1e-3):
+def delay_cdf(handle, t_grid, method="euler", terms=20):
     """Numerically invert ``handle``'s transform divided by s on ``t_grid``.
 
-    Raw inversion output is required to stay within ``raw_tolerance`` of
+    Raw inversion output is required to stay within ``_RAW_TOLERANCE`` of
     [0, 1]; larger excursions indicate oscillatory failure and raise.  The
     returned values are clamped and made nondecreasing.
     """
@@ -313,7 +314,7 @@ def delay_cdf(handle, t_grid, method="euler", terms=20, raw_tolerance=1e-3):
     else:
         raise ValueError(f"unknown inversion method {method!r}")
 
-    bad = (raw < -raw_tolerance) | (raw > 1.0 + raw_tolerance)
+    bad = (raw < -_RAW_TOLERANCE) | (raw > 1.0 + _RAW_TOLERANCE)
     if np.any(bad):
         t_bad = t[bad][0]
         raise ConvergenceError(
@@ -322,5 +323,5 @@ def delay_cdf(handle, t_grid, method="euler", terms=20, raw_tolerance=1e-3):
             value=float(raw[bad][0]),
         )
     values = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
-    meta = {"method": method, "terms": terms, "raw_tolerance": raw_tolerance}
+    meta = {"method": method, "terms": terms, "raw_tolerance": _RAW_TOLERANCE}
     return DelayCdf(times=t, values=values, metadata=meta)

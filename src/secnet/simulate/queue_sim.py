@@ -17,6 +17,7 @@ queues behind the outage.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import stats
@@ -35,9 +36,11 @@ class QueueSimConfig:
     outage_duration: SizeDistribution
     rate: float
     horizon_sessions: int = 100_000
-    warmup_fraction: float = 0.1
-    n_batches: int = 20
     seed: int = 0
+
+    # batch means: warm-up share dropped, and batches (= busy-fraction windows)
+    warmup_fraction: ClassVar[float] = 0.1
+    n_batches: ClassVar[int] = 20
 
     def __post_init__(self):
         if self.session_interarrival_mean <= 0 or self.outage_interarrival_mean <= 0:
@@ -46,10 +49,6 @@ class QueueSimConfig:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if self.horizon_sessions < 1:
             raise ValueError("horizon must be >= 1 session")
-        if not 0.0 <= self.warmup_fraction < 0.5:
-            raise ValueError("warmup fraction must be in [0, 0.5)")
-        if self.n_batches < 2:
-            raise ValueError("need at least 2 batches for a CI")
 
     @property
     def rho_s(self):
@@ -115,14 +114,18 @@ class _AvailabilityClock:
         )
 
 
+def _fcfs_departures(arrivals, work):
+    """FCFS departures: job i leaves at cum_i + max_{j<=i}(arrival_j -
+    cum_{j-1}), where cum is the running sum of ``work``."""
+    cum = np.cumsum(work)
+    offset = np.concatenate([[0.0], cum[:-1]])
+    return cum + np.maximum.accumulate(arrivals - offset)
+
+
 def _merged_busy_periods(arrivals, durations):
     """Busy periods of the FCFS single-class workload fed by ``arrivals``
     with the given service ``durations``."""
-    cum = np.cumsum(durations)
-    offset = np.concatenate([[0.0], cum[:-1]])
-    # completion of job i: cum_i + max_{j<=i}(arrival_j - cum_{j-1})
-    frees = cum + np.maximum.accumulate(arrivals - offset)
-    return _busy_periods(arrivals, frees)
+    return _busy_periods(arrivals, _fcfs_departures(arrivals, durations))
 
 
 def _busy_periods(arrivals, frees):
@@ -141,9 +144,7 @@ def _busy_periods(arrivals, frees):
 def _session_sweep(arr_s, service, clock):
     """FCFS completion recursion in availability coordinates."""
     avail_at_arrival = clock.forward(arr_s)
-    cum = np.cumsum(service)
-    offset = np.concatenate([[0.0], cum[:-1]])
-    completion_avail = cum + np.maximum.accumulate(avail_at_arrival - offset)
+    completion_avail = _fcfs_departures(avail_at_arrival, service)
     completions = clock.inverse(completion_avail, completion=True)
     # service start in real time: the later of arrival and the previous
     # completion, pushed past any outage busy period covering that instant
@@ -162,11 +163,9 @@ def _session_sweep(arr_s, service, clock):
     return completions, starts
 
 
-def _busy_time(arrivals, completions, window_start, window_end):
-    """Lebesgue measure of union of [arrival, completion] clipped to a
-    window; completions are nondecreasing (FCFS), so periods merge by a
-    simple scan over period starts."""
-    starts, ends = _busy_periods(arrivals, completions)
+def _busy_time(starts, ends, window_start, window_end):
+    """Measure of the disjoint busy periods [starts, ends] clipped to a
+    window."""
     lo = np.clip(starts, window_start, window_end)
     hi = np.clip(ends, window_start, window_end)
     return float(np.sum(hi - lo))
@@ -229,10 +228,11 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
     t_hi = completions[-1]
     # busy fraction and its CI from windowed sub-estimates
     edges = np.linspace(t_lo, t_hi, cfg.n_batches + 1)
+    busy = _busy_periods(arr_s, completions)
     report.add_mean_estimate(
         "busy_fraction",
         [
-            _busy_time(arr_s, completions, edges[i], edges[i + 1])
+            _busy_time(*busy, edges[i], edges[i + 1])
             / (edges[i + 1] - edges[i])
             for i in range(cfg.n_batches)
         ],

@@ -144,7 +144,6 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
         raise ValueError("threshold must be >= 0")
     report = SimReport(seed=cfg.seed, config={**cfg.echo(), "threshold": threshold})
     max_k = 512
-    per_rep_pmf = []
     per_rep_access = []
     counts_total = np.zeros(max_k + 1)
     n_samples = 0
@@ -158,17 +157,10 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
         hist = np.bincount(k, minlength=max_k + 1)
         counts_total += hist
         n_samples += len(k)
-        per_rep_pmf.append(hist / max(len(k), 1))
         ref_cov = covered & _interior_mask(users, cfg)
         if np.any(ref_cov):
             per_rep_access.append(np.mean(1.0 / cell_cov[cell[ref_cov]]))
     report.arrays["pmf"] = counts_total / n_samples
-    per_rep_pmf = np.asarray(per_rep_pmf)
-    if len(per_rep_pmf) > 1:
-        tcrit = stats.t.ppf(0.995, len(per_rep_pmf) - 1)
-        report.arrays["pmf_ci99"] = (
-            tcrit * np.std(per_rep_pmf, axis=0, ddof=1) / math.sqrt(len(per_rep_pmf))
-        )
     if per_rep_access:
         report.add_mean_estimate("access_probability", per_rep_access)
     report.config["n_samples"] = n_samples
@@ -239,14 +231,12 @@ def sample_voronoi_cells(cfg: SpatialSimConfig) -> SimReport:
     return report
 
 
-def refit_thinning_const(empirical_pmf, load, coverage, grid=None):
+def refit_thinning_const(empirical_pmf, load, coverage):
     """Least-squares refit of the thinning constant against an empirical
-    contender-count PMF."""
-    if grid is None:
-        grid = np.linspace(0.2, 1.5, 261)
+    contender-count PMF, on a 261-point grid over [0.2, 1.5]."""
     k = np.arange(len(empirical_pmf))
     best = None
-    for lam in grid:
+    for lam in np.linspace(0.2, 1.5, 261):
         model = geometry.in_coverage_count_pmf(
             geometry.CellLoad(load, coverage, lam), k
         )

@@ -23,7 +23,6 @@ from scipy import stats
 from secnet import capacity as cap
 from secnet import geometry
 from secnet.capacity import (
-    MODE_FIXED_SYSTEM,
     HomogeneousSetup,
     capacity_limit_derivative,
     capacity_limit_fixed_band,
@@ -91,7 +90,7 @@ def test_criterion_2_bandwidth_mode_identity():
     for n in range(1, 21):
         setup = HomogeneousSetup(n_bands=n, user_density=50.0, bs_density=1.0)
         c1 = optimal_rate_fixed_band(setup).capacity
-        c2 = max_capacity_fixed_system(setup.with_mode(MODE_FIXED_SYSTEM))
+        c2 = max_capacity_fixed_system(setup)
         worst = max(worst, abs(n * c2 - c1) / c1)
     report(2, "bandwidth mode identity", worst <= 1e-8,
            f"max relative gap {worst:.2e} over N=1..20, tolerance 1e-8")

@@ -5,8 +5,6 @@ import pytest
 
 from secnet import capacity as cap
 from secnet.capacity import (
-    MODE_FIXED_PER_BAND,
-    MODE_FIXED_SYSTEM,
     HomogeneousSetup,
     capacity_limit_derivative,
     capacity_limit_fixed_band,
@@ -61,20 +59,17 @@ class TestCapacityLimit:
     def test_mode_guards(self):
         setup = setup_mode_one()
         with pytest.raises(ValueError):
-            capacity_limit_fixed_system(setup, 1.0)
-        with pytest.raises(ValueError):
-            capacity_limit_fixed_band(setup.with_mode(MODE_FIXED_SYSTEM), 1.0)
-        with pytest.raises(ValueError):
             capacity_limit_fixed_band(setup, 0.0)
+        with pytest.raises(ValueError):
+            capacity_limit_fixed_system(setup, 0.0)
 
 
 class TestModeIdentities:
     def test_two_modes_related_by_rate_rescaling(self):
         for n in (1, 3, 8):
             setup1 = setup_mode_one(n=n)
-            setup2 = setup1.with_mode(MODE_FIXED_SYSTEM)
             for r in (0.2, 0.7, 1.5):
-                c2 = capacity_limit_fixed_system(setup2, r)
+                c2 = capacity_limit_fixed_system(setup1, r)
                 c1 = capacity_limit_fixed_band(setup1, r * n)
                 assert c2 == pytest.approx(c1 / n, rel=1e-12)
 
@@ -82,7 +77,7 @@ class TestModeIdentities:
         for n in range(1, 21):
             setup = setup_mode_one(n=n)
             c1 = optimal_rate_fixed_band(setup).capacity
-            c2 = max_capacity_fixed_system(setup.with_mode(MODE_FIXED_SYSTEM))
+            c2 = max_capacity_fixed_system(setup)
             assert n * c2 == pytest.approx(c1, rel=1e-8)
 
 
@@ -93,10 +88,7 @@ class TestJointOptimization:
         assert c_star > 0
         # joint optimum beats a few arbitrary fixed band counts
         for n in (1, 2, 60):
-            setup = HomogeneousSetup(
-                n_bands=n, user_density=50.0, bs_density=1.0,
-                bandwidth_mode=MODE_FIXED_SYSTEM,
-            )
+            setup = HomogeneousSetup(n_bands=n, user_density=50.0, bs_density=1.0)
             assert c_star >= max_capacity_fixed_system(setup) - 1e-12
 
     def test_scaling_approximation_values(self):
@@ -132,7 +124,7 @@ class TestSetupValidation:
                              vacancy=1.5)
         with pytest.raises(ValueError):
             HomogeneousSetup(n_bands=1, user_density=1.0, bs_density=1.0,
-                             bandwidth_mode="adaptive")
+                             thinning=0.0)
 
     def test_load_per_band(self):
         setup = HomogeneousSetup(n_bands=4, user_density=80.0, bs_density=2.0)

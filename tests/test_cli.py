@@ -76,6 +76,7 @@ class TestConfigHandling:
         assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
 
     GRID = "\n[grid]\nt_min = {lo}\nt_max = {hi}\npoints = {n}\nscale = {scale}\n"
+    VALIDATE = "\n[validate]\nusers = {users}\ncells = {cells}\nsessions = {sessions}\n"
 
     @pytest.mark.parametrize("subcommand, extra", [
         pytest.param("capacity", "\n[capacity]\nratios = 5,abc\n",
@@ -106,10 +107,32 @@ class TestConfigHandling:
                      id="validate-users-not-a-number"),
         pytest.param("delay-cdf --validate", "\n[validate]\nsessions = 0\n",
                      id="validate-no-sessions"),
+        pytest.param("equilibrium", "[scenario]\nthinning = 0\n", id="thinning-zero"),
+        pytest.param("capacity", "[scenario]\nthinning = -1\n",
+                     id="thinning-negative"),
+        pytest.param("delay-cdf", GRID.format(lo=1, hi=10, n=2.5, scale="log"),
+                     id="grid-points-fraction"),
+        pytest.param("tradeoff", "\n[sweep]\nmin = 0\nmax = 0.1\npoints = 3.9\n",
+                     id="sweep-points-fraction"),
+        pytest.param("capacity", "\n[capacity]\nn_min = 1.5\nn_max = 2\n",
+                     id="n_min-fraction"),
+        pytest.param("capacity", "\n[capacity]\nn_min = 1\nn_max = 2.5\n",
+                     id="n_max-fraction"),
+        pytest.param("validate", VALIDATE.format(users=100.5, cells=200, sessions=1000),
+                     id="validate-users-fraction"),
+        pytest.param("validate", VALIDATE.format(users=100, cells=200.5, sessions=1000),
+                     id="validate-cells-fraction"),
+        pytest.param("validate", VALIDATE.format(users=100, cells=200, sessions=1000.5),
+                     id="validate-sessions-fraction"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys,
                                              subcommand, extra):
-        cfg = write(tmp_path, "c.ini", FIVE_BANDS + extra)
+        # a row that starts with [scenario] adds its keys to that section
+        if extra.startswith("[scenario]"):
+            text = FIVE_BANDS.replace("[scenario]\n", extra, 1)
+        else:
+            text = FIVE_BANDS + extra
+        cfg = write(tmp_path, "c.ini", text)
         assert run(subcommand.split() + ["--config", cfg]) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == ""  # rejected before any output is written

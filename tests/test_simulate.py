@@ -19,6 +19,7 @@ from secnet.simulate import (
 )
 from secnet.simulate.queue_sim import (
     _AvailabilityClock,
+    _busy_periods,
     _busy_time,
     _merged_busy_periods,
     _session_sweep,
@@ -221,8 +222,9 @@ class TestQueueSim:
         edges = np.linspace(arr_s[200], completions[-1], 21)
         windows = list(zip(edges[:-1], edges[1:]))
         windows.append((0.0, completions[-1] + 1.0))
+        busy = _busy_periods(arr_s, completions)
         for lo, hi in windows:
-            assert _busy_time(arr_s, completions, lo, hi) == interval_union_length(
+            assert _busy_time(*busy, lo, hi) == interval_union_length(
                 arr_s, completions, lo, hi
             )
 
