@@ -19,7 +19,9 @@ from .queueing import mean_delay
 
 _GOLDEN_TOL = 1e-8
 _BRACKET_POINTS = 256
-_BRACKET_SPAN = (1e-3, 20.0)
+# Edges of the derivative scan's spans, in band widths: the first span, then
+# doublings up to R/W = 1000, past which 2^(R/W) nears float64 overflow.
+_SCAN_EDGES = (1e-3, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1000.0)
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,9 @@ def _capacity_limit(setup, rate, sharing):
     eps_n = geometry.service_probability(
         setup.vacancy, p, setup.load_per_band, setup.thinning
     )
-    miss = setup.n_bands * math.log1p(-min(eps_n, 1.0 - 1e-300))
-    return rate * (1.0 - math.exp(miss))
+    if eps_n == 1.0:  # every band always serves
+        return rate
+    return rate * (1.0 - math.exp(setup.n_bands * math.log1p(-eps_n)))
 
 
 def capacity_limit_derivative(setup: HomogeneousSetup, rate):
@@ -114,41 +117,23 @@ def capacity_limit_derivative(setup: HomogeneousSetup, rate):
 class RateOptimum:
     rate: float
     capacity: float
-    method: str  # "derivative-root" or "golden-fallback"
 
 
 def optimal_rate_fixed_band(setup: HomogeneousSetup) -> RateOptimum:
-    """Rate maximizing the mode-I capacity limit, from the derivative root.
-
-    Falls back to direct golden-section maximization if no sign change of
-    the derivative is bracketed.
-    """
+    """Rate maximizing the mode-I capacity limit: the derivative's root at
+    its first + -> - sign change, scanned span by span (``_SCAN_EDGES``)."""
     w = setup.band_width
-    grid = np.geomspace(_BRACKET_SPAN[0] * w, _BRACKET_SPAN[1] * w, _BRACKET_POINTS)
-    dv = np.array([capacity_limit_derivative(setup, r) for r in grid])
-    bracket = None
-    for i in range(len(grid) - 1):
-        if dv[i] > 0 and dv[i + 1] < 0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is not None:
-        rate = brentq(
-            lambda r: capacity_limit_derivative(setup, r), *bracket,
-            xtol=1e-14, rtol=1e-15,
-        )
-        return RateOptimum(
-            rate=rate,
-            capacity=capacity_limit_fixed_band(setup, rate),
-            method="derivative-root",
-        )
-    res = minimize_scalar(
-        lambda r: -capacity_limit_fixed_band(setup, r),
-        bounds=(grid[0], grid[-1]),
-        method="bounded",
-        options={"xatol": _GOLDEN_TOL * w},
-    )
-    return RateOptimum(rate=float(res.x), capacity=float(-res.fun),
-                       method="golden-fallback")
+    for lo, hi in zip(_SCAN_EDGES, _SCAN_EDGES[1:]):
+        grid = np.geomspace(lo * w, hi * w, _BRACKET_POINTS)
+        dv = [capacity_limit_derivative(setup, r) for r in grid]
+        for i in range(_BRACKET_POINTS - 1):
+            if dv[i] > 0 and dv[i + 1] < 0:
+                rate = brentq(
+                    lambda r: capacity_limit_derivative(setup, r),
+                    grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15,
+                )
+                return RateOptimum(rate, capacity_limit_fixed_band(setup, rate))
+    raise InfeasibleError(f"no capacity optimum below rate {hi:g} x band width")
 
 
 def max_capacity_fixed_system(setup: HomogeneousSetup):

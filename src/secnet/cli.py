@@ -69,7 +69,10 @@ _BAND_KEYS = {"bandwidth", "vacancy", "bs_density"}
 
 def load_config(path):
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc))
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
@@ -148,13 +151,7 @@ def build_scenario(parser):
 
 
 def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.9g}"
-    return str(value)
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
 class Writer:
@@ -273,8 +270,10 @@ def cmd_capacity(parser, args, out):
     scenario = build_scenario(parser)
     n_min = _getint(parser, "capacity", "n_min", default=1)
     n_max = _getint(parser, "capacity", "n_max", default=10)
-    if n_min < 1:
-        raise ConfigError(f"[capacity] n_min must be >= 1, got {n_min}")
+    if not 1 <= n_min <= n_max:
+        raise ConfigError(
+            f"[capacity] needs 1 <= n_min <= n_max, got n_min {n_min}, n_max {n_max}"
+        )
     band = scenario.bands[0]
     if parser.has_option("capacity", "ratios"):
         text = parser.get("capacity", "ratios")
@@ -321,21 +320,22 @@ def _auto_grid(handle, points=200):
 
 def _queue_sim_config(scenario, epsilon, sessions, seed):
     """Queue simulator input of the analytic delay model at ``epsilon``."""
-    if sessions < 1:
-        raise ConfigError(f"[validate] sessions must be >= 1, got {sessions}")
     outage = scenario.outage
-    rho_o = 1.0 - epsilon
-    return QueueSimConfig(
-        session_interarrival_mean=scenario.traffic.session_interarrival_mean,
-        outage_interarrival_mean=outage.outage_interarrival_mean,
-        file_size=scenario.traffic.file_size,
-        outage_duration=outage.duration_distribution(
-            outage.outage_interarrival_mean * rho_o
-        ),
-        rate=scenario.target_rate,
-        horizon_sessions=sessions,
-        seed=seed,
+    duration = outage.duration_distribution(
+        outage.outage_interarrival_mean * (1.0 - epsilon)
     )
+    try:
+        return QueueSimConfig(
+            session_interarrival_mean=scenario.traffic.session_interarrival_mean,
+            outage_interarrival_mean=outage.outage_interarrival_mean,
+            file_size=scenario.traffic.file_size,
+            outage_duration=duration,
+            rate=scenario.target_rate,
+            horizon_sessions=sessions,
+            seed=seed,
+        )
+    except ValueError as exc:  # the scenario is valid, so only the horizon fails
+        raise ConfigError(f"[validate] sessions: {exc}")
 
 
 def cmd_delay_cdf(parser, args, out):
@@ -417,6 +417,8 @@ def cmd_validate(parser, args, out):
     thinning = _getfloat(parser, "validate", "thinning", default=scenario.thinning)
     ratio = _getfloat(parser, "validate", "ratio", default=5.0)
     seed = args.seed
+    sol = solve_equilibrium(scenario)
+    queue_cfg = _queue_sim_config(scenario, sol.epsilon, sessions, seed)
     checks = []
 
     # 1. interference-limited coverage against the closed form
@@ -462,8 +464,7 @@ def cmd_validate(parser, args, out):
     checks.append(("voronoi_ks_user", ks_u, 0.02, ks_u <= 0.02))
 
     # 4. queue: DES against the analytic mean delay and delay CDF
-    sol = solve_equilibrium(scenario)
-    qrep = run_priority_queue(_queue_sim_config(scenario, sol.epsilon, sessions, seed))
+    qrep = run_priority_queue(queue_cfg)
     handle = delay_transform(
         scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
     )

@@ -115,7 +115,7 @@ def _epsilon_map(scenario, coverages, eps):
             for b, c, load in zip(scenario.bands, coverages, loads)
         ]
     )
-    log_miss = np.sum(np.log1p(-np.minimum(eps_n, 1.0 - 1e-300)))
+    log_miss = np.sum(np.log1p(-eps_n))
     return 1.0 - math.exp(log_miss), eps_n, loads
 
 

@@ -113,8 +113,7 @@ def _cell_pdf(x, log_norm, power):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("normalized cell size must be >= 0")
-    with np.errstate(divide="ignore"):
-        logx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
+    logx = np.log(np.where(x > 0, x, 1.0))
     out = np.where(x > 0, np.exp(log_norm + power * logx - _A * x), 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -148,9 +147,9 @@ def in_coverage_count_pmf(load: CellLoad, k):
 def access_probability(load: CellLoad):
     """Probability that an in-coverage user wins fair TDMA contention.
 
-    Closed form of E[1/(K+1)] under the in-coverage count mixture.  The
-    c -> 0 limit is taken analytically: below 1e-6 a 3-term expansion is
-    used, which agrees with the closed form to ~1e-10 at the switch point.
+    Closed form of E[1/(K+1)] under the in-coverage count mixture,
+    [1 - (1 + c/3.5)^-3.5] / c, computed with expm1/log1p so that it keeps
+    full precision as c -> 0; its limit there is 1.
     """
     c = load.contention
     return _access_probability_from_contention(c)
@@ -166,9 +165,6 @@ def service_probability(vacancy, coverage, load, thinning):
 def _access_probability_from_contention(c):
     if c < 0:
         raise ValueError("contention parameter must be >= 0")
-    if c < 1e-6:
-        # (1/c)[1 - (1+c/3.5)^{-3.5}] expanded around c = 0.
-        a1 = (_A + 1.0) / (2.0 * _A)              # 4.5/7
-        a2 = (_A + 1.0) * (_A + 2.0) / (6.0 * _A * _A)
-        return 1.0 - a1 * c + a2 * c * c
-    return (1.0 - math.exp(-_A * math.log1p(c / _A))) / c
+    if c == 0.0:
+        return 1.0
+    return -math.expm1(-_A * math.log1p(c / _A)) / c

@@ -47,8 +47,12 @@ class QueueSimConfig:
             raise ValueError("interarrival means must be > 0")
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
-        if self.horizon_sessions < 1:
-            raise ValueError("horizon must be >= 1 session")
+        n = self.horizon_sessions
+        if n - int(self.warmup_fraction * n) < self.n_batches:
+            raise ValueError(
+                f"horizon of {n} sessions keeps fewer than {self.n_batches} "
+                "after warm-up, one per batch"
+            )
 
     @property
     def rho_s(self):
@@ -96,16 +100,14 @@ class _AvailabilityClock:
         )
         return t - blocked - extra
 
-    def inverse(self, a, completion=True):
+    def inverse(self, a):
         """Real time at which cumulative availability reaches ``a``.
 
-        ``completion=True`` resolves a value landing exactly on a busy-
-        period boundary to the earlier instant (service already done when
-        the outage hits); ``False`` resolves it past the busy period
-        (service cannot start during an outage).
+        A value landing exactly on a busy-period boundary resolves to the
+        earlier instant: a service completing there is done when the
+        outage hits.
         """
-        side = "left" if completion else "right"
-        idx = np.searchsorted(self.avail_at_start, a, side=side) - 1
+        idx = np.searchsorted(self.avail_at_start, a, side="left") - 1
         return np.where(
             idx >= 0,
             self.ends[np.maximum(idx, 0)]
@@ -145,7 +147,7 @@ def _session_sweep(arr_s, service, clock):
     """FCFS completion recursion in availability coordinates."""
     avail_at_arrival = clock.forward(arr_s)
     completion_avail = _fcfs_departures(avail_at_arrival, service)
-    completions = clock.inverse(completion_avail, completion=True)
+    completions = clock.inverse(completion_avail)
     # service start in real time: the later of arrival and the previous
     # completion, pushed past any outage busy period covering that instant
     cand = np.maximum(arr_s, np.concatenate([[-math.inf], completions[:-1]]))

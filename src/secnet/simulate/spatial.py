@@ -64,15 +64,10 @@ def _draw_ppp(rng, density, side):
 
 
 def _draw_layers(rng, cfg):
-    """BS and user point sets; degenerate (BS-free) draws are repeated."""
-    resamples = 0
-    while True:
-        bss = _draw_ppp(rng, cfg.bs_density, cfg.window_side)
-        if len(bss) > 0:
-            break
-        resamples += 1
-    users = _draw_ppp(rng, cfg.user_density, cfg.window_side)
-    return bss, users, resamples
+    """BS and user point sets.  The window holds at least 500 expected BSs,
+    so a BS-free draw has probability below e^-500."""
+    bss = _draw_ppp(rng, cfg.bs_density, cfg.window_side)
+    return bss, _draw_ppp(rng, cfg.user_density, cfg.window_side)
 
 
 def _interior_mask(points, cfg):
@@ -109,19 +104,15 @@ def spatial_coverage(cfg: SpatialSimConfig, threshold) -> SimReport:
     report = SimReport(seed=cfg.seed, config={**cfg.echo(), "threshold": threshold})
     fractions = []
     total_users = 0
-    resample_total = 0
     for rep in range(cfg.replications):
         rng = np.random.default_rng([cfg.seed, rep])
-        bss, users, resamples = _draw_layers(rng, cfg)
-        resample_total += resamples
+        bss, users = _draw_layers(rng, cfg)
         users = users[_interior_mask(users, cfg)]
         if len(users) == 0:
             continue
         sinr, _ = _sinr_and_cells(rng, users, bss)
         fractions.append(np.mean(sinr > threshold))
         total_users += len(users)
-    if resample_total:
-        report.warnings.append(f"resampled {resample_total} degenerate BS draws")
     report.add_mean_estimate("coverage", fractions)
     report.config["n_users"] = total_users
     report.arrays["per_replication"] = np.asarray(fractions)
@@ -132,7 +123,8 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
     """Empirical PMF of the number of in-coverage users per Voronoi cell,
     sampled over interior cells (one count per cell).
 
-    ``arrays["pmf"]`` is this per-cell law h(j), the typical-cell count.
+    ``arrays["pmf"]`` is this per-cell law h(j), the typical-cell count,
+    for j from 0 to the largest count seen.
     It is not the law of ``geometry.in_coverage_count_pmf``, which counts
     the contenders of a random in-coverage user: that user's cell is size
     biased, so its contender PMF is q(k) = (k+1) h(k+1) / sum_j j h(j).
@@ -143,24 +135,21 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     report = SimReport(seed=cfg.seed, config={**cfg.echo(), "threshold": threshold})
-    max_k = 512
     per_rep_access = []
-    counts_total = np.zeros(max_k + 1)
-    n_samples = 0
+    counts = []
     for rep in range(cfg.replications):
         rng = np.random.default_rng([cfg.seed, rep])
-        bss, users, _ = _draw_layers(rng, cfg)
+        bss, users = _draw_layers(rng, cfg)
         sinr, cell = _sinr_and_cells(rng, users, bss)
         covered = sinr > threshold
         cell_cov = np.bincount(cell[covered], minlength=len(bss))
-        k = np.clip(cell_cov[_interior_mask(bss, cfg)], 0, max_k)
-        hist = np.bincount(k, minlength=max_k + 1)
-        counts_total += hist
-        n_samples += len(k)
+        counts.append(cell_cov[_interior_mask(bss, cfg)])
         ref_cov = covered & _interior_mask(users, cfg)
         if np.any(ref_cov):
             per_rep_access.append(np.mean(1.0 / cell_cov[cell[ref_cov]]))
-    report.arrays["pmf"] = counts_total / n_samples
+    counts = np.concatenate(counts)
+    n_samples = len(counts)
+    report.arrays["pmf"] = np.bincount(counts) / n_samples
     if per_rep_access:
         report.add_mean_estimate("access_probability", per_rep_access)
     report.config["n_samples"] = n_samples
@@ -213,7 +202,7 @@ def sample_voronoi_cells(cfg: SpatialSimConfig) -> SimReport:
     rep_means = []
     for rep in range(cfg.replications):
         rng = np.random.default_rng([cfg.seed, rep])
-        bss, _, _ = _draw_layers(rng, cfg)
+        bss, _ = _draw_layers(rng, cfg)
         areas = _bounded_interior_areas(bss, cfg) * cfg.bs_density
         if len(areas):
             all_areas.append(areas)

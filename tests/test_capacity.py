@@ -29,7 +29,22 @@ class TestCapacityLimit:
         opt = optimal_rate_fixed_band(setup_mode_one())
         assert opt.rate == pytest.approx(5.119391629, rel=1e-8)
         assert opt.capacity == pytest.approx(1.609018478, rel=1e-8)
-        assert opt.method == "derivative-root"
+
+    def test_optimum_above_first_scan_span(self):
+        # at ratio 1e5 the optimum lies above the first scan's end, 20 W
+        opt = optimal_rate_fixed_band(HomogeneousSetup(1, 1e5, 1.0))
+        assert opt.rate == pytest.approx(26.3169455, rel=1e-8)
+        assert opt.capacity == pytest.approx(3.74193926e-4, rel=1e-8)
+
+    def test_optimum_past_float_range_is_infeasible(self):
+        # the scan would have to pass R/W = 1000, where 2^(R/W) nears overflow
+        with pytest.raises(InfeasibleError):
+            optimal_rate_fixed_band(HomogeneousSetup(1, 1e30, 1.0))
+
+    def test_always_serving_band_gives_full_rate(self):
+        # at vanishing load and rate every band serves with probability 1
+        setup = HomogeneousSetup(2, 1e-20, 1.0)
+        assert capacity_limit_fixed_band(setup, 1e-17) == 1e-17
 
     def test_limit_bounded_by_rate(self):
         setup = setup_mode_one()

@@ -124,6 +124,16 @@ class TestConfigHandling:
                      id="validate-cells-fraction"),
         pytest.param("validate", VALIDATE.format(users=100, cells=200, sessions=1000.5),
                      id="validate-sessions-fraction"),
+        pytest.param("equilibrium", "\n[band.1]\nbandwidth = 1\nvacancy = 1\n"
+                     "bs_density = 1\n", id="duplicate-section"),
+        pytest.param("equilibrium", "[scenario]\ntarget_rate = 5\n",
+                     id="duplicate-key"),
+        pytest.param("capacity", "\n[capacity]\nn_min = 5\nn_max = 2\n",
+                     id="capacity-empty-range"),
+        pytest.param("delay-cdf --validate", "\n[validate]\nsessions = 21\n",
+                     id="delay-cdf-sessions-below-batches"),
+        pytest.param("validate", "\n[validate]\nsessions = 21\n",
+                     id="validate-sessions-below-batches"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys,
                                              subcommand, extra):
@@ -138,6 +148,11 @@ class TestConfigHandling:
         assert out == ""  # rejected before any output is written
         assert err.startswith("config error:")
 
+    def test_key_before_any_section_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", "target_rate = 4\n" + FIVE_BANDS)
+        assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 def test_readme_subcommands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -146,6 +161,17 @@ def test_readme_subcommands_parse():
     for command in commands:
         args = cli.make_parser().parse_args(shlex.split(command))
         assert args.config == "cfg.ini"
+
+
+def test_readme_python_examples_run(capsys):
+    # the blocks build on each other, so they run in one namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("0.4621")
 
 
 class TestEquilibriumCommand:

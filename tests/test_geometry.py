@@ -159,6 +159,19 @@ class TestAccessProbability:
             series = 1.0 - a1 * c + a2 * c * c
             assert f(c) == pytest.approx(series, abs=1e-9)
 
+    def test_matches_high_precision_oracle(self):
+        # 50-digit [1 - (1 + c/3.5)^-3.5] / c, with both float neighbours of
+        # 1e-6, where cancellation in 1 - exp(...) is still large
+        mp = pytest.importorskip("mpmath").mp
+        f = geometry._access_probability_from_contention
+        cs = [*np.geomspace(1e-12, 1e4, 1000),
+              np.nextafter(1e-6, 0.0), 1e-6, np.nextafter(1e-6, 1.0)]
+        with mp.workdps(50):
+            for c in map(float, cs):
+                x = mp.mpf(c)
+                exact = (1 - (1 + x / mp.mpf(3.5)) ** mp.mpf(-3.5)) / x
+                assert abs(f(c) - exact) <= 1e-15 * exact, c
+
     @given(st.floats(min_value=1e-8, max_value=100.0),
            st.floats(min_value=1e-6, max_value=10.0))
     def test_strictly_decreasing(self, c, dc):

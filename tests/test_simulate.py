@@ -143,6 +143,18 @@ class TestUserCountPmf:
         expected = 3.0 * geometry.sinr_ccdf_lim(1.0)
         assert mean == pytest.approx(expected, rel=0.05)
 
+    def test_pmf_keeps_counts_above_512(self):
+        # at ratio 500 about 8 % of interior cells hold more than 512 covered
+        # users; each count keeps its own bin, so the PMF runs to the largest
+        # count seen and no bin collects a lumped tail (the most likely count
+        # holds about 0.3 % of cells under the per-cell law; more than 5 %
+        # takes ten or more of the 183 cells here)
+        cfg = SpatialSimConfig(math.sqrt(500 / 1e-6), 1e-6, 500e-6, 0.2, 1, 0)
+        pmf = empirical_user_count_pmf(cfg, 1.0).arrays["pmf"]
+        assert len(pmf) > 513
+        assert pmf[-1] > 0.0
+        assert pmf.max() <= 0.05
+
     def test_refit_recovers_model_constant(self):
         # feed the refitter a PMF generated by the model itself
         load = geometry.CellLoad(5.0, 0.5, thinning=2.0 / 3.0)
@@ -296,6 +308,15 @@ class TestQueueSim:
                 outage_duration=SizeDistribution("exponential", 0.1),
                 rate=-1.0,
             )
+
+    def test_horizon_must_fill_every_batch(self):
+        # 21 sessions keep 19 after the 10 % warm-up, one short of 20 batches
+        with pytest.raises(ValueError):
+            queue_config(n=21)
+        rep = run_priority_queue(queue_config(n=22))
+        assert rep.config["n_kept"] == QueueSimConfig.n_batches
+        for name in ("mean_delay", "mean_span", "busy_fraction"):
+            assert math.isfinite(rep.estimates[name].value)
 
 
 class TestEmpiricalHelpers:
