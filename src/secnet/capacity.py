@@ -72,15 +72,13 @@ def _capacity_limit(setup, rate, sharing):
     N), so a band's coverage sees ``sharing`` times the rate."""
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    p = geometry.coverage_probability(
-        geometry.CoverageQuery(rate * sharing, setup.band_width)
-    )
+    p = geometry.coverage_probability(rate * sharing, setup.band_width)
     eps_n = geometry.service_probability(
         setup.vacancy, p, setup.load_per_band, setup.thinning
     )
     if eps_n == 1.0:  # every band always serves
         return rate
-    return rate * (1.0 - math.exp(setup.n_bands * math.log1p(-eps_n)))
+    return rate * -math.expm1(setup.n_bands * math.log1p(-eps_n))
 
 
 def capacity_limit_derivative(setup: HomogeneousSetup, rate):
@@ -97,7 +95,7 @@ def capacity_limit_derivative(setup: HomogeneousSetup, rate):
     chi = math.sqrt(chi2)
     p = 1.0 / (1.0 + chi * math.atan(chi))
     eps_n = geometry.service_probability(setup.vacancy, p, lam_n, thin)
-    f0 = 1.0 - (1.0 - eps_n) ** setup.n_bands
+    f0 = -math.expm1(setup.n_bands * math.log1p(-eps_n))
     dp_dchi = -(math.atan(chi) + chi / (1.0 + chi2)) * p * p
     dchi_dr = math.log(2.0) * 2.0 ** (rate / w) / (2.0 * w * chi)
     deps_dp = setup.vacancy * (1.0 + thin * lam_n * p / geometry._A) ** (

@@ -285,15 +285,7 @@ def cmd_capacity(parser, args, out):
             raise ConfigError(f"[capacity] ratios must be > 0, got {text!r}")
     else:
         ratios = [scenario.user_density / band.bs_density]
-    writer = Writer(
-        out,
-        args.format,
-        [
-            "ratio", "n_bands", "optimal_rate", "c_max_fixed_band",
-            "c_max_fixed_system", "n_times_c_max_fixed_system", "scaling_approx",
-        ],
-        _echo_config(parser, {"seed": args.seed, "subcommand": "capacity"}),
-    )
+    rows = []  # all solved before printing: an infeasible ratio prints no table
     for ratio in ratios:
         approx = cap.scaling_approximation(ratio)
         for n in range(n_min, n_max + 1):
@@ -304,7 +296,18 @@ def cmd_capacity(parser, args, out):
             )
             opt = cap.optimal_rate_fixed_band(setup)
             c2 = opt.capacity / n
-            writer.row((ratio, n, opt.rate, opt.capacity, c2, n * c2, approx))
+            rows.append((ratio, n, opt.rate, opt.capacity, c2, n * c2, approx))
+    writer = Writer(
+        out,
+        args.format,
+        [
+            "ratio", "n_bands", "optimal_rate", "c_max_fixed_band",
+            "c_max_fixed_system", "n_times_c_max_fixed_system", "scaling_approx",
+        ],
+        _echo_config(parser, {"seed": args.seed, "subcommand": "capacity"}),
+    )
+    for row in rows:
+        writer.row(row)
     return EXIT_OK
 
 
@@ -416,6 +419,9 @@ def cmd_validate(parser, args, out):
     sessions = _getint(parser, "validate", "sessions", default=100000)
     thinning = _getfloat(parser, "validate", "thinning", default=scenario.thinning)
     ratio = _getfloat(parser, "validate", "ratio", default=5.0)
+    if thinning <= 0 or ratio <= 0:
+        raise ConfigError(f"[validate] thinning and ratio must be > 0, got "
+                          f"{thinning:g} and {ratio:g}")
     seed = args.seed
     sol = solve_equilibrium(scenario)
     queue_cfg = _queue_sim_config(scenario, sol.epsilon, sessions, seed)
@@ -442,9 +448,7 @@ def cmd_validate(parser, args, out):
     rep2 = empirical_user_count_pmf(cfg2, 1.0)
     p = geometry.sinr_ccdf_lim(1.0)
     k = np.arange(len(rep2.arrays["pmf"]))
-    model = geometry.in_coverage_count_pmf(
-        geometry.CellLoad(ratio, p, thinning), k
-    )
+    model = geometry.in_coverage_count_pmf(thinning * p * ratio, k)
     # both checks compare the model with the per-cell count, not with the
     # contender law of an in-coverage user that the model describes, so
     # their gap is no intrinsic bias of the model: at ratio 5 the default

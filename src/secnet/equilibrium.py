@@ -68,9 +68,7 @@ class Scenario:
     def coverage_probabilities(self):
         return np.array(
             [
-                geometry.coverage_probability(
-                    geometry.CoverageQuery(self.target_rate, b.bandwidth)
-                )
+                geometry.coverage_probability(self.target_rate, b.bandwidth)
                 for b in self.bands
             ]
         )

@@ -7,7 +7,6 @@ come out in closed form.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,55 +31,6 @@ _LOG_NORM_TYPICAL = _A * math.log(_A) - gammaln(_A)
 _LOG_NORM_USER = (_A + 1.0) * math.log(_A) - gammaln(_A + 1.0)
 
 
-@dataclass(frozen=True)
-class CoverageQuery:
-    """Target rate (bits/s) and per-band bandwidth (Hz) for a coverage check."""
-
-    target_rate: float
-    bandwidth: float
-
-    def __post_init__(self):
-        if self.target_rate < 0:
-            raise ValueError(f"target_rate must be >= 0, got {self.target_rate}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-
-    @property
-    def sinr_threshold(self):
-        return 2.0 ** (self.target_rate / self.bandwidth) - 1.0
-
-
-@dataclass(frozen=True)
-class CellLoad:
-    """Normalized per-band load seen by a cell.
-
-    ``load`` is the ratio of active-user density to BS density in the band,
-    ``coverage`` the per-user coverage probability, and ``thinning`` the
-    empirical constant correcting for spatially correlated coverage.  The
-    Monte Carlo contender law of an in-coverage user refits ``thinning``
-    to 1.005 and 1.010 at load 5 and 50 (0.76/0.77 against per-cell
-    counts); the default 2/3 overstates the access probability by 34 % and
-    50 % there (see ``DEFAULT_THINNING``).
-    """
-
-    load: float
-    coverage: float
-    thinning: float = DEFAULT_THINNING
-
-    def __post_init__(self):
-        if self.load < 0:
-            raise ValueError(f"load must be >= 0, got {self.load}")
-        if not 0.0 <= self.coverage <= 1.0:
-            raise ValueError(f"coverage must be in [0,1], got {self.coverage}")
-        if self.thinning <= 0:
-            raise ValueError(f"thinning must be > 0, got {self.thinning}")
-
-    @property
-    def contention(self):
-        """Mean-measure parameter of the in-coverage count mixture."""
-        return self.thinning * self.coverage * self.load
-
-
 def sinr_ccdf_lim(x):
     """P(SIR > x) for a typical user, interference-limited, path loss 4.
 
@@ -94,9 +44,14 @@ def sinr_ccdf_lim(x):
     return float(out) if out.ndim == 0 else out
 
 
-def coverage_probability(query: CoverageQuery):
-    """Probability that a typical user's SIR supports the target rate."""
-    return sinr_ccdf_lim(query.sinr_threshold)
+def coverage_probability(rate, bandwidth):
+    """Probability that a typical user's SIR supports ``rate`` (bits/s) in a
+    band of ``bandwidth`` (Hz): the SIR tail at threshold 2^(rate/W) - 1."""
+    if rate < 0:
+        raise ValueError(f"rate must be >= 0, got {rate}")
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    return sinr_ccdf_lim(2.0 ** (rate / bandwidth) - 1.0)
 
 
 def typical_cell_pdf(x):
@@ -118,17 +73,19 @@ def _cell_pdf(x, log_norm, power):
     return float(out) if out.ndim == 0 else out
 
 
-def in_coverage_count_pmf(load: CellLoad, k):
+def in_coverage_count_pmf(contention, k):
     """PMF of the number of in-coverage contenders in the cell of a random
     user, mixing a Poisson count over the size-biased cell law.
 
-    Vectorized over ``k``.
+    ``contention`` is the mixture's mean-measure parameter c, thinning times
+    coverage times the user/BS load of the band.  Vectorized over ``k``.
     """
+    if contention < 0:
+        raise ValueError(f"contention must be >= 0, got {contention}")
     k = np.asarray(k)
     if np.any(k < 0) or not np.issubdtype(k.dtype, np.integer):
         raise ValueError("k must be a nonnegative integer")
-    c = load.contention
-    if c == 0.0:
+    if contention == 0.0:
         out = np.where(k == 0, 1.0, 0.0)
         return float(out) if out.ndim == 0 else out
     kf = k.astype(float)
@@ -137,34 +94,29 @@ def in_coverage_count_pmf(load: CellLoad, k):
         + gammaln(_A + 1.0 + kf)
         - gammaln(_A + 1.0)
         - gammaln(kf + 1.0)
-        + kf * math.log(c)
-        - (_A + 1.0 + kf) * math.log(_A + c)
+        + kf * math.log(contention)
+        - (_A + 1.0 + kf) * math.log(_A + contention)
     )
     out = np.exp(log_pmf)
     return float(out) if out.ndim == 0 else out
 
 
-def access_probability(load: CellLoad):
+def access_probability(contention):
     """Probability that an in-coverage user wins fair TDMA contention.
 
-    Closed form of E[1/(K+1)] under the in-coverage count mixture,
-    [1 - (1 + c/3.5)^-3.5] / c, computed with expm1/log1p so that it keeps
-    full precision as c -> 0; its limit there is 1.
+    Closed form of E[1/(K+1)] under the in-coverage count mixture of
+    contention c, [1 - (1 + c/3.5)^-3.5] / c, computed with expm1/log1p so
+    that it keeps full precision as c -> 0; its limit there is 1.
     """
-    c = load.contention
-    return _access_probability_from_contention(c)
+    if contention < 0:
+        raise ValueError(f"contention must be >= 0, got {contention}")
+    if contention == 0.0:
+        return 1.0
+    return -math.expm1(-_A * math.log1p(contention / _A)) / contention
 
 
 def service_probability(vacancy, coverage, load, thinning):
     """Probability that a band serves the typical user: vacant, covering and
-    won in fair contention at normalized load ``load``.  The access factor
-    absorbs the load -> 0 limit analytically."""
-    return vacancy * coverage * access_probability(CellLoad(load, coverage, thinning))
-
-
-def _access_probability_from_contention(c):
-    if c < 0:
-        raise ValueError("contention parameter must be >= 0")
-    if c == 0.0:
-        return 1.0
-    return -math.expm1(-_A * math.log1p(c / _A)) / c
+    won in fair contention at normalized load ``load``, whose contention is
+    ``thinning * coverage * load`` (access 1 in the load -> 0 limit)."""
+    return vacancy * coverage * access_probability(thinning * coverage * load)

@@ -1,9 +1,9 @@
 """Numerical inversion of Laplace transforms.
 
-Two standard fixed-abscissa methods: Euler summation (the default, 2M+1
-transform evaluations per time point) and the fixed Talbot contour.  Both
-work well for the smooth, completely monotone transforms produced by the
-queueing module; Talbot is kept as an independent cross-check.
+Two standard fixed-abscissa methods: Euler summation (``delay_cdf``'s,
+2M+1 transform evaluations per time point) and the fixed Talbot contour.
+Both work well for the smooth, completely monotone transforms produced by
+the queueing module; Talbot is kept as an independent cross-check.
 """
 
 import math

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, UnstableQueueError
-from .laplace import euler_inversion, talbot_inversion
+from .laplace import euler_inversion
 
 _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 10_000
 _RAW_TOLERANCE = 1e-3
+_EULER_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -291,8 +292,8 @@ class DelayCdf:
     metadata: dict = field(default_factory=dict)
 
 
-def delay_cdf(handle, t_grid, method="euler", terms=20):
-    """Numerically invert ``handle``'s transform divided by s on ``t_grid``.
+def delay_cdf(handle, t_grid):
+    """Euler-invert ``handle``'s transform divided by s on ``t_grid``.
 
     Raw inversion output is required to stay within ``_RAW_TOLERANCE`` of
     [0, 1]; larger excursions indicate oscillatory failure and raise.  The
@@ -307,12 +308,7 @@ def delay_cdf(handle, t_grid, method="euler", terms=20):
     def cdf_transform(s):
         return handle(s) / s
 
-    if method == "euler":
-        raw = euler_inversion(cdf_transform, t, terms=terms)
-    elif method == "talbot":
-        raw = talbot_inversion(cdf_transform, t, terms=max(2 * terms, 16))
-    else:
-        raise ValueError(f"unknown inversion method {method!r}")
+    raw = euler_inversion(cdf_transform, t, terms=_EULER_TERMS)
 
     bad = (raw < -_RAW_TOLERANCE) | (raw > 1.0 + _RAW_TOLERANCE)
     if np.any(bad):
@@ -323,5 +319,5 @@ def delay_cdf(handle, t_grid, method="euler", terms=20):
             value=float(raw[bad][0]),
         )
     values = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
-    meta = {"method": method, "terms": terms, "raw_tolerance": _RAW_TOLERANCE}
+    meta = {"method": "euler", "terms": _EULER_TERMS, "raw_tolerance": _RAW_TOLERANCE}
     return DelayCdf(times=t, values=values, metadata=meta)

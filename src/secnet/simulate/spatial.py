@@ -226,9 +226,7 @@ def refit_thinning_const(empirical_pmf, load, coverage):
     k = np.arange(len(empirical_pmf))
     best = None
     for lam in np.linspace(0.2, 1.5, 261):
-        model = geometry.in_coverage_count_pmf(
-            geometry.CellLoad(load, coverage, lam), k
-        )
+        model = geometry.in_coverage_count_pmf(lam * coverage * load, k)
         sse = float(np.sum((model - empirical_pmf) ** 2))
         if best is None or sse < best[1]:
             best = (float(lam), sse)

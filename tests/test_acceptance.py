@@ -135,12 +135,12 @@ def test_criterion_3_contender_pmf_approximation():
     results = {}
     for ratio in (5.0, 50.0):
         contenders, rep = _contender_pmf(ratio, threshold)
-        load = geometry.CellLoad(ratio, p)
-        model = geometry.in_coverage_count_pmf(load, np.arange(len(contenders)))
+        contention = geometry.DEFAULT_THINNING * p * ratio
+        model = geometry.in_coverage_count_pmf(contention, np.arange(len(contenders)))
         tv = 0.5 * float(np.abs(model - contenders).sum())
         results[ratio] = (
             tv, rep.config["n_samples"], rep.estimates["access_probability"],
-            geometry.access_probability(load),
+            geometry.access_probability(contention),
         )
     ok = all(tv <= 0.05 for tv, _, _, _ in results.values())
     detail = "; ".join(

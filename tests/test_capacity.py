@@ -39,7 +39,16 @@ class TestCapacityLimit:
     def test_optimum_past_float_range_is_infeasible(self):
         # the scan would have to pass R/W = 1000, where 2^(R/W) nears overflow
         with pytest.raises(InfeasibleError):
-            optimal_rate_fixed_band(HomogeneousSetup(1, 1e30, 1.0))
+            optimal_rate_fixed_band(HomogeneousSetup(1, 1e200, 1.0))
+
+    def test_tiny_service_probability_keeps_capacity(self):
+        # at ratio 1e30 a band serves with probability about 1e-30, far
+        # below the 1e-16 where 1 - (1 - eps_n)^N rounds to 0
+        setup = HomogeneousSetup(1, 1e30, 1.0)
+        for r in (1.0, 20.0, 200.0):
+            assert capacity_limit_fixed_band(setup, r) > 0.0
+        opt = optimal_rate_fixed_band(setup)
+        assert math.isfinite(opt.rate) and opt.capacity > 0.0
 
     def test_always_serving_band_gives_full_rate(self):
         # at vanishing load and rate every band serves with probability 1

@@ -134,6 +134,12 @@ class TestConfigHandling:
                      id="delay-cdf-sessions-below-batches"),
         pytest.param("validate", "\n[validate]\nsessions = 21\n",
                      id="validate-sessions-below-batches"),
+        pytest.param("validate", "\n[validate]\nthinning = 0\n",
+                     id="validate-thinning-zero"),
+        pytest.param("validate", "\n[validate]\nthinning = -1\n",
+                     id="validate-thinning-negative"),
+        pytest.param("validate", "\n[validate]\nratio = 0\n",
+                     id="validate-ratio-zero"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys,
                                              subcommand, extra):
@@ -284,6 +290,16 @@ class TestCapacityCommand:
             assert lhs == pytest.approx(rhs, rel=1e-8)
         caps = [float(r["c_max_fixed_band"]) for r in rows]
         assert caps == sorted(caps)  # aggregation helps monotonically
+
+    def test_infeasible_ratio_prints_no_table(self, tmp_path, capsys):
+        # ratio 1e200 has no optimum below R/W = 1000; the feasible 1e4 row
+        # before it must not be left behind as a truncated table
+        cfg = write(tmp_path, "c.ini", ONE_BAND
+                    + "\n[capacity]\nn_min = 1\nn_max = 1\nratios = 1e4,1e200\n")
+        assert run(["capacity", "--config", cfg]) == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("infeasible:")
 
 
 class TestDelayCdfCommand:

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from secnet import geometry
 from secnet.geometry import (
-    CellLoad,
-    CoverageQuery,
+    DEFAULT_THINNING,
     access_probability,
     coverage_probability,
     in_coverage_count_pmf,
@@ -50,21 +48,20 @@ class TestSinrCcdf:
         assert 0.0 < v <= 1.0
 
 
-class TestCoverageQuery:
+class TestCoverageProbability:
     def test_threshold(self):
-        q = CoverageQuery(target_rate=4.0, bandwidth=1.0)
-        assert q.sinr_threshold == pytest.approx(15.0)
-        q2 = CoverageQuery(target_rate=4.0, bandwidth=2.0)
-        assert q2.sinr_threshold == pytest.approx(3.0)
+        # SIR threshold 2^(R/W) - 1: 15 at R/W = 4, 3 at R/W = 2
+        assert coverage_probability(4.0, 1.0) == sinr_ccdf_lim(15.0)
+        assert coverage_probability(4.0, 2.0) == sinr_ccdf_lim(3.0)
 
     def test_zero_rate_full_coverage(self):
-        assert coverage_probability(CoverageQuery(0.0, 1.0)) == 1.0
+        assert coverage_probability(0.0, 1.0) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CoverageQuery(-1.0, 1.0)
+            coverage_probability(-1.0, 1.0)
         with pytest.raises(ValueError):
-            CoverageQuery(1.0, 0.0)
+            coverage_probability(1.0, 0.0)
 
 
 class TestCellPdfs:
@@ -101,35 +98,32 @@ class TestCellPdfs:
 
 class TestCountPmf:
     def test_sums_to_one(self):
-        load = CellLoad(load=50.0, coverage=0.5)
+        c = DEFAULT_THINNING * 0.5 * 50.0
         k = np.arange(4000)
-        assert in_coverage_count_pmf(load, k).sum() == pytest.approx(1.0, abs=1e-9)
+        assert in_coverage_count_pmf(c, k).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_contention_is_degenerate(self):
-        load = CellLoad(load=0.0, coverage=0.5)
-        assert in_coverage_count_pmf(load, 0) == 1.0
-        assert in_coverage_count_pmf(load, 3) == 0.0
+        assert in_coverage_count_pmf(0.0, 0) == 1.0
+        assert in_coverage_count_pmf(0.0, 3) == 0.0
 
     def test_known_head_value(self):
         # contention c = 3.5 makes the k = 0 term exactly 2^-4.5
-        load = CellLoad(load=3.5 / (2.0 / 3.0), coverage=1.0)
-        assert load.contention == pytest.approx(3.5)
-        assert in_coverage_count_pmf(load, 0) == pytest.approx(2.0**-4.5, rel=1e-12)
+        assert in_coverage_count_pmf(3.5, 0) == pytest.approx(2.0**-4.5, rel=1e-12)
 
     def test_rejects_bad_k(self):
-        load = CellLoad(load=1.0, coverage=0.5)
+        c = DEFAULT_THINNING * 0.5 * 1.0
         with pytest.raises(ValueError):
-            in_coverage_count_pmf(load, -1)
+            in_coverage_count_pmf(c, -1)
         with pytest.raises(ValueError):
-            in_coverage_count_pmf(load, np.array([0.5]))
+            in_coverage_count_pmf(c, np.array([0.5]))
 
     @given(st.floats(min_value=0.01, max_value=100.0),
            st.floats(min_value=0.01, max_value=1.0))
     def test_mean_matches_mixture(self, load_val, cov):
-        load = CellLoad(load=load_val, coverage=cov)
+        c = DEFAULT_THINNING * cov * load_val
         k = np.arange(6000)
-        mean = float(in_coverage_count_pmf(load, k) @ k)
-        assert mean == pytest.approx(load.contention * 4.5 / 3.5, rel=1e-6)
+        mean = float(in_coverage_count_pmf(c, k) @ k)
+        assert mean == pytest.approx(c * 4.5 / 3.5, rel=1e-6)
 
 
 class TestAccessProbability:
@@ -137,23 +131,20 @@ class TestAccessProbability:
         # closed form collapses sum_k pmf(k) / (k+1)
         k = np.arange(8000)
         for c in [0.01, 0.1, 1.0, 3.5, 10.0, 50.0]:
-            load = CellLoad(load=c / (2.0 / 3.0), coverage=1.0)
-            series = float(np.sum(in_coverage_count_pmf(load, k) / (k + 1.0)))
-            assert access_probability(load) == pytest.approx(series, abs=1e-8)
+            series = float(np.sum(in_coverage_count_pmf(c, k) / (k + 1.0)))
+            assert access_probability(c) == pytest.approx(series, abs=1e-8)
 
     def test_known_value(self):
-        load = CellLoad(load=3.5 / (2.0 / 3.0), coverage=1.0)
         expected = (1.0 - 2.0**-3.5) / 3.5
-        assert access_probability(load) == pytest.approx(expected, rel=1e-12)
-        assert access_probability(load) == pytest.approx(0.260460, abs=1e-6)
+        assert access_probability(3.5) == pytest.approx(expected, rel=1e-12)
+        assert access_probability(3.5) == pytest.approx(0.260460, abs=1e-6)
 
     def test_vanishing_contention_limit(self):
-        load = CellLoad(load=0.0, coverage=0.5)
-        assert access_probability(load) == 1.0
+        assert access_probability(0.0) == 1.0
 
     def test_taylor_branch_continuity(self):
         # both branches must agree with the series expansion around 0
-        f = geometry._access_probability_from_contention
+        f = access_probability
         a1, a2 = 4.5 / 7.0, 4.5 * 5.5 / (6.0 * 3.5 * 3.5)
         for c in [5e-7, 9.9e-7, 1.01e-6, 2e-6]:
             series = 1.0 - a1 * c + a2 * c * c
@@ -163,7 +154,7 @@ class TestAccessProbability:
         # 50-digit [1 - (1 + c/3.5)^-3.5] / c, with both float neighbours of
         # 1e-6, where cancellation in 1 - exp(...) is still large
         mp = pytest.importorskip("mpmath").mp
-        f = geometry._access_probability_from_contention
+        f = access_probability
         cs = [*np.geomspace(1e-12, 1e4, 1000),
               np.nextafter(1e-6, 0.0), 1e-6, np.nextafter(1e-6, 1.0)]
         with mp.workdps(50):
@@ -175,13 +166,10 @@ class TestAccessProbability:
     @given(st.floats(min_value=1e-8, max_value=100.0),
            st.floats(min_value=1e-6, max_value=10.0))
     def test_strictly_decreasing(self, c, dc):
-        f = geometry._access_probability_from_contention
-        assert f(c + dc) < f(c)
+        assert access_probability(c + dc) < access_probability(c)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CellLoad(load=-1.0, coverage=0.5)
+            access_probability(-1.0)
         with pytest.raises(ValueError):
-            CellLoad(load=1.0, coverage=1.5)
-        with pytest.raises(ValueError):
-            CellLoad(load=1.0, coverage=0.5, thinning=0.0)
+            in_coverage_count_pmf(-1.0, 0)

@@ -157,8 +157,7 @@ class TestUserCountPmf:
 
     def test_refit_recovers_model_constant(self):
         # feed the refitter a PMF generated by the model itself
-        load = geometry.CellLoad(5.0, 0.5, thinning=2.0 / 3.0)
-        pmf = geometry.in_coverage_count_pmf(load, np.arange(200))
+        pmf = geometry.in_coverage_count_pmf(2.0 / 3.0 * 0.5 * 5.0, np.arange(200))
         refit = refit_thinning_const(pmf, 5.0, 0.5)
         assert refit == pytest.approx(2.0 / 3.0, abs=0.01)
 
