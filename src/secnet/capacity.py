@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import geometry
-from .equilibrium import Scenario, solve_equilibrium
+from .equilibrium import Scenario, solve_equilibria, solve_equilibrium
 from .errors import InfeasibleError, UnstableQueueError
 from .queueing import mean_delay
 
@@ -82,7 +82,8 @@ def _capacity_limit(setup, rate, sharing):
 
 
 def capacity_limit_derivative(setup: HomogeneousSetup, rate):
-    """Analytic d/dR of the mode-I capacity limit.
+    """Analytic d/dR of the mode-I capacity limit; accepts a scalar or an
+    array of rates.
 
     Derived by chain rule through the coverage probability; the thinning
     constant is kept inside the per-band service factor so the derivative
@@ -91,24 +92,21 @@ def capacity_limit_derivative(setup: HomogeneousSetup, rate):
     w = setup.band_width
     lam_n = setup.load_per_band
     thin = setup.thinning
-    chi2 = 2.0 ** (rate / w) - 1.0
-    chi = math.sqrt(chi2)
-    p = 1.0 / (1.0 + chi * math.atan(chi))
+    two = np.power(2.0, rate / w)
+    chi2 = two - 1.0
+    chi = np.sqrt(chi2)
+    p = geometry.sinr_ccdf_lim(chi2)
     eps_n = geometry.service_probability(setup.vacancy, p, lam_n, thin)
-    f0 = -math.expm1(setup.n_bands * math.log1p(-eps_n))
-    dp_dchi = -(math.atan(chi) + chi / (1.0 + chi2)) * p * p
-    dchi_dr = math.log(2.0) * 2.0 ** (rate / w) / (2.0 * w * chi)
-    deps_dp = setup.vacancy * (1.0 + thin * lam_n * p / geometry._A) ** (
-        -(geometry._A + 1.0)
+    f0 = -np.expm1(setup.n_bands * np.log1p(-eps_n))
+    dp_dchi = -(np.arctan(chi) + chi / (1.0 + chi2)) * p * p
+    dchi_dr = math.log(2.0) * two / (2.0 * w * chi)
+    deps_dp = setup.vacancy * np.power(
+        1.0 + thin * lam_n * p / geometry._A, -(geometry._A + 1.0)
     )
-    df0_dr = (
-        setup.n_bands
-        * (1.0 - eps_n) ** (setup.n_bands - 1)
-        * deps_dp
-        * dp_dchi
-        * dchi_dr
-    )
-    return f0 + rate * df0_dr
+    df0_dr = setup.n_bands * np.power(1.0 - eps_n, setup.n_bands - 1) \
+        * deps_dp * dp_dchi * dchi_dr
+    out = f0 + rate * df0_dr
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -123,14 +121,15 @@ def optimal_rate_fixed_band(setup: HomogeneousSetup) -> RateOptimum:
     w = setup.band_width
     for lo, hi in zip(_SCAN_EDGES, _SCAN_EDGES[1:]):
         grid = np.geomspace(lo * w, hi * w, _BRACKET_POINTS)
-        dv = [capacity_limit_derivative(setup, r) for r in grid]
-        for i in range(_BRACKET_POINTS - 1):
-            if dv[i] > 0 and dv[i + 1] < 0:
-                rate = brentq(
-                    lambda r: capacity_limit_derivative(setup, r),
-                    grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15,
-                )
-                return RateOptimum(rate, capacity_limit_fixed_band(setup, rate))
+        dv = capacity_limit_derivative(setup, grid)
+        turns = np.flatnonzero((dv[:-1] > 0) & (dv[1:] < 0))
+        if turns.size:
+            i = turns[0]
+            rate = brentq(
+                lambda r: capacity_limit_derivative(setup, r),
+                grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15,
+            )
+            return RateOptimum(rate, capacity_limit_fixed_band(setup, rate))
     raise InfeasibleError(f"no capacity optimum below rate {hi:g} x band width")
 
 
@@ -173,10 +172,14 @@ class DelayOptimum:
     delay: float
 
 
-def _delay_at_rate(scenario: Scenario, rate):
+def _delay_at_rate(scenario: Scenario, rate, solution=None):
+    """Mean delay at ``rate`` (inf if infeasible), from ``solution`` if given."""
+    if isinstance(solution, InfeasibleError):
+        return math.inf
     try:
-        sol = solve_equilibrium(scenario.with_rate(rate))
-        return mean_delay(scenario.traffic, scenario.outage, sol.epsilon, rate)
+        if solution is None:
+            solution = solve_equilibrium(scenario.with_rate(rate))
+        return mean_delay(scenario.traffic, scenario.outage, solution.epsilon, rate)
     except (InfeasibleError, UnstableQueueError):
         return math.inf
 
@@ -185,12 +188,14 @@ def min_delay_over_rate(scenario: Scenario, rate_span=(1e-2, 50.0),
                         scan_points=96) -> DelayOptimum:
     """Minimize the mean delay over the target rate.
 
-    The delay is U-shaped in the rate; a log-spaced scan brackets the
-    minimum and golden-section search polishes it.
+    The delay is U-shaped in the rate; a log-spaced scan (one batched
+    solve) brackets the minimum and golden-section search polishes it.
     """
     w_min = min(b.bandwidth for b in scenario.bands)
     grid = np.geomspace(rate_span[0] * w_min, rate_span[1] * w_min, scan_points)
-    delays = np.array([_delay_at_rate(scenario, r) for r in grid])
+    solutions = solve_equilibria(scenario, grid)
+    delays = np.array([_delay_at_rate(scenario, r, s)
+                       for r, s in zip(grid.tolist(), solutions)])
     if not np.any(np.isfinite(delays)):
         raise InfeasibleError("no feasible rate in the search span")
     k = int(np.nanargmin(delays))

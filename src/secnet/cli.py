@@ -89,14 +89,17 @@ def load_config(path):
 
 
 def _getfloat(parser, section, key, default=None):
-    """Float value of ``[section] key``; ``default`` when the key or the whole
-    section is absent, and a ``ConfigError`` when no default is given."""
+    """Finite float value of ``[section] key``; ``default`` when the key or the
+    whole section is absent, and a ``ConfigError`` when no default is given."""
     if default is not None and not parser.has_option(section, key):
         return default
     try:
-        return parser.getfloat(section, key)
+        value = parser.getfloat(section, key)
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not finite")
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"bad or missing value for [{section}] {key}: {exc}")
+    return value
 
 
 def _getint(parser, section, key, default=None):
@@ -281,8 +284,8 @@ def cmd_capacity(parser, args, out):
             ratios = [float(x) for x in text.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad value for [capacity] ratios: {exc}")
-        if not all(r > 0 for r in ratios):
-            raise ConfigError(f"[capacity] ratios must be > 0, got {text!r}")
+        if not all(0 < r < math.inf for r in ratios):
+            raise ConfigError(f"[capacity] ratios must be finite, > 0: {text!r}")
     else:
         ratios = [scenario.user_density / band.bs_density]
     rows = []  # all solved before printing: an infeasible ratio prints no table
@@ -389,24 +392,11 @@ def cmd_delay_cdf(parser, args, out):
 def cmd_equilibrium(parser, args, out):
     scenario = build_scenario(parser)
     sol = solve_equilibrium(scenario)
-    writer = Writer(
-        out,
-        args.format,
-        ["band", "service", "coverage", "access", "load"],
-        _echo_config(
-            parser,
-            {
-                "seed": args.seed,
-                "subcommand": "equilibrium",
-                "epsilon": _fmt(sol.epsilon),
-                "rho_o": _fmt(sol.rho_o),
-                "rho_s": _fmt(sol.rho_s),
-                "p_active": _fmt(sol.p_active),
-                "residual": _fmt(sol.residual),
-                "method": sol.method,
-            },
-        ),
-    )
+    extra = {key: _fmt(getattr(sol, key))
+             for key in ("epsilon", "rho_o", "rho_s", "p_active", "residual")}
+    extra.update(seed=args.seed, subcommand="equilibrium", method=sol.method)
+    writer = Writer(out, args.format, ["band", "service", "coverage", "access", "load"],
+                    _echo_config(parser, extra))
     for i, b in enumerate(sol.bands, start=1):
         writer.row((i, b.service, b.coverage, b.access, b.load))
     return EXIT_OK

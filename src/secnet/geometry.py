@@ -1,9 +1,10 @@
 """Stochastic-geometry analytics for the downlink of a Poisson cellular
 network in the interference-limited regime.
 
-Everything here is a pure function of its inputs.  Path-loss exponent is
-fixed at 4, which is what makes the SIR tail and the cell-count mixture
-come out in closed form.
+Everything here is a pure function of its inputs; the laws take scalars
+(and return floats) or numpy arrays that broadcast together.  Path-loss
+exponent is fixed at 4, which is what makes the SIR tail and the
+cell-count mixture come out in closed form.
 """
 
 import math
@@ -47,11 +48,11 @@ def sinr_ccdf_lim(x):
 def coverage_probability(rate, bandwidth):
     """Probability that a typical user's SIR supports ``rate`` (bits/s) in a
     band of ``bandwidth`` (Hz): the SIR tail at threshold 2^(rate/W) - 1."""
-    if rate < 0:
+    if np.any(rate < 0):
         raise ValueError(f"rate must be >= 0, got {rate}")
-    if bandwidth <= 0:
+    if np.any(bandwidth <= 0):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    return sinr_ccdf_lim(2.0 ** (rate / bandwidth) - 1.0)
+    return sinr_ccdf_lim(np.power(2.0, rate / bandwidth) - 1.0)
 
 
 def typical_cell_pdf(x):
@@ -108,11 +109,12 @@ def access_probability(contention):
     contention c, [1 - (1 + c/3.5)^-3.5] / c, computed with expm1/log1p so
     that it keeps full precision as c -> 0; its limit there is 1.
     """
-    if contention < 0:
+    c = np.asarray(contention, dtype=float)
+    if c.min(initial=0.0) < 0:
         raise ValueError(f"contention must be >= 0, got {contention}")
-    if contention == 0.0:
-        return 1.0
-    return -math.expm1(-_A * math.log1p(contention / _A)) / contention
+    zero = c == 0.0  # at c = 0 the quotient is 0 / 1, and adding zero makes it 1
+    out = -np.expm1(-_A * np.log1p(c / _A)) / (c + zero) + zero
+    return float(out) if out.ndim == 0 else out
 
 
 def service_probability(vacancy, coverage, load, thinning):

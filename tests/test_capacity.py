@@ -73,6 +73,16 @@ class TestCapacityLimit:
                 fd, rel=1e-5
             )
 
+    def test_derivative_array_equals_scalar_calls(self):
+        for setup in (setup_mode_one(), HomogeneousSetup(1, 1e5, 1.0),
+                      HomogeneousSetup(3, 10.0, 1.0, vacancy=0.5, band_width=2.0),
+                      HomogeneousSetup(1, 1e30, 1.0)):
+            grid = np.geomspace(1e-3, 1000.0, 1024) * setup.band_width
+            batch = capacity_limit_derivative(setup, grid)
+            assert np.array_equal(
+                batch, [capacity_limit_derivative(setup, float(r)) for r in grid]
+            )
+
     def test_optimum_is_grid_maximum(self):
         setup = setup_mode_one(n=3, ratio=10.0)
         opt = optimal_rate_fixed_band(setup)

@@ -140,6 +140,21 @@ class TestConfigHandling:
                      id="validate-thinning-negative"),
         pytest.param("validate", "\n[validate]\nratio = 0\n",
                      id="validate-ratio-zero"),
+        pytest.param("equilibrium", "[scenario]\nthinning = nan\n", id="thinning-nan"),
+        pytest.param("capacity", "\n[band.6]\nbandwidth = nan\nvacancy = 1\n"
+                     "bs_density = 1\n", id="bandwidth-nan"),
+        pytest.param("equilibrium", "\n[band.6]\nbandwidth = 1\nvacancy = 1\n"
+                     "bs_density = inf\n", id="bs_density-infinite"),
+        pytest.param("capacity", "\n[capacity]\nratios = 5,inf\n",
+                     id="ratio-infinite"),
+        pytest.param("tradeoff", "\n[sweep]\nmin = 0\nmax = 0.1\npoints = 3\n"
+                     "fixed_rate = inf\n", id="sweep-fixed-rate-infinite"),
+        pytest.param("delay-cdf", GRID.format(lo=1, hi="inf", n=20, scale="log"),
+                     id="grid-t_max-infinite"),
+        pytest.param("validate", "\n[validate]\nthinning = nan\n",
+                     id="validate-thinning-nan"),
+        pytest.param("validate", "\n[validate]\nratio = inf\n",
+                     id="validate-ratio-infinite"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys,
                                              subcommand, extra):

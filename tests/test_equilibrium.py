@@ -1,14 +1,44 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from secnet import BandConfig, InfeasibleError, Scenario, solve_equilibrium
-from secnet.equilibrium import _epsilon_map
+from secnet.equilibrium import solve_equilibria
 
 from conftest import make_scenario
+
+
+def rho_s(scenario):
+    """C/R, the share of time the demand needs the rate."""
+    return scenario.traffic.capacity / scenario.target_rate
+
+
+def oracle_coverage(rate, bandwidth):
+    """SIR tail at threshold 2^(R/W) - 1, path loss 4, in plain ``math``."""
+    r = math.sqrt(2.0 ** (rate / bandwidth) - 1.0)
+    return 1.0 / (1.0 + r * math.atan(r))
+
+
+def oracle_epsilon_map(scenario, eps):
+    """Independent oracle of the fixed-point map, band by band in ``math``:
+    returns 1 - prod_n(1 - eps_n(eps)), the eps_n and the band loads."""
+    rate, thinning = scenario.target_rate, scenario.thinning
+    coverages = [oracle_coverage(rate, b.bandwidth) for b in scenario.bands]
+    weights = [b.vacancy * c for b, c in zip(scenario.bands, coverages)]
+    total = sum(weights)
+    eps_n, loads, log_miss = [], [], 0.0
+    for band, c, weight in zip(scenario.bands, coverages, weights):
+        load = (scenario.user_density / band.bs_density) \
+            * (rho_s(scenario) / eps) * (weight / total)
+        x = thinning * c * load
+        access = 1.0 if x == 0.0 else -math.expm1(-3.5 * math.log1p(x / 3.5)) / x
+        eps_n.append(band.vacancy * c * access)
+        loads.append(load)
+        log_miss += math.log1p(-eps_n[-1])
+    return 1.0 - math.exp(log_miss), eps_n, loads
 
 
 @dataclass(frozen=True)
@@ -30,10 +60,10 @@ def single_band_explicit(scenario: Scenario) -> SingleBandComparison:
         raise ValueError("single_band_explicit needs a one-band scenario")
     band = scenario.bands[0]
     solution = solve_equilibrium(scenario)
-    p = float(scenario.coverage_probabilities()[0])
+    p = oracle_coverage(scenario.target_rate, band.bandwidth)
     lam = scenario.thinning
     ratio = scenario.user_density / band.bs_density
-    c_over_r = scenario.rho_s
+    c_over_r = rho_s(scenario)
     inner = 1.0 - lam * ratio * c_over_r / band.vacancy
     if inner <= 0.0:
         return SingleBandComparison(
@@ -72,11 +102,8 @@ class TestSolveEquilibrium:
     def test_root_verified_by_independent_scan(self, default_scenario):
         sol = solve_equilibrium(default_scenario)
         # brute-force the scalar fixed point on a fine grid
-        cov = default_scenario.coverage_probabilities()
         grid = np.linspace(0.26, 1.0, 20_000)
-        h = np.array(
-            [g - _epsilon_map(default_scenario, cov, g)[0] for g in grid]
-        )
+        h = np.array([g - oracle_epsilon_map(default_scenario, g)[0] for g in grid])
         crossings = grid[:-1][np.sign(h[:-1]) != np.sign(h[1:])]
         assert len(crossings) == 1
         assert abs(crossings[0] - sol.epsilon) < 1e-3
@@ -103,8 +130,7 @@ class TestSolveEquilibrium:
 
     def test_band_service_probability_matches_solution(self, default_scenario):
         sol = solve_equilibrium(default_scenario)
-        cov = default_scenario.coverage_probabilities()
-        v = _epsilon_map(default_scenario, cov, sol.epsilon)[1][0]
+        v = oracle_epsilon_map(default_scenario, sol.epsilon)[1][0]
         assert v == pytest.approx(sol.bands[0].service, rel=1e-12)
 
     def test_heterogeneous_bands(self):
@@ -142,8 +168,78 @@ class TestSolveEquilibrium:
         except InfeasibleError:
             return
         assert sol.residual < 1e-10
-        assert scn.rho_s < sol.epsilon <= 1.0
+        assert rho_s(scn) < sol.epsilon <= 1.0
         assert all(0.0 < b.access <= 1.0 for b in sol.bands)
+
+    def test_nan_thinning_is_infeasible(self, default_scenario):
+        # the NaN residual must not pass the residual guard
+        with pytest.raises(InfeasibleError, match="residual nan"):
+            solve_equilibrium(replace(default_scenario, thinning=math.nan))
+
+
+def heterogeneous_scenario(bands, ratio, capacity):
+    base = make_scenario(session_interarrival=10.0 / capacity)
+    return Scenario(ratio, tuple(BandConfig(*b) for b in bands), 1.0,
+                    base.traffic, base.outage, base.thinning)
+
+
+SCAN = np.geomspace(1e-2, 50.0, 96)  # min_delay_over_rate's scan at W = 1
+
+
+PICARD, BISECTION = {"infeasible", "picard"}, {"infeasible", "picard", "bisection"}
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("scenario, paths", [
+        (make_scenario(), PICARD),
+        (make_scenario(n_bands=2, ratio=50.0, session_interarrival=100.0), BISECTION),
+        (make_scenario(n_bands=5, ratio=200.0, session_interarrival=30.0), BISECTION),
+        (heterogeneous_scenario([(2.0, 0.8, 1.0), (1.0, 1.0, 2.0), (0.5, 0.3, 0.5)],
+                                40.0, 0.2), PICARD),
+    ])
+    def test_batch_equals_single_solves(self, scenario, paths):
+        # every field bit for bit, and the same error where a rate has none
+        outcomes = set()
+        for rate, batched in zip(SCAN, solve_equilibria(scenario, SCAN)):
+            try:
+                single = solve_equilibrium(scenario.with_rate(float(rate)))
+            except InfeasibleError as exc:
+                assert type(batched) is InfeasibleError
+                assert str(batched) == str(exc)
+                outcomes.add("infeasible")
+                continue
+            assert batched == single
+            outcomes.add(single.method)
+        assert paths <= outcomes
+
+    def test_rejects_bad_rates(self, default_scenario):
+        for rates in ([1.0, 0.0], [[1.0]], [-2.0]):
+            with pytest.raises(ValueError):
+                solve_equilibria(default_scenario, rates)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+                              st.floats(min_value=0.05, max_value=1.0),
+                              st.floats(min_value=0.2, max_value=5.0)),
+                    min_size=1, max_size=20),
+           st.floats(min_value=1.0, max_value=300.0),
+           st.floats(min_value=0.01, max_value=0.5))
+    def test_matches_independent_oracle(self, bands, ratio, capacity):
+        scenario = heterogeneous_scenario(bands, ratio, capacity)
+        rates = SCAN * min(b[0] for b in bands)
+        for rate, sol in zip(rates, solve_equilibria(scenario, rates)):
+            if isinstance(sol, InfeasibleError):
+                continue
+            at_rate = scenario.with_rate(float(rate))
+            mapped, eps_n, loads = oracle_epsilon_map(at_rate, sol.epsilon)
+            # the map's 1 - exp(...) is exact only to an ulp of 1
+            assert abs(abs(sol.epsilon - mapped) - sol.residual) \
+                <= 1e-13 * sol.epsilon + 2.0**-52
+            for band, b, e, load in zip(scenario.bands, sol.bands, eps_n, loads):
+                cov = oracle_coverage(rate, band.bandwidth)
+                assert b.coverage == pytest.approx(cov, rel=1e-13, abs=0)
+                assert b.service == pytest.approx(e, rel=1e-13, abs=0)
+                assert b.load == pytest.approx(load, rel=1e-13, abs=0)
 
 
 class TestSingleBandExplicit:
@@ -171,6 +267,6 @@ class TestSingleBandExplicit:
         scn = make_scenario(
             n_bands=1, ratio=200.0, target_rate=2.0, session_interarrival=500.0
         )
-        assert 2.0 / 3.0 * 200.0 * scn.rho_s >= 1.0
+        assert 2.0 / 3.0 * 200.0 * rho_s(scn) >= 1.0
         with pytest.raises(InfeasibleError):
             single_band_explicit(scn)

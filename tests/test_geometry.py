@@ -10,6 +10,7 @@ from secnet.geometry import (
     access_probability,
     coverage_probability,
     in_coverage_count_pmf,
+    service_probability,
     sinr_ccdf_lim,
     typical_cell_pdf,
     user_cell_pdf,
@@ -173,3 +174,35 @@ class TestAccessProbability:
             access_probability(-1.0)
         with pytest.raises(ValueError):
             in_coverage_count_pmf(-1.0, 0)
+
+
+class TestArrayLaws:
+    RATES = np.geomspace(1e-3, 60.0, 300)
+    WIDTHS = np.array([0.5, 1.0, 2.0, 5.0])
+
+    def test_array_equals_scalar_calls(self):
+        cov = coverage_probability(self.RATES[:, None], self.WIDTHS)
+        assert cov.shape == (300, 4)
+        assert np.array_equal(cov, [[coverage_probability(r, w) for w in self.WIDTHS]
+                                    for r in self.RATES])
+        c = np.concatenate([[0.0], np.geomspace(1e-12, 1e4, 400)])
+        assert np.array_equal(access_probability(c), [access_probability(x) for x in c])
+        service = service_probability(0.7, cov, 3.0, DEFAULT_THINNING)
+        assert np.array_equal(service, [
+            [service_probability(0.7, p, 3.0, DEFAULT_THINNING) for p in row]
+            for row in cov
+        ])
+
+    def test_scalar_in_float_out(self):
+        assert type(coverage_probability(4.0, 1.0)) is float
+        assert type(access_probability(0.5)) is float
+        assert type(access_probability(0.0)) is float
+        assert type(service_probability(1.0, 0.5, 2.0, DEFAULT_THINNING)) is float
+
+    def test_array_validation(self):
+        with pytest.raises(ValueError):
+            coverage_probability(np.array([1.0, -1.0]), 1.0)
+        with pytest.raises(ValueError):
+            coverage_probability(1.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            access_probability(np.array([0.1, -1.0]))
