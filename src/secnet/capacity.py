@@ -22,6 +22,9 @@ _BRACKET_POINTS = 256
 # Edges of the derivative scan's spans, in band widths: the first span, then
 # doublings up to R/W = 1000, past which 2^(R/W) nears float64 overflow.
 _SCAN_EDGES = (1e-3, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1000.0)
+# The delay optimizer's scan span, in widths of the narrowest band, and points.
+_DELAY_SPAN = (1e-2, 50.0)
+_DELAY_POINTS = 96
 
 
 @dataclass(frozen=True)
@@ -184,15 +187,14 @@ def _delay_at_rate(scenario: Scenario, rate, solution=None):
         return math.inf
 
 
-def min_delay_over_rate(scenario: Scenario, rate_span=(1e-2, 50.0),
-                        scan_points=96) -> DelayOptimum:
+def min_delay_over_rate(scenario: Scenario) -> DelayOptimum:
     """Minimize the mean delay over the target rate.
 
     The delay is U-shaped in the rate; a log-spaced scan (one batched
     solve) brackets the minimum and golden-section search polishes it.
     """
     w_min = min(b.bandwidth for b in scenario.bands)
-    grid = np.geomspace(rate_span[0] * w_min, rate_span[1] * w_min, scan_points)
+    grid = np.geomspace(_DELAY_SPAN[0] * w_min, _DELAY_SPAN[1] * w_min, _DELAY_POINTS)
     solutions = solve_equilibria(scenario, grid)
     delays = np.array([_delay_at_rate(scenario, r, s)
                        for r, s in zip(grid.tolist(), solutions)])

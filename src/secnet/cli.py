@@ -20,7 +20,7 @@ import numpy as np
 from . import capacity as cap
 from . import geometry
 from .equilibrium import BandConfig, Scenario, solve_equilibrium
-from .errors import InfeasibleError, UnstableQueueError
+from .errors import ConvergenceError, InfeasibleError, UnstableQueueError
 from .queueing import (
     OutageModel,
     SizeDistribution,
@@ -43,7 +43,9 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
-EXIT_CONFIG = 4
+EXIT_CONFIG = 4  # also a usage error: an unknown flag or a missing --config
+EXIT_NUMERICAL = 5
+_GRID_POINTS = 200  # delay-cdf's auto grid, and its [grid] points default
 
 
 class ConfigError(Exception):
@@ -177,13 +179,12 @@ class Writer:
             self.stream.write(json.dumps(obj, sort_keys=True, default=_fmt) + "\n")
 
 
-def _echo_config(parser, extra=None):
+def _echo_config(parser, extra):
     echo = {}
     for section in parser.sections():
         for key, value in parser[section].items():
             echo[f"{section}.{key}"] = value
-    if extra:
-        echo.update(extra)
+    echo.update(extra)
     return echo
 
 
@@ -314,14 +315,14 @@ def cmd_capacity(parser, args, out):
     return EXIT_OK
 
 
-def _auto_grid(handle, points=200):
+def _auto_grid(handle):
     t = max(handle.mean, 1e-6)
     hi = t
     for _ in range(60):
         if float(delay_cdf(handle, [hi]).values[0]) >= 0.9999:
             break
         hi *= 2.0
-    return np.geomspace(hi / 1e4, hi, points)
+    return np.geomspace(hi / 1e4, hi, _GRID_POINTS)
 
 
 def _queue_sim_config(scenario, epsilon, sessions, seed):
@@ -351,7 +352,7 @@ def cmd_delay_cdf(parser, args, out):
         scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
     )
     if "grid" in parser:
-        points = _getint(parser, "grid", "points", default=200)
+        points = _getint(parser, "grid", "points", default=_GRID_POINTS)
         lo = _getfloat(parser, "grid", "t_min")
         hi = _getfloat(parser, "grid", "t_max")
         if points < 1 or not 0 < lo < hi:
@@ -497,8 +498,16 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage error: argparse's message, but ``EXIT_CONFIG`` in place of 2,
+        which means infeasible here."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def make_parser():
-    ap = argparse.ArgumentParser(prog="secnet")
+    ap = _ArgumentParser(prog="secnet")
     ap.add_argument("subcommand", choices=sorted(_COMMANDS))
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default="-")
@@ -527,6 +536,9 @@ def main(argv=None):
     except (InfeasibleError, UnstableQueueError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ConvergenceError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

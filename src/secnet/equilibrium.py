@@ -118,16 +118,20 @@ def solve_equilibria(scenario: Scenario, rates):
         raise ValueError(f"rates must be a 1-D array of values > 0, got {rates}")
     rho_s = scenario.traffic.capacity / rates
     lo = np.where(rho_s > 0, rho_s + 1e-9, 1e-12)
-    results = [  # per rate: None while solving, then the solution or error
-        InfeasibleError(f"C/R = {r} >= 1: no stable rate exists") if r >= 1.0
-        else InfeasibleError(f"search interval ({low}, 1] is empty") if low >= 1.0
-        else None for r, low in zip(rho_s.tolist(), lo.tolist())
-    ]
     width, vacancy, bs_density = np.array(
         [(b.bandwidth, b.vacancy, b.bs_density) for b in scenario.bands]).T
     coverage = geometry.coverage_probability(rates[:, None], width)
     vc = vacancy * coverage
-    share = vc / vc.sum(axis=1, keepdims=True)
+    total = vc.sum(axis=1, keepdims=True)  # 0 where no band covers a user
+    share = vc / np.where(total > 0.0, total, 1.0)
+    results = [  # per rate: None while solving, then the solution or error
+        InfeasibleError(f"C/R = {r} >= 1: no stable rate exists") if r >= 1.0
+        else InfeasibleError(f"search interval ({low}, 1] is empty") if low >= 1.0
+        else InfeasibleError(f"no band covers a user at target rate {rate:g}")
+        if not covered else None
+        for r, low, rate, covered in zip(rho_s.tolist(), lo.tolist(),
+                                         rates.tolist(), total[:, 0].tolist())
+    ]
     k = (scenario.user_density / bs_density) * rho_s[:, None] * share  # load x eps
     ck = scenario.thinning * coverage * k
 

@@ -24,12 +24,10 @@ from scipy.special import gammaln
 #: outputs that depend on it are re-recorded.
 DEFAULT_THINNING = 2.0 / 3.0
 
-# Shape constants of the normalized Poisson-Voronoi cell-size laws.
+# Shape of the normalized Poisson-Voronoi cell-size laws: a typical cell's
+# size is Gamma(_A, 1/_A), and the (size-biased) cell of a random user's
+# Gamma(_A + 1, 1/_A).
 _A = 3.5
-# log of the normalizing constants 3.5^3.5/Gamma(3.5) and 3.5^4.5/Gamma(4.5),
-# precomputed once.
-_LOG_NORM_TYPICAL = _A * math.log(_A) - gammaln(_A)
-_LOG_NORM_USER = (_A + 1.0) * math.log(_A) - gammaln(_A + 1.0)
 
 
 def sinr_ccdf_lim(x):
@@ -52,26 +50,8 @@ def coverage_probability(rate, bandwidth):
         raise ValueError(f"rate must be >= 0, got {rate}")
     if np.any(bandwidth <= 0):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    return sinr_ccdf_lim(np.power(2.0, rate / bandwidth) - 1.0)
-
-
-def typical_cell_pdf(x):
-    """PDF of a typical Voronoi cell size normalized by 1/density."""
-    return _cell_pdf(x, _LOG_NORM_TYPICAL, _A - 1.0)
-
-
-def user_cell_pdf(x):
-    """PDF of the (size-biased) cell containing a random user."""
-    return _cell_pdf(x, _LOG_NORM_USER, _A)
-
-
-def _cell_pdf(x, log_norm, power):
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("normalized cell size must be >= 0")
-    logx = np.log(np.where(x > 0, x, 1.0))
-    out = np.where(x > 0, np.exp(log_norm + power * logx - _A * x), 0.0)
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):  # past R/W = 1024, 2^(R/W) is inf: coverage 0
+        return sinr_ccdf_lim(np.power(2.0, rate / bandwidth) - 1.0)
 
 
 def in_coverage_count_pmf(contention, k):

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+_EULER_TERMS = 20
+
 
 @lru_cache(maxsize=None)
 def _euler_coefficients(m):
@@ -28,16 +30,16 @@ def _euler_coefficients(m):
     return beta, eta, scale
 
 
-def euler_inversion(transform, t, terms=20):
+def euler_inversion(transform, t):
     """Invert ``transform`` at the strictly positive times ``t``.
 
-    ``transform`` maps complex s (Re s > 0) to complex values.  ``terms``
-    is the half-order M; 2M+1 transform evaluations are made per point.
+    ``transform`` maps complex s (Re s > 0) to complex values.  The half-order
+    M is ``_EULER_TERMS``; 2M+1 transform evaluations are made per point.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("inversion times must be strictly positive")
-    beta, eta, scale = _euler_coefficients(terms)
+    beta, eta, scale = _euler_coefficients(_EULER_TERMS)
     out = np.empty(t.shape)
     for i, ti in np.ndenumerate(t):
         vals = np.array([transform(b / ti) for b in beta])

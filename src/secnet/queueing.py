@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, UnstableQueueError
-from .laplace import euler_inversion
+from .laplace import _EULER_TERMS, euler_inversion
 
 _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 10_000
 _RAW_TOLERANCE = 1e-3
-_EULER_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -119,26 +118,6 @@ class OutageModel:
     def duration_distribution(self, mean):
         family = "exponential" if self.duration_shape == 1.0 else "gamma"
         return SizeDistribution(family, mean, self.duration_shape)
-
-
-def active_probability(rho_s, rho_o):
-    """Long-run fraction of time a user has queued or in-flight traffic."""
-    if not 0.0 <= rho_o < 1.0:
-        raise UnstableQueueError(f"outage fraction {rho_o} outside [0, 1)")
-    if rho_s < 0:
-        raise ValueError(f"traffic fraction must be >= 0, got {rho_s}")
-    if rho_s >= 1.0 - rho_o:
-        raise UnstableQueueError(
-            f"no equilibrium: rho_s={rho_s} >= 1 - rho_o={1.0 - rho_o}"
-        )
-    return rho_s / (1.0 - rho_o)
-
-
-def transmission_time_mean(beta_s_mean, rho_o):
-    """Mean span of a session transmission, outage interruptions included."""
-    if rho_o >= 1.0:
-        raise UnstableQueueError(f"outage fraction {rho_o} >= 1")
-    return beta_s_mean / (1.0 - rho_o)
 
 
 def _check_stability(capacity, epsilon, rate):
@@ -308,7 +287,7 @@ def delay_cdf(handle, t_grid):
     def cdf_transform(s):
         return handle(s) / s
 
-    raw = euler_inversion(cdf_transform, t, terms=_EULER_TERMS)
+    raw = euler_inversion(cdf_transform, t)
 
     bad = (raw < -_RAW_TOLERANCE) | (raw > 1.0 + _RAW_TOLERANCE)
     if np.any(bad):

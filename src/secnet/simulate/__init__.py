@@ -1,11 +1,6 @@
 """Monte Carlo oracles for the analytic chain."""
 
-from .queue_sim import (
-    QueueSimConfig,
-    empirical_cdf,
-    ks_distance,
-    run_priority_queue,
-)
+from .queue_sim import QueueSimConfig, empirical_cdf, run_priority_queue
 from .report import Estimate, SimReport
 from .spatial import (
     SpatialSimConfig,
@@ -22,7 +17,6 @@ __all__ = [
     "SpatialSimConfig",
     "empirical_cdf",
     "empirical_user_count_pmf",
-    "ks_distance",
     "refit_thinning_const",
     "run_priority_queue",
     "sample_voronoi_cells",

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import stats
 
 from ..queueing import SizeDistribution
 from .report import SimReport
@@ -47,6 +46,8 @@ class QueueSimConfig:
             raise ValueError("interarrival means must be > 0")
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
+        if self.rho_o >= 1.0:  # the outage class alone would never empty
+            raise ValueError(f"outage load rho_o = {self.rho_o:g} must be < 1")
         n = self.horizon_sessions
         if n - int(self.warmup_fraction * n) < self.n_batches:
             raise ValueError(
@@ -249,8 +250,3 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
 def empirical_cdf(samples, grid):
     samples = np.sort(np.asarray(samples))
     return np.searchsorted(samples, grid, side="right") / len(samples)
-
-
-def ks_distance(samples, cdf):
-    """Exact one-sample KS distance of ``samples`` against a CDF callable."""
-    return float(stats.kstest(np.asarray(samples), cdf).statistic)

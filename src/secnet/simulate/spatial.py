@@ -208,8 +208,9 @@ def sample_voronoi_cells(cfg: SpatialSimConfig) -> SimReport:
             all_areas.append(areas)
             rep_means.append(np.mean(areas))
     areas = np.concatenate(all_areas)
-    typical_law = stats.gamma(a=3.5, scale=1.0 / 3.5)
-    user_law = stats.gamma(a=4.5, scale=1.0 / 3.5)
+    a = geometry._A
+    typical_law = stats.gamma(a=a, scale=1.0 / a)
+    user_law = stats.gamma(a=a + 1.0, scale=1.0 / a)
     ks_typical = stats.kstest(areas, typical_law.cdf).statistic
     ks_user = _weighted_ks(areas, areas, user_law.cdf)
     report.arrays["normalized_areas"] = areas

@@ -1,6 +1,15 @@
 import pytest
 
 from secnet import BandConfig, OutageModel, Scenario, SizeDistribution, TrafficModel
+from secnet.errors import UnstableQueueError
+
+
+def transmission_time_mean(beta_s_mean, rho_o):
+    """Mean span of a session transmission, outage interruptions included:
+    the oracle of the span law's mean, beta / (1 - rho_o)."""
+    if rho_o >= 1.0:
+        raise UnstableQueueError(f"outage fraction {rho_o} >= 1")
+    return beta_s_mean / (1.0 - rho_o)
 
 
 def make_scenario(

@@ -40,7 +40,6 @@ from secnet.queueing import (
     delay_cdf,
     delay_transform,
     mean_delay,
-    transmission_time_mean,
 )
 from secnet.simulate import (
     QueueSimConfig,
@@ -51,7 +50,7 @@ from secnet.simulate import (
     spatial_coverage,
 )
 
-from conftest import make_scenario
+from conftest import make_scenario, transmission_time_mean
 
 
 def report(number, name, ok, detail):
@@ -261,7 +260,7 @@ def _capacity_at_fixed_delay(n_bands, target_delay, ratio=50.0):
         scn = make_scenario(n_bands=n_bands, ratio=ratio,
                             session_interarrival=10.0 / c)
         try:
-            return min_delay_over_rate(scn, scan_points=48).delay
+            return min_delay_over_rate(scn).delay
         except Exception:
             return math.inf
 

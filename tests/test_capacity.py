@@ -146,7 +146,7 @@ class TestMinDelay:
     def test_infeasible_scenario_raises(self):
         scn = make_scenario(n_bands=1, ratio=500.0, session_interarrival=10.0)
         with pytest.raises(InfeasibleError):
-            min_delay_over_rate(scn, rate_span=(0.5, 2.0), scan_points=8)
+            min_delay_over_rate(scn)
 
 
 class TestSetupValidation:

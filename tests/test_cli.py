@@ -1,14 +1,23 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from secnet import cli, solve_equilibrium
-from secnet.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION
+from secnet import ConvergenceError, cli, solve_equilibrium
+from secnet.cli import (
+    EXIT_CONFIG,
+    EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_VALIDATION,
+)
 
 from conftest import make_scenario
 
@@ -174,6 +183,21 @@ class TestConfigHandling:
         assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["equilibrium", "--config", "c.ini", "--bogus"], id="unknown-flag"),
+        pytest.param(["equilibrium"], id="missing-config"),
+        pytest.param(["nonsense", "--config", "c.ini"], id="unknown-subcommand"),
+    ])
+    def test_usage_error_exits_config(self, capsys, argv):
+        # argparse's own exit code 2 would read as "infeasible"
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: secnet")
+        assert "secnet: error:" in err
+
 
 def test_readme_subcommands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -215,6 +239,23 @@ class TestEquilibriumCommand:
         cfg = write(tmp_path, "c.ini", FIVE_BANDS.replace(
             "target_rate = 4", "target_rate = 2"))
         assert run(["equilibrium", "--config", cfg]) == EXIT_INFEASIBLE
+
+    def test_no_coverage_is_named_without_warnings(self, tmp_path):
+        # 2^(R/W) overflows at R/W = 2000: no band covers any user.  Run as a
+        # process, so that stderr holds whatever numpy would warn.
+        cfg = write(tmp_path, "c.ini", ONE_BAND.replace(
+            "target_rate = 4", "target_rate = 2000"))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "secnet.cli", "equilibrium", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_INFEASIBLE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "infeasible: no band covers a user at target rate 2000\n")
 
 
 class TestTradeoffCommand:
@@ -339,6 +380,62 @@ class TestDelayCdfCommand:
         assert len(rows) == 40
         assert float(rows[0]["t"]) == pytest.approx(1.0)
         assert float(rows[-1]["t"]) == pytest.approx(500.0)
+
+
+class TestNumericalFailure:
+    # delay_oscillation-000 of the benchmark's delay pool: Gamma(0.5) outages
+    # at epsilon ~ 0.02, on a grid far in the tail
+    OSCILLATION = """\
+[scenario]
+user_density = 471.091
+target_rate = 1.61034
+
+[traffic]
+session_interarrival_mean = 501.349
+file_size_mean = 14.8765
+file_size_family = exponential
+file_size_shape = 1
+
+[outage]
+interarrival_mean = 14.6581
+duration_shape = 0.5
+
+[band.1]
+bandwidth = 5
+vacancy = 0.813
+bs_density = 2
+
+[band.2]
+bandwidth = 0.5
+vacancy = 0.773
+bs_density = 1
+
+[grid]
+t_min = 4e7
+t_max = 1.3e8
+points = 12
+scale = log
+"""
+
+    def test_convergence_error_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        def fail(handle, t_grid):
+            raise ConvergenceError("inversion oscillation at t=1: value 1.5")
+
+        monkeypatch.setattr(cli, "delay_cdf", fail)
+        cfg = write(tmp_path, "c.ini", FIVE_BANDS)
+        assert run(["delay-cdf", "--config", cfg]) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: inversion oscillation at t=1: value 1.5\n"
+
+    def test_oscillation_config_ends_in_documented_exit(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", self.OSCILLATION)
+        code = run(["delay-cdf", "--config", cfg])  # raises nothing
+        documented = {EXIT_OK, EXIT_INFEASIBLE, EXIT_VALIDATION, EXIT_CONFIG,
+                      EXIT_NUMERICAL}
+        assert code in documented
+        if code != EXIT_OK:
+            assert capsys.readouterr().out == ""
 
 
 class TestValidateCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,6 +212,16 @@ class TestBatchedSolve:
             assert batched == single
             outcomes.add(single.method)
         assert paths <= outcomes
+
+    def test_uncovered_rate_is_named_before_solving(self, default_scenario):
+        # past R/W = 1024 no band covers any user: that row fails at once and
+        # without numpy warnings, and leaves the other rows as they were
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, far = solve_equilibria(default_scenario, [4.0, 2000.0])
+        assert sol == solve_equilibrium(default_scenario)
+        assert type(far) is InfeasibleError
+        assert str(far) == "no band covers a user at target rate 2000"
 
     def test_rejects_bad_rates(self, default_scenario):
         for rates in ([1.0, 0.0], [[1.0]], [-2.0]):

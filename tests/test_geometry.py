@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from secnet.geometry import (
     DEFAULT_THINNING,
@@ -12,9 +14,33 @@ from secnet.geometry import (
     in_coverage_count_pmf,
     service_probability,
     sinr_ccdf_lim,
-    typical_cell_pdf,
-    user_cell_pdf,
 )
+
+# Normalized Poisson-Voronoi cell-size laws, the oracle of the count PMF's
+# mixture: Gamma(3.5, 1/3.5) for a typical cell, and Gamma(4.5, 1/3.5) for
+# the size-biased cell of a random user.
+_A = 3.5
+_LOG_NORM_TYPICAL = _A * math.log(_A) - gammaln(_A)
+_LOG_NORM_USER = (_A + 1.0) * math.log(_A) - gammaln(_A + 1.0)
+
+
+def typical_cell_pdf(x):
+    """PDF of a typical Voronoi cell size normalized by 1/density."""
+    return _cell_pdf(x, _LOG_NORM_TYPICAL, _A - 1.0)
+
+
+def user_cell_pdf(x):
+    """PDF of the (size-biased) cell containing a random user."""
+    return _cell_pdf(x, _LOG_NORM_USER, _A)
+
+
+def _cell_pdf(x, log_norm, power):
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("normalized cell size must be >= 0")
+    logx = np.log(np.where(x > 0, x, 1.0))
+    out = np.where(x > 0, np.exp(log_norm + power * logx - _A * x), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 class TestSinrCcdf:
@@ -58,6 +84,16 @@ class TestCoverageProbability:
     def test_zero_rate_full_coverage(self):
         assert coverage_probability(0.0, 1.0) == 1.0
 
+    def test_overflowing_threshold_gives_zero_without_warning(self):
+        # 2^(R/W) overflows past R/W = 1024; the coverage is then its limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coverage_probability(2000.0, 1.0) == 0.0
+            assert coverage_probability(1000.0, 1.0) > 0.0
+            cov = coverage_probability(np.array([[1.0], [3000.0]]), np.array([1.0, 2.0]))
+            assert np.array_equal(cov[1], [0.0, 0.0])
+            assert np.all(cov[0] > 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             coverage_probability(-1.0, 1.0)
@@ -98,6 +134,15 @@ class TestCellPdfs:
 
 
 class TestCountPmf:
+    @pytest.mark.parametrize("c", [0.05, 1.0, 3.5, 20.0])
+    def test_poisson_mixture_over_user_cell_law(self, c):
+        # the closed form is the Poisson(c x) count mixed over the user's cell
+        for k in range(6):
+            mix, _ = quad(lambda x: math.exp(k * math.log(c * x) - c * x
+                                             - math.lgamma(k + 1.0))
+                          * user_cell_pdf(x), 0.0, np.inf, epsabs=1e-13)
+            assert in_coverage_count_pmf(c, k) == pytest.approx(mix, rel=1e-8, abs=1e-13)
+
     def test_sums_to_one(self):
         c = DEFAULT_THINNING * 0.5 * 50.0
         k = np.arange(4000)

@@ -11,13 +11,13 @@ from secnet.queueing import (
     OutageModel,
     SizeDistribution,
     TrafficModel,
-    active_probability,
     busy_root,
     delay_cdf,
     delay_transform,
     mean_delay,
-    transmission_time_mean,
 )
+
+from conftest import transmission_time_mean
 
 
 def busy_root_polynomial(s, outage_duration: SizeDistribution, outage_interarrival_mean):
@@ -123,13 +123,6 @@ class TestTrafficAndOutageModels:
     def test_outage_duration_family_tracks_shape(self):
         assert OutageModel(1.0).duration_distribution(0.3).family == "exponential"
         assert OutageModel(1.0, 2.0).duration_distribution(0.3).family == "gamma"
-
-    def test_active_probability(self):
-        assert active_probability(0.2, 0.3) == pytest.approx(0.2 / 0.7)
-        with pytest.raises(UnstableQueueError):
-            active_probability(0.7, 0.3)
-        with pytest.raises(UnstableQueueError):
-            active_probability(0.1, 1.0)
 
     def test_transmission_time_mean(self):
         assert transmission_time_mean(2.0, 0.5) == pytest.approx(4.0)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from secnet import geometry
 from secnet.queueing import SizeDistribution
@@ -11,7 +10,6 @@ from secnet.simulate import (
     SpatialSimConfig,
     empirical_cdf,
     empirical_user_count_pmf,
-    ks_distance,
     refit_thinning_const,
     run_priority_queue,
     sample_voronoi_cells,
@@ -308,6 +306,13 @@ class TestQueueSim:
                 rate=-1.0,
             )
 
+    @pytest.mark.parametrize("rho_o", [1.0, 1.5])
+    def test_outage_load_must_be_below_one(self, rho_o):
+        # the outage class alone would never empty, so no run could end
+        with pytest.raises(ValueError, match="rho_o"):
+            queue_config(rho_o=rho_o, alpha_o=1.0, n=1_000)
+        assert queue_config(rho_o=0.999, alpha_o=1.0, n=1_000).rho_o < 1.0
+
     def test_horizon_must_fill_every_batch(self):
         # 21 sessions keep 19 after the 10 % warm-up, one short of 20 batches
         with pytest.raises(ValueError):
@@ -324,9 +329,3 @@ class TestEmpiricalHelpers:
         grid = np.array([0.5, 1.0, 2.5, 5.0])
         assert np.allclose(empirical_cdf(samples, grid),
                            [0.0, 1 / 3, 2 / 3, 1.0])
-
-    def test_ks_distance_null(self):
-        rng = np.random.default_rng(0)
-        x = rng.exponential(1.0, 50_000)
-        d = ks_distance(x, stats.expon(scale=1.0).cdf)
-        assert d < 0.01
