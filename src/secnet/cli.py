@@ -2,15 +2,17 @@
 
 Subcommands: tradeoff, capacity, delay-cdf, equilibrium, validate.
 Scenario files are INI-style key/value text with one section per band;
-unknown sections or keys are hard errors.  Output is CSV (default) or
-JSON lines, always preceded by a comment block echoing the resolved
-configuration so runs are reproducible byte for byte.
+unknown sections or keys are hard errors.  Each command computes its whole
+table before ``main`` writes it as CSV (default) or JSON lines, always
+preceded by the resolved configuration so runs are reproducible byte for
+byte; a run that fails writes nothing.
 """
 
 import argparse
 import configparser
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -159,33 +161,31 @@ def _fmt(value):
     return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
-class Writer:
-    def __init__(self, stream, fmt, columns, config_echo):
-        self.stream = stream
-        self.fmt = fmt
-        self.columns = columns
-        if fmt == "csv":
-            for key in sorted(config_echo):
-                stream.write(f"# {key} = {config_echo[key]}\n")
-            stream.write(",".join(columns) + "\n")
-        else:
-            stream.write(json.dumps({"config": config_echo}, sort_keys=True) + "\n")
-
-    def row(self, values):
-        if self.fmt == "csv":
-            self.stream.write(",".join(_fmt(v) for v in values) + "\n")
-        else:
-            obj = {c: v for c, v in zip(self.columns, values)}
-            self.stream.write(json.dumps(obj, sort_keys=True, default=_fmt) + "\n")
-
-
-def _echo_config(parser, extra):
-    echo = {}
-    for section in parser.sections():
-        for key, value in parser[section].items():
-            echo[f"{section}.{key}"] = value
-    echo.update(extra)
-    return echo
+def _write(out, fmt, columns, echo, rows, failed):
+    """Write a table to the path ``out`` ("-" is stdout): CSV, with the
+    ``echo`` comment block and a ``# FAILED:`` footer naming ``failed``, or
+    JSON lines, with non-finite numbers as null (RFC 8259 has no NaN)."""
+    if fmt == "csv":
+        lines = [f"# {key} = {echo[key]}" for key in sorted(echo)]
+        lines.append(",".join(columns))
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        if failed:
+            lines.append(f"# FAILED: {', '.join(failed)}")
+    else:
+        lines = [json.dumps({"config": echo}, sort_keys=True)]
+        for row in rows:
+            obj = {c: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for c, v in zip(columns, row)}
+            lines.append(json.dumps(obj, sort_keys=True, default=_fmt))
+    text = "".join(line + "\n" for line in lines)
+    if out == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}")
 
 
 def _spaced(section, lo, hi, points, scale):
@@ -240,8 +240,7 @@ def _tradeoff_point(args):
         return (value, capacity, math.nan, math.nan, math.nan, 0)
 
 
-def cmd_tradeoff(parser, args, out):
-    scenario = build_scenario(parser)
+def cmd_tradeoff(parser, scenario, args):
     if "sweep" not in parser:
         raise ConfigError("tradeoff needs a [sweep] section")
     parameter = parser.get("sweep", "parameter", fallback="capacity")
@@ -254,24 +253,18 @@ def cmd_tradeoff(parser, args, out):
     if not np.all(values >= 0) or parameter == "target_rate" and 0 in values:
         raise ConfigError(f"[sweep] {parameter} values must be >= 0 (rates > 0)")
     tasks = [(scenario, parameter, float(v), fixed_rate) for v in values]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a fork-started pool forks all its workers at the first submit
+    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_tradeoff_point, tasks))
     else:
         rows = [_tradeoff_point(t) for t in tasks]
-    writer = Writer(
-        out,
-        args.format,
-        ["sweep_value", "capacity", "rate", "epsilon", "mean_delay", "feasible"],
-        _echo_config(parser, {"seed": args.seed, "subcommand": "tradeoff"}),
-    )
-    for row in rows:
-        writer.row(row)
-    return EXIT_OK
+    columns = ["sweep_value", "capacity", "rate", "epsilon", "mean_delay", "feasible"]
+    return columns, {}, rows, []
 
 
-def cmd_capacity(parser, args, out):
-    scenario = build_scenario(parser)
+def cmd_capacity(parser, scenario, args):
     n_min = _getint(parser, "capacity", "n_min", default=1)
     n_max = _getint(parser, "capacity", "n_max", default=10)
     if not 1 <= n_min <= n_max:
@@ -289,7 +282,7 @@ def cmd_capacity(parser, args, out):
             raise ConfigError(f"[capacity] ratios must be finite, > 0: {text!r}")
     else:
         ratios = [scenario.user_density / band.bs_density]
-    rows = []  # all solved before printing: an infeasible ratio prints no table
+    rows = []
     for ratio in ratios:
         approx = cap.scaling_approximation(ratio)
         for n in range(n_min, n_max + 1):
@@ -301,18 +294,11 @@ def cmd_capacity(parser, args, out):
             opt = cap.optimal_rate_fixed_band(setup)
             c2 = opt.capacity / n
             rows.append((ratio, n, opt.rate, opt.capacity, c2, n * c2, approx))
-    writer = Writer(
-        out,
-        args.format,
-        [
-            "ratio", "n_bands", "optimal_rate", "c_max_fixed_band",
-            "c_max_fixed_system", "n_times_c_max_fixed_system", "scaling_approx",
-        ],
-        _echo_config(parser, {"seed": args.seed, "subcommand": "capacity"}),
-    )
-    for row in rows:
-        writer.row(row)
-    return EXIT_OK
+    columns = [
+        "ratio", "n_bands", "optimal_rate", "c_max_fixed_band",
+        "c_max_fixed_system", "n_times_c_max_fixed_system", "scaling_approx",
+    ]
+    return columns, {}, rows, []
 
 
 def _auto_grid(handle):
@@ -345,8 +331,7 @@ def _queue_sim_config(scenario, epsilon, sessions, seed):
         raise ConfigError(f"[validate] sessions: {exc}")
 
 
-def cmd_delay_cdf(parser, args, out):
-    scenario = build_scenario(parser)
+def cmd_delay_cdf(parser, scenario, args):
     sol = solve_equilibrium(scenario)
     handle = delay_transform(
         scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
@@ -365,11 +350,11 @@ def cmd_delay_cdf(parser, args, out):
     else:
         grid = _auto_grid(handle)
     result = delay_cdf(handle, grid)
-    extra = {"seed": args.seed, "subcommand": "delay-cdf",
-             "epsilon": _fmt(sol.epsilon), **{
-                 f"inversion.{k}": v for k, v in result.metadata.items()}}
+    extra = {"epsilon": _fmt(sol.epsilon),
+             **{f"inversion.{k}": v for k, v in result.metadata.items()}}
     columns = ["t", "cdf"]
-    empirical = None
+    rows = [[float(t), float(v)] for t, v in zip(grid, result.values)]
+    failed = []
     if args.validate:
         sessions = _getint(parser, "validate", "sessions", default=200000)
         rep = run_priority_queue(
@@ -379,32 +364,23 @@ def cmd_delay_cdf(parser, args, out):
         ks = float(np.abs(empirical - result.values).max())
         extra["validate.ks"] = _fmt(ks)
         columns.append("empirical_cdf")
-    writer = Writer(out, args.format, columns, _echo_config(parser, extra))
-    for i, t in enumerate(grid):
-        row = [float(t), float(result.values[i])]
-        if empirical is not None:
-            row.append(float(empirical[i]))
-        writer.row(row)
-    if args.validate and ks > 0.02:
-        return EXIT_VALIDATION
-    return EXIT_OK
+        rows = [row + [float(e)] for row, e in zip(rows, empirical)]
+        if ks > 0.02:
+            failed.append("validate.ks")
+    return columns, extra, rows, failed
 
 
-def cmd_equilibrium(parser, args, out):
-    scenario = build_scenario(parser)
+def cmd_equilibrium(parser, scenario, args):
     sol = solve_equilibrium(scenario)
     extra = {key: _fmt(getattr(sol, key))
              for key in ("epsilon", "rho_o", "rho_s", "p_active", "residual")}
-    extra.update(seed=args.seed, subcommand="equilibrium", method=sol.method)
-    writer = Writer(out, args.format, ["band", "service", "coverage", "access", "load"],
-                    _echo_config(parser, extra))
-    for i, b in enumerate(sol.bands, start=1):
-        writer.row((i, b.service, b.coverage, b.access, b.load))
-    return EXIT_OK
+    extra["method"] = sol.method
+    rows = [(i, b.service, b.coverage, b.access, b.load)
+            for i, b in enumerate(sol.bands, start=1)]
+    return ["band", "service", "coverage", "access", "load"], extra, rows, []
 
 
-def cmd_validate(parser, args, out):
-    scenario = build_scenario(parser)
+def cmd_validate(parser, scenario, args):
     users = _getint(parser, "validate", "users", default=20000)
     cells = _getint(parser, "validate", "cells", default=20000)
     sessions = _getint(parser, "validate", "sessions", default=100000)
@@ -472,21 +448,9 @@ def cmd_validate(parser, args, out):
     ksq = float(np.abs(ana - emp).max())
     checks.append(("queue_delay_cdf_ks", ksq, 0.02, ksq <= 0.02))
 
-    writer = Writer(
-        out,
-        args.format,
-        ["check", "statistic", "tolerance", "passed"],
-        _echo_config(parser, {"seed": seed, "subcommand": "validate"}),
-    )
-    failures = []
-    for name, stat, tol, ok in checks:
-        writer.row((name, float(stat), float(tol), int(ok)))
-        if not ok:
-            failures.append(name)
-    if failures:
-        out.write(f"# FAILED: {', '.join(failures)}\n")
-        return EXIT_VALIDATION
-    return EXIT_OK
+    rows = [(name, float(stat), float(tol), int(ok)) for name, stat, tol, ok in checks]
+    failed = [name for name, _, _, ok in checks if not ok]
+    return ["check", "statistic", "tolerance", "passed"], {}, rows, failed
 
 
 _COMMANDS = {
@@ -506,12 +470,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text):
+    """``--seed``: an integer >= 0, the seeds numpy's generators take."""
+    if not text.isdecimal():  # no sign, so no negative seed
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def make_parser():
     ap = _ArgumentParser(prog="secnet")
     ap.add_argument("subcommand", choices=sorted(_COMMANDS))
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default="-")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--validate", action="store_true")
     ap.add_argument("--format", choices=["csv", "json-lines"], default="csv")
@@ -522,14 +493,12 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         parser = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.out == "-":
-            return _COMMANDS[args.subcommand](parser, args, sys.stdout)
-        with open(args.out, "w") as out:
-            return _COMMANDS[args.subcommand](parser, args, out)
+        command = _COMMANDS[args.subcommand]
+        columns, extra, rows, failed = command(parser, build_scenario(parser), args)
+        echo = {f"{section}.{key}": value for section in parser.sections()
+                for key, value in parser[section].items()}
+        echo.update(extra, seed=args.seed, subcommand=args.subcommand)
+        _write(args.out, args.format, columns, echo, rows, failed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -539,6 +508,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -187,6 +187,9 @@ class TestConfigHandling:
         pytest.param(["equilibrium", "--config", "c.ini", "--bogus"], id="unknown-flag"),
         pytest.param(["equilibrium"], id="missing-config"),
         pytest.param(["nonsense", "--config", "c.ini"], id="unknown-subcommand"),
+        # numpy's generators raise ValueError on a negative seed
+        pytest.param(["delay-cdf", "--config", "c.ini", "--validate", "--seed", "-1"],
+                     id="negative-seed"),
     ])
     def test_usage_error_exits_config(self, capsys, argv):
         # argparse's own exit code 2 would read as "infeasible"
@@ -311,6 +314,35 @@ class TestTradeoffCommand:
         _, _, rows = read_rows(out)
         assert all(r["feasible"] == "0" for r in rows)
         assert all(r["mean_delay"] == "nan" for r in rows)
+
+    def test_workers_capped_by_points_and_cores(self, tmp_path, monkeypatch):
+        # a fork-started pool forks all max_workers processes at the first submit
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = write(tmp_path, "c.ini", self.SWEEP)  # 5 points
+        argv = ["tradeoff", "--config", cfg, "--out", str(tmp_path / "t.csv"),
+                "--workers", "64"]
+        for cores, expected in ((8, 5), (3, 3)):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+            assert run(argv) == EXIT_OK
+            assert started[-1] == expected
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert run(argv) == EXIT_OK
+        assert len(started) == 2  # one core: the serial loop, no pool
 
     def test_json_lines_format(self, tmp_path):
         cfg = write(tmp_path, "c.ini", self.SWEEP)
@@ -479,3 +511,72 @@ ratio = 5
         _, _, rows = read_rows(out)
         failed = [r["check"] for r in rows if r["passed"] == "0"]
         assert "contender_pmf_tv" in failed
+
+
+class TestOutput:
+    # every section any subcommand reads, at sizes that run in well under a second
+    ALL = ONE_BAND.replace("bs_density = 1", "bs_density = 10").replace(
+        "session_interarrival_mean = 10", "session_interarrival_mean = 100") + (
+        "\n[sweep]\nmin = 0\nmax = 2\npoints = 3\nfixed_rate = 4\n"
+        "\n[capacity]\nn_max = 2\n"
+        "\n[grid]\nt_min = 1\nt_max = 100\npoints = 5\n"
+        "\n[validate]\nsessions = 200\n"
+    )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("subcommand",
+                             ["equilibrium", "capacity", "tradeoff", "delay-cdf"])
+    def test_stdout_and_out_file_identical(self, tmp_path, capsys, subcommand, fmt):
+        cfg = write(tmp_path, "c.ini", self.ALL)
+        argv = [subcommand, "--config", cfg, "--format", fmt]
+        assert run(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
+        assert len(stdout.splitlines()) > 1
+
+    @pytest.mark.parametrize("text, code", [
+        pytest.param(FIVE_BANDS.replace("target_rate = 4", "target_rate = 2"),
+                     EXIT_INFEASIBLE, id="infeasible"),
+        pytest.param(BASE, EXIT_CONFIG, id="no-bands"),
+    ])
+    def test_failing_run_keeps_existing_out(self, tmp_path, text, code):
+        cfg = write(tmp_path, "c.ini", text)
+        out = tmp_path / "prev.csv"
+        out.write_bytes(b"previous run\n")
+        assert run(["equilibrium", "--config", cfg, "--out", str(out)]) == code
+        assert out.read_bytes() == b"previous run\n"
+
+    @pytest.mark.parametrize("name, reason", [
+        ("missing/t.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, name, reason):
+        cfg = write(tmp_path, "c.ini", self.ALL)
+        out = str(tmp_path / name)
+        assert run(["equilibrium", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: cannot write {out}: {reason}\n")
+
+    def test_json_lines_are_json(self, tmp_path, capsys):
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        cfg = write(tmp_path, "c.ini", self.ALL)
+        assert run(["tradeoff", "--config", cfg, "--format", "json-lines"]) == EXIT_OK
+        rows = [json.loads(line, parse_constant=no_constant)
+                for line in capsys.readouterr().out.splitlines()][1:]
+        assert [r["feasible"] for r in rows] == [1, 0, 0]
+        assert rows[1]["epsilon"] is None and rows[1]["mean_delay"] is None
+
+    def test_failed_validation_footer(self, tmp_path, capsys):
+        # 200 sessions put the empirical CDF well outside KS 0.02
+        cfg = write(tmp_path, "c.ini", self.ALL)
+        argv = ["delay-cdf", "--config", cfg, "--validate"]
+        assert run(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().out.endswith("\n# FAILED: validate.ks\n")
+        assert run(argv + ["--format", "json-lines"]) == EXIT_VALIDATION
+        for line in capsys.readouterr().out.splitlines():
+            json.loads(line)
