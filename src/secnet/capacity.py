@@ -1,13 +1,15 @@
 """Capacity limits of homogeneous multi-band deployments and the
 capacity-delay tradeoff front.
 
-Two spectrum-scaling modes: fixed bandwidth per band (mode I, system
-bandwidth grows with the band count) and fixed system bandwidth (mode II,
-per-band bandwidth shrinks as 1/N).  The function called fixes the mode.
+The laws are mode I: N bands of width W each.  Mode II, a system bandwidth W
+split into N bands of W/N, is mode I rescaled: coverage depends on the rate
+per unit width, so its limit at per-band rate R is the mode-I limit at R*N
+over N, and its maximum is the mode-I maximum over N.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -29,10 +31,7 @@ _DELAY_POINTS = 96
 
 @dataclass(frozen=True)
 class HomogeneousSetup:
-    """N identical bands.  ``band_width`` is the width of each band for
-    ``capacity_limit_fixed_band``, ``capacity_limit_derivative`` and
-    ``optimal_rate_fixed_band`` (mode I), and the system total split N ways
-    for ``capacity_limit_fixed_system`` and ``max_capacity_fixed_system``."""
+    """N identical bands, each ``band_width`` wide."""
 
     n_bands: int
     user_density: float
@@ -59,23 +58,12 @@ class HomogeneousSetup:
 
 
 def capacity_limit_fixed_band(setup: HomogeneousSetup, rate):
-    """Largest stable per-user throughput at target rate ``rate``, mode I."""
-    return _capacity_limit(setup, rate, 1)
-
-
-def capacity_limit_fixed_system(setup: HomogeneousSetup, rate):
-    """Mode II: total bandwidth fixed, each band gets 1/N of it."""
-    return _capacity_limit(setup, rate, setup.n_bands)
-
-
-def _capacity_limit(setup, rate, sharing):
-    """Rate times the probability that some band serves a user at the
-    stability boundary, where every user is active and the per-band load is
-    the user/BS ratio over N.  ``sharing`` bands split ``band_width`` (1 or
-    N), so a band's coverage sees ``sharing`` times the rate."""
+    """Largest stable per-user throughput at target rate ``rate``: the rate
+    times the probability that some band serves a user at the stability
+    boundary (every user active, a per-band load of the user/BS ratio / N)."""
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    p = geometry.coverage_probability(rate * sharing, setup.band_width)
+    p = geometry.coverage_probability(rate, setup.band_width)
     eps_n = geometry.service_probability(
         setup.vacancy, p, setup.load_per_band, setup.thinning
     )
@@ -136,30 +124,31 @@ def optimal_rate_fixed_band(setup: HomogeneousSetup) -> RateOptimum:
     raise InfeasibleError(f"no capacity optimum below rate {hi:g} x band width")
 
 
-def max_capacity_fixed_system(setup: HomogeneousSetup):
-    """Mode-II maximum capacity: the mode-I maximum divided by N (the
-    rate rescaling R -> RN leaves the maximum value unchanged)."""
-    opt = optimal_rate_fixed_band(setup)
-    return opt.capacity / setup.n_bands
-
-
-def optimize_fixed_system(user_bs_ratio, n_max=80, vacancy=1.0, band_width=1.0,
+def optimize_fixed_system(user_bs_ratio, vacancy=1.0, band_width=1.0,
                           thinning=geometry.DEFAULT_THINNING):
-    """Jointly optimize band count and rate at fixed system bandwidth.
+    """Jointly optimize band count and rate at the fixed system bandwidth
+    ``band_width``; returns (best N, best per-band rate, capacity).
 
-    Returns (best N, best per-band rate, capacity).
+    C(N), the mode-II maximum, must rise and then fall in N: N doubles while
+    C(N+1) > C(N), then bisection finds the first N where it does not.  An
+    ``InfeasibleError`` of ``optimal_rate_fixed_band`` propagates.
     """
-    best = None
-    for n in range(1, n_max + 1):
-        setup = HomogeneousSetup(
-            n_bands=n, user_density=user_bs_ratio, bs_density=1.0,
-            vacancy=vacancy, band_width=band_width, thinning=thinning,
-        )
+    @cache
+    def best(n):
+        setup = HomogeneousSetup(n, user_bs_ratio, 1.0, vacancy, band_width, thinning)
         opt = optimal_rate_fixed_band(setup)
-        cap = opt.capacity / n
-        if best is None or cap > best[2]:
-            best = (n, opt.rate / n, cap)
-    return best
+        return opt.rate / n, opt.capacity / n
+
+    def grows(n):
+        return best(n + 1)[1] > best(n)[1]
+
+    lo, hi = 0, 1  # C grows at lo (if lo >= 1) and not at hi
+    while grows(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if grows(mid) else (lo, mid)
+    return (hi, *best(hi))
 
 
 def scaling_approximation(user_bs_ratio):

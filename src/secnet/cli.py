@@ -75,7 +75,7 @@ def load_config(path):
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc))
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -218,18 +218,12 @@ def _with_capacity(scenario, capacity):
 
 
 def _tradeoff_point(args):
-    scenario, parameter, value, fixed_rate = args
-    if parameter == "capacity":
-        scenario = _with_capacity(scenario, value)
-    else:  # target_rate
-        scenario = scenario.with_rate(value)
+    """One sweep row of ``scenario`` at ``rate``, or at its delay-optimal
+    rate when ``rate`` is None."""
+    scenario, value, rate = args
     capacity = scenario.traffic.capacity
     try:
-        if fixed_rate is not None:
-            rate = fixed_rate
-        elif parameter == "target_rate":
-            rate = scenario.target_rate
-        else:
+        if rate is None:
             # with no traffic a vanishing-load proxy picks the rate
             proxy = scenario if capacity > 0.0 else _with_capacity(scenario, 1e-9)
             rate = cap.min_delay_over_rate(proxy).rate
@@ -248,11 +242,16 @@ def cmd_tradeoff(parser, scenario, args):
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     fixed_rate = None
     if "fixed_rate" in parser["sweep"]:
+        if parameter == "target_rate":
+            raise ConfigError("[sweep] fixed_rate would override a target_rate sweep")
         fixed_rate = _getfloat(parser, "sweep", "fixed_rate")
     values = _sweep_values(parser)
     if not np.all(values >= 0) or parameter == "target_rate" and 0 in values:
         raise ConfigError(f"[sweep] {parameter} values must be >= 0 (rates > 0)")
-    tasks = [(scenario, parameter, float(v), fixed_rate) for v in values]
+    if parameter == "capacity":
+        tasks = [(_with_capacity(scenario, v), v, fixed_rate) for v in values.tolist()]
+    else:
+        tasks = [(scenario.with_rate(v), v, v) for v in values.tolist()]
     # a fork-started pool forks all its workers at the first submit
     workers = min(args.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -14,7 +14,6 @@ import numpy as np
 _EULER_TERMS = 20
 
 
-@lru_cache(maxsize=None)
 def _euler_coefficients(m):
     """Nodes and weights of the Euler-summation inversion rule."""
     # Binomial-averaged partial sums collapse to a single weighted sum.
@@ -30,6 +29,9 @@ def _euler_coefficients(m):
     return beta, eta, scale
 
 
+_EULER_BETA, _EULER_ETA, _EULER_SCALE = _euler_coefficients(_EULER_TERMS)
+
+
 def euler_inversion(transform, t):
     """Invert ``transform`` at the strictly positive times ``t``.
 
@@ -39,11 +41,10 @@ def euler_inversion(transform, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("inversion times must be strictly positive")
-    beta, eta, scale = _euler_coefficients(_EULER_TERMS)
     out = np.empty(t.shape)
     for i, ti in np.ndenumerate(t):
-        vals = np.array([transform(b / ti) for b in beta])
-        out[i] = scale / ti * np.dot(eta, vals.real)
+        vals = np.array([transform(b / ti) for b in _EULER_BETA])
+        out[i] = _EULER_SCALE / ti * np.dot(_EULER_ETA, vals.real)
     return float(out) if out.ndim == 0 else out
 
 

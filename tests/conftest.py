@@ -1,6 +1,7 @@
 import pytest
 
 from secnet import BandConfig, OutageModel, Scenario, SizeDistribution, TrafficModel
+from secnet import geometry
 from secnet.errors import UnstableQueueError
 
 
@@ -10,6 +11,18 @@ def transmission_time_mean(beta_s_mean, rho_o):
     if rho_o >= 1.0:
         raise UnstableQueueError(f"outage fraction {rho_o} >= 1")
     return beta_s_mean / (1.0 - rho_o)
+
+
+def capacity_limit_fixed_system(setup, rate):
+    """Mode-II capacity limit at per-band rate ``rate``, computed directly:
+    the N bands split ``setup.band_width``, so a band's coverage at ``rate``
+    in width W/N is its coverage at ``rate`` * N in width W.  The oracle of
+    the rescaling identity the library's mode-II results rest on."""
+    p = geometry.coverage_probability(rate * setup.n_bands, setup.band_width)
+    eps_n = geometry.service_probability(
+        setup.vacancy, p, setup.load_per_band, setup.thinning
+    )
+    return rate * (1.0 - (1.0 - eps_n) ** setup.n_bands)
 
 
 def make_scenario(

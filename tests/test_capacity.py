@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secnet import capacity as cap
+from secnet import geometry
 from secnet.capacity import (
     HomogeneousSetup,
     capacity_limit_derivative,
     capacity_limit_fixed_band,
-    capacity_limit_fixed_system,
-    max_capacity_fixed_system,
     min_delay_over_rate,
     optimal_rate_fixed_band,
     optimize_fixed_system,
@@ -17,7 +17,7 @@ from secnet.capacity import (
 )
 from secnet.errors import InfeasibleError
 
-from conftest import make_scenario
+from conftest import capacity_limit_fixed_system, make_scenario
 
 
 def setup_mode_one(n=5, ratio=50.0):
@@ -94,12 +94,11 @@ class TestCapacityLimit:
         setup = setup_mode_one()
         with pytest.raises(ValueError):
             capacity_limit_fixed_band(setup, 0.0)
-        with pytest.raises(ValueError):
-            capacity_limit_fixed_system(setup, 0.0)
 
 
 class TestModeIdentities:
     def test_two_modes_related_by_rate_rescaling(self):
+        # the direct mode-II limit is the mode-I limit at rate R * N over N
         for n in (1, 3, 8):
             setup1 = setup_mode_one(n=n)
             for r in (0.2, 0.7, 1.5):
@@ -107,23 +106,61 @@ class TestModeIdentities:
                 c1 = capacity_limit_fixed_band(setup1, r * n)
                 assert c2 == pytest.approx(c1 / n, rel=1e-12)
 
-    def test_n_times_fixed_system_max_equals_fixed_band_max(self):
-        for n in range(1, 21):
-            setup = setup_mode_one(n=n)
-            c1 = optimal_rate_fixed_band(setup).capacity
-            c2 = max_capacity_fixed_system(setup)
-            assert n * c2 == pytest.approx(c1, rel=1e-8)
+
+def mode_two_max(n, ratio, vacancy=1.0, band_width=1.0,
+                 thinning=geometry.DEFAULT_THINNING):
+    setup = HomogeneousSetup(n, ratio, 1.0, vacancy, band_width, thinning)
+    return optimal_rate_fixed_band(setup).capacity / n
 
 
 class TestJointOptimization:
     def test_interior_band_count(self):
-        n_star, r_star, c_star = optimize_fixed_system(50.0, n_max=60)
+        n_star, r_star, c_star = optimize_fixed_system(50.0)
         assert 1 < n_star < 60
         assert c_star > 0
         # joint optimum beats a few arbitrary fixed band counts
         for n in (1, 2, 60):
-            setup = HomogeneousSetup(n_bands=n, user_density=50.0, bs_density=1.0)
-            assert c_star >= max_capacity_fixed_system(setup) - 1e-12
+            assert c_star >= mode_two_max(n, 50.0) - 1e-12
+
+    @pytest.mark.parametrize("ratio, expected", [
+        (2.0, (1, 3.1697741536407062, 0.5905318332010406)),
+        (5.0, (2, 1.7933870273805799, 0.5202050429566042)),
+        (10.0, (3, 1.3277064530518132, 0.46050514052836017)),
+        (50.0, (6, 0.845595750637095, 0.3265436231593537)),
+        (100.0, (9, 0.6244035306239484, 0.27483637782611664)),
+        (500.0, (20, 0.35208876735119865, 0.1745372105610282)),
+        (1e3, (28, 0.2754565304366255, 0.14073291892715675)),
+    ])
+    def test_matches_full_scan(self, ratio, expected):
+        # the optimum of a scan over every N up to 80, bit for bit
+        assert optimize_fixed_system(ratio) == expected
+
+    def test_optimum_past_eighty_bands(self):
+        # a scan capped at 80 bands returned its edge here, 0.5 % low
+        n_star, _, c_star = optimize_fixed_system(1e4)
+        assert n_star == 89
+        assert c_star == pytest.approx(0.06431769636523889, rel=1e-12)
+        assert c_star > max(mode_two_max(n, 1e4) for n in (80, 88, 90))
+
+    def test_infeasible_optimum_propagates(self):
+        with pytest.raises(InfeasibleError):
+            optimize_fixed_system(1e200)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.floats(min_value=0.0, max_value=5.0),
+           st.floats(min_value=0.05, max_value=1.0),
+           st.floats(min_value=0.1, max_value=10.0),
+           st.floats(min_value=0.3, max_value=2.0))
+    def test_mode_two_maximum_is_unimodal_in_n(self, log_ratio, vacancy,
+                                                band_width, thinning):
+        # the search bisects on the sign of C(N+1) - C(N), which must go
+        # from + to - once; checked past twice the N it returns
+        ratio = 10.0 ** log_ratio
+        n_star, _, _ = optimize_fixed_system(ratio, vacancy, band_width, thinning)
+        c = [mode_two_max(n, ratio, vacancy, band_width, thinning)
+             for n in range(1, 2 * n_star + 4)]
+        grows = np.diff(c) > 0
+        assert list(grows) == [True] * (n_star - 1) + [False] * (n_star + 3)
 
     def test_scaling_approximation_values(self):
         assert scaling_approximation(2.0) == pytest.approx(0.6359 - 0.052)

@@ -158,6 +158,10 @@ class TestConfigHandling:
                      id="ratio-infinite"),
         pytest.param("tradeoff", "\n[sweep]\nmin = 0\nmax = 0.1\npoints = 3\n"
                      "fixed_rate = inf\n", id="sweep-fixed-rate-infinite"),
+        # a fixed rate would replace every swept target rate
+        pytest.param("tradeoff", "\n[sweep]\nparameter = target_rate\nmin = 1\n"
+                     "max = 6\npoints = 4\nfixed_rate = 4\n",
+                     id="sweep-target-rate-with-fixed-rate"),
         pytest.param("delay-cdf", GRID.format(lo=1, hi="inf", n=20, scale="log"),
                      id="grid-t_max-infinite"),
         pytest.param("validate", "\n[validate]\nthinning = nan\n",
@@ -181,6 +185,12 @@ class TestConfigHandling:
     def test_key_before_any_section_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", "target_rate = 4\n" + FIVE_BANDS)
         assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(FIVE_BANDS.encode() + b"# \xff\n")
+        assert run(["equilibrium", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("argv", [

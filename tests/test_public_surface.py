@@ -13,12 +13,10 @@ from test_traced_names import _load_tracer
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "secnet"
 
-# The joint band-count optimum and the mode-II limit it maximizes have no CLI
-# output yet; they stay until one is added or they move into tests/.
+# The joint band-count optimum has no CLI output yet; it stays until one is
+# added or it moves into tests/.
 ALLOWED = {
     "capacity.optimize_fixed_system": "joint (N, rate) optimum, no CLI output yet",
-    "capacity.max_capacity_fixed_system": "mode-II maximum, no CLI output yet",
-    "capacity.capacity_limit_fixed_system": "mode-II limit, no CLI output yet",
 }
 
 
