@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from secnet import geometry
 from secnet.queueing import SizeDistribution
@@ -22,7 +24,8 @@ from secnet.simulate.queue_sim import (
     _merged_busy_periods,
     _session_sweep,
 )
-from secnet.simulate.spatial import _draw_layers
+from secnet.simulate import spatial
+from secnet.simulate.spatial import _draw_layers, _serving_cells, _sir
 
 
 def _reference_delays(arr_s, service, arr_o, dur_o):
@@ -75,6 +78,29 @@ def _reference_delays(arr_s, service, arr_o, dur_o):
     return completions, starts
 
 
+def _dense_sinr_and_cells(rng, users, bss):
+    """Dense reference SIR kernel: one (4096 x BS) block of distance, fading
+    and power per 4096 users, SIR for every user.  The oracle of
+    ``spatial._sir`` and ``spatial._serving_cells``."""
+    chunk = 4096
+    tree = cKDTree(bss)
+    _, cell = tree.query(users)
+    sinr = np.empty(len(users))
+    for lo in range(0, len(users), chunk):
+        hi = min(lo + chunk, len(users))
+        d2 = (
+            (users[lo:hi, None, 0] - bss[None, :, 0]) ** 2
+            + (users[lo:hi, None, 1] - bss[None, :, 1]) ** 2
+        )
+        power = rng.exponential(1.0, size=d2.shape) * d2 ** (-4 / 2)
+        rows = np.arange(lo, hi)
+        signal = power[rows - lo, cell[rows]]
+        interference = power.sum(axis=1) - signal
+        with np.errstate(divide="ignore"):  # zero interference => SIR = inf
+            sinr[lo:hi] = signal / interference
+    return sinr, cell
+
+
 def small_spatial(reps=8, ratio=1.0, seed=0):
     return SpatialSimConfig(
         window_side=30.0, bs_density=1.0, user_density=ratio,
@@ -118,6 +144,11 @@ class TestSpatialCoverage:
         with pytest.raises(ValueError):
             spatial_coverage(small_spatial(reps=1), -1.0)
 
+    def test_no_interior_user_rejected(self):
+        cfg = SpatialSimConfig(40.0, 1.0, 1e-6, replications=2)
+        with pytest.raises(ValueError, match="no interior user in any of the 2"):
+            spatial_coverage(cfg, 1.0)
+
 
 class TestUserCountPmf:
     def test_pmf_is_a_distribution(self):
@@ -158,6 +189,64 @@ class TestUserCountPmf:
         pmf = geometry.in_coverage_count_pmf(2.0 / 3.0 * 0.5 * 5.0, np.arange(200))
         refit = refit_thinning_const(pmf, 5.0, 0.5)
         assert refit == pytest.approx(2.0 / 3.0, abs=0.01)
+
+
+CHUNK = spatial._CHUNK
+
+
+class TestSirKernel:
+    N_BS = 300
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("mask", ["all", "none", "random"])
+    def test_matches_dense_oracle(self, n, mask):
+        draw = np.random.default_rng(n)
+        bss = draw.uniform(0.0, 30.0, size=(self.N_BS, 2))
+        users = draw.uniform(0.0, 30.0, size=(n, 2))
+        needed = {"all": np.ones(n, bool), "none": np.zeros(n, bool),
+                  "random": draw.random(n) < 0.4}[mask]
+        ref_rng = np.random.default_rng(7)
+        ref_sir, ref_cell = _dense_sinr_and_cells(ref_rng, users, bss)
+        rng = np.random.default_rng(7)
+        cell = _serving_cells(users, bss)
+        sir = _sir(rng, users, bss, cell, needed)
+        assert np.array_equal(cell, ref_cell)
+        assert np.array_equal(sir[needed], ref_sir[needed])
+        assert np.all(np.isnan(sir[~needed]))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if mask == "all":
+            rng = np.random.default_rng(7)
+            assert np.array_equal(_sir(rng, users, bss, cell), ref_sir)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunk_invariance(self, monkeypatch, chunk):
+        cov_cfg, pmf_cfg = small_spatial(reps=2), small_spatial(reps=2, ratio=2.0)
+        base = [spatial_coverage(cov_cfg, 1.0), empirical_user_count_pmf(pmf_cfg, 1.0)]
+        monkeypatch.setattr(spatial, "_CHUNK", chunk)
+        other = [spatial_coverage(cov_cfg, 1.0), empirical_user_count_pmf(pmf_cfg, 1.0)]
+        for a, b in zip(base, other):
+            assert a.estimates == b.estimates
+            assert a.config == b.config
+            assert a.arrays.keys() == b.arrays.keys()
+            for key in a.arrays:
+                assert np.array_equal(a.arrays[key], b.arrays[key])
+
+    def test_scratch_memory_is_blocked(self):
+        # numpy reports its buffers to tracemalloc; the dense kernel needed
+        # 66 MB here, several (4096 x 500) temporaries at once
+        n, n_bs = 20_000, 500
+        draw = np.random.default_rng(3)
+        bss = draw.uniform(0.0, 45.0, size=(n_bs, 2))
+        users = draw.uniform(0.0, 45.0, size=(n, 2))
+        cell = _serving_cells(users, bss)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _sir(rng, users, bss, cell)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * spatial._CHUNK * n_bs * 8 + 64 * n
 
 
 class TestVoronoiCells:

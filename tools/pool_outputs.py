@@ -8,8 +8,11 @@ except ``queue_long`` (the long queue runs) with the ``secnet`` in
 ``SRC/src`` and writes ``OUT`` as sorted JSON: for each op its status
 against the recorded reference and its canonical output, which is the exit
 code and stdout of a CLI op, the digest of a simulator op's arrays, or the
-exception it raised.  The ops and their checks come from this checkout's
-``perfbench/ops.py``, so two runs differ only in the ``secnet`` they load:
+exception it raised.  A simulator op also writes its ``estimates`` as
+(value, 99 % CI half-width, n), which its array digest does not cover (a
+PMF op's ``access_probability``, say).  The ops and their checks come from
+this checkout's ``perfbench/ops.py``, so two runs differ only in the
+``secnet`` they load:
 
     python3 tools/pool_outputs.py OLD_TREE old.json
     python3 tools/pool_outputs.py . new.json
@@ -46,7 +49,13 @@ def main(argv):
                 prepared = ops.Prepared(op, workdir)
                 _, result, exc = ops.run_op(prepared)
                 status, _, canonical, _ = ops.check_op(prepared, result, exc)
-                outcomes[op["id"]] = {"status": status, "canonical": canonical}
+                outcome = {"status": status, "canonical": canonical}
+                if exc is None and not prepared.is_cli:
+                    outcome["estimates"] = {
+                        name: [e.value, e.ci99_half_width, e.n]
+                        for name, e in result.estimates.items()
+                    }
+                outcomes[op["id"]] = outcome
     with open(argv[1], "w") as fh:
         json.dump(outcomes, fh, sort_keys=True, indent=1)
         fh.write("\n")
