@@ -385,9 +385,9 @@ def cmd_validate(parser, scenario, args):
     sessions = _getint(parser, "validate", "sessions", default=100000)
     thinning = _getfloat(parser, "validate", "thinning", default=scenario.thinning)
     ratio = _getfloat(parser, "validate", "ratio", default=5.0)
-    if thinning <= 0 or ratio <= 0:
-        raise ConfigError(f"[validate] thinning and ratio must be > 0, got "
-                          f"{thinning:g} and {ratio:g}")
+    if min(users, cells, thinning, ratio) <= 0:
+        raise ConfigError(f"[validate] users, cells, thinning and ratio must be > 0, "
+                          f"got {users}, {cells}, {thinning:g} and {ratio:g}")
     seed = args.seed
     sol = solve_equilibrium(scenario)
     queue_cfg = _queue_sim_config(scenario, sol.epsilon, sessions, seed)
@@ -412,6 +412,8 @@ def cmd_validate(parser, scenario, args):
         math.sqrt(500 / 1e-6), 1e-6, ratio * 1e-6, 0.2, reps, seed
     )
     rep2 = empirical_user_count_pmf(cfg2, 1.0)
+    if rep2.warnings:  # no covered user to count: the refit would be meaningless
+        raise ConfigError(f"[validate] ratio {ratio:g}: {rep2.warnings[0]}")
     p = geometry.sinr_ccdf_lim(1.0)
     k = np.arange(len(rep2.arrays["pmf"]))
     model = geometry.in_coverage_count_pmf(thinning * p * ratio, k)

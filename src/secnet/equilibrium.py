@@ -1,10 +1,20 @@
 """Spatial-temporal service equilibrium across N frequency bands.
 
-The per-band service probability depends on the active-user density,
-which depends on the total service probability, which depends on the
-per-band values again.  The fixed point is solved for the single scalar
-epsilon; everything per-band follows.  ``solve_equilibria`` solves it for
-an array of target rates at once, on (rates x bands) arrays.
+The per-band service probability depends on the active-user density, which
+depends on the total service probability eps, which depends on the per-band
+values again: eps = map(eps), solved for the scalar eps.  ``solve_equilibria``
+solves it for an array of target rates at once, on (rates x bands) arrays.
+
+The root is unique.  In the activity p = rho_s / eps the map is g(p) / p with
+g(p) = p (1 - prod_n(1 - f_n(p))), f_n(p) = vacancy_n coverage_n access(a_n p)
+and a_n the contention at p = 1.  f_n falls with p while q_n = p f_n rises
+strictly (f_n = 0 for a band that does not cover), so by induction on
+g_N = q_N + (1 - f_N) g_{N-1}, g_N' = q_N' + (1 - f_N) g_{N-1}' - f_N' g_{N-1}
+> 0 and g rises strictly from g(0) = 0.  Hence h(eps) = eps - map(eps)
+= eps (rho_s - g(rho_s / eps)) / rho_s is negative below one root and
+positive above it; the root exists exactly when C <= R g(1), the capacity
+limit, and lies in the searched (rho_s + 1e-9, 1] exactly when
+h(rho_s + 1e-9) <= 0.
 """
 
 from dataclasses import dataclass, replace
@@ -80,7 +90,6 @@ class EquilibriumSolution:
     residual: float
     iterations: int
     method: str
-    multiple_roots: bool = False
 
 
 def _epsilon_map(vc, ck, eps):
@@ -94,13 +103,10 @@ def _epsilon_map(vc, ck, eps):
 
 
 def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
-    """Solve eps = 1 - prod(1 - eps_n(eps)) on (C/R, 1].
-
-    Damped Picard iteration first; if it stalls, bisection on the residual
-    h(eps) = eps - map(eps) over a sign-change bracket found by pre-scan.
-    If the pre-scan finds several sign changes, the largest root is
-    returned and flagged.  This is ``solve_equilibria`` for one rate.
-    """
+    """Solve eps = 1 - prod(1 - eps_n(eps)) on (C/R, 1] by damped Picard
+    iteration, or by bisection from a pre-scan where Picard stalls; a demand
+    past the capacity limit raises ``InfeasibleError``.  This is
+    ``solve_equilibria`` for one rate."""
     results = solve_equilibria(scenario, [scenario.target_rate])
     if isinstance(results[0], InfeasibleError):
         # popped, so no local holds the error whose traceback holds this frame
@@ -124,27 +130,34 @@ def solve_equilibria(scenario: Scenario, rates):
     vc = vacancy * coverage
     total = vc.sum(axis=1, keepdims=True)  # 0 where no band covers a user
     share = vc / np.where(total > 0.0, total, 1.0)
-    results = [  # per rate: None while solving, then the solution or error
-        InfeasibleError(f"C/R = {r} >= 1: no stable rate exists") if r >= 1.0
-        else InfeasibleError(f"search interval ({low}, 1] is empty") if low >= 1.0
-        else InfeasibleError(f"no band covers a user at target rate {rate:g}")
-        if not covered else None
-        for r, low, rate, covered in zip(rho_s.tolist(), lo.tolist(),
-                                         rates.tolist(), total[:, 0].tolist())
-    ]
+    results = [None if covered else InfeasibleError(  # None while solving
+        f"no band covers a user at target rate {rate:g}")
+        for rate, covered in zip(rates.tolist(), total[:, 0].tolist())]
     k = (scenario.user_density / bs_density) * rho_s[:, None] * share  # load x eps
     ck = scenario.thinning * coverage * k
 
     def h(rows, eps):
         return eps - _epsilon_map(vc[rows], ck[rows], eps)[0]
 
+    # (lo, 1] holds the root exactly when h(lo) <= 0; a NaN h(lo) decides
+    # nothing, and its row ends at the residual guard
+    rows = np.flatnonzero(total[:, 0] > 0.0)
+    over = h(rows, lo[rows]) > 0.0
+    bad, rows = rows[over], rows[~over]
+    full = (scenario.thinning * scenario.user_density / bs_density) \
+        * coverage[bad] * share[bad]  # contention at full activity, p = 1
+    limit = rates[bad] * _epsilon_map(vc[bad], full, np.ones(len(bad)))[0]
+    for i, low, cap in zip(bad.tolist(), lo[bad].tolist(), limit.tolist()):
+        results[i] = InfeasibleError(
+            f"no service equilibrium above eps = {low:g} at R = {rates[i]:g}: demand "
+            f"C = {scenario.traffic.capacity:g}, capacity limit R*g(1) = {cap:g}")
+
     # damped Picard on the rows still iterating: a row stops when its step leaves
     # (lo, 1], and converges on a step below 1e-14 and a residual below tolerance
     iterations = np.zeros(len(rates), dtype=int)
-    eps = np.maximum(np.minimum(1.0, 0.5 * (lo + 1.0)), lo)
-    rows = np.flatnonzero([r is None for r in results])
+    eps = 0.5 * (lo + 1.0)
+    stalled = np.zeros(len(rates), dtype=bool)
     terms, e, low = (vc[rows], ck[rows]), eps[rows], lo[rows]
-    stalled = []
     for step in range(1, 201):
         if not rows.size:
             break
@@ -157,15 +170,14 @@ def solve_equilibria(scenario: Scenario, rates):
             keep = ~(out | done)
             iterations[rows[~keep]] = step
             eps[rows[done]] = nxt[done]
-            stalled += rows[out].tolist()
+            stalled[rows[out]] = True
             rows, nxt, low = rows[keep], nxt[keep], low[keep]
             terms = tuple(t[keep] for t in terms)
         e = nxt
     iterations[rows] = 200
-    stalled += rows.tolist()
-    multiple = np.zeros(len(rates), dtype=bool)
-    if stalled:
-        _bisect(np.array(stalled), lo, h, eps, iterations, multiple, results)
+    stalled[rows] = True
+    if stalled.any():
+        _bisect(np.flatnonzero(stalled), lo, h, eps, iterations)
 
     ok = np.flatnonzero([r is None for r in results])
     mapped, eps_n = _epsilon_map(vc[ok], ck[ok], eps[ok])
@@ -178,48 +190,30 @@ def solve_equilibria(scenario: Scenario, rates):
                 f"equilibrium solver stalled with residual {res:.3e}")
             continue
         results[i] = EquilibriumSolution(
-            epsilon=float(eps[i]),
-            bands=tuple(map(BandEquilibrium, *columns)),
-            rho_o=1.0 - float(eps[i]),
-            rho_s=float(rho_s[i]),
-            p_active=float(rho_s[i] / eps[i]),
-            residual=res,
+            epsilon=float(eps[i]), bands=tuple(map(BandEquilibrium, *columns)),
+            rho_o=1.0 - float(eps[i]), rho_s=float(rho_s[i]),
+            p_active=float(rho_s[i] / eps[i]), residual=res,
             iterations=int(iterations[i]),
-            method="bisection" if i in stalled else "picard",
-            multiple_roots=bool(multiple[i]),
-        )
+            method="bisection" if stalled[i] else "picard")
     return results
 
 
-def _bisect(rows, lo, h, eps, iterations, multiple, results):
-    """Bisection for the ``rows`` Picard left, in lockstep: pre-scan each row's
-    (lo, 1] for sign changes of h and bisect the right-most bracket.  Writes the
-    root, steps and several-roots flag into ``eps``, ``iterations``, ``multiple``,
-    or the row's error into ``results``."""
+def _bisect(rows, lo, h, eps, iterations):
+    """Bisection for the ``rows`` Picard left, in lockstep, from the last
+    pre-scan point of (lo, 1] where h is not positive: h rises through the
+    root, so that point and the next bracket it.  Writes ``eps``, ``iterations``."""
     grid = np.linspace(lo[rows], 1.0, _PRESCAN_POINTS, axis=1)
     hv = h(np.repeat(rows, _PRESCAN_POINTS), grid.ravel()).reshape(grid.shape)
-    signs = np.sign(hv)
-    change = (signs[:, :-1] != signs[:, 1:]) | (hv[:, :-1] == 0.0)
-    found = change.any(axis=1)
-    for i in np.flatnonzero(~found):
-        ends = f"h({lo[rows[i]]:g})={hv[i, 0]:.3e}, h(1)={hv[i, -1]:.3e}"
-        results[rows[i]] = InfeasibleError(
-            f"no service equilibrium: offered load exceeds the capacity limit ({ends})"
-            if np.all(hv[i] > 0) else f"equilibrium bracket not found: {ends}"
-        )
-    rows, grid, hv, change = rows[found], grid[found], hv[found], change[found]
-    multiple[rows] = change.sum(axis=1) > 1
-    last = change.shape[1] - 1 - np.argmax(change[:, ::-1], axis=1)
-    pick = np.arange(len(rows))
-    a, b, ha = grid[pick, last], grid[pick, last + 1], hv[pick, last]
+    last = np.minimum(np.count_nonzero(~(hv > 0), axis=1), _PRESCAN_POINTS - 1) - 1
+    a, b = (grid[np.arange(len(rows)), last + j] for j in (0, 1))
     mid, run = a, np.ones(len(rows), dtype=bool)
     for _ in range(200):  # a stopped row keeps its a, b and mid
         mid = np.where(run, 0.5 * (a + b), mid)
         hm = h(rows, mid)
         iterations[rows] += run
         run &= ~((np.abs(hm) < _RESIDUAL_TOL) | (b - a < 1e-15))
-        left = run & ((hm < 0) == (ha < 0))
-        a, ha = np.where(left, mid, a), np.where(left, hm, ha)
+        left = run & (hm < 0)
+        a = np.where(left, mid, a)
         b = np.where(run & ~left, mid, b)
         if not run.any():
             break

@@ -160,8 +160,8 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
     the contenders of a random in-coverage user: that user's cell is size
     biased, so its contender PMF is q(k) = (k+1) h(k+1) / sum_j j h(j).
 
-    Also estimates the fair-access probability E[1/K] over users that are
-    themselves in coverage (K counts the user itself, K >= 1 then).
+    Also estimates the fair-access probability E[1/K] over in-coverage users
+    (K >= 1 counts the user itself), or warns when there is none.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
@@ -188,6 +188,10 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
     report.arrays["pmf"] = np.bincount(counts) / n_samples
     if per_rep_access:
         report.add_mean_estimate("access_probability", per_rep_access)
+    else:
+        report.warnings.append(f"no interior user is covered in any of the "
+                               f"{cfg.replications} replications: raise the "
+                               "user density or the replication count")
     report.config["n_samples"] = n_samples
     return report
 

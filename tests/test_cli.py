@@ -149,6 +149,13 @@ class TestConfigHandling:
                      id="validate-thinning-negative"),
         pytest.param("validate", "\n[validate]\nratio = 0\n",
                      id="validate-ratio-zero"),
+        pytest.param("validate", "\n[validate]\nusers = 0\n",
+                     id="validate-users-zero"),
+        pytest.param("validate", "\n[validate]\ncells = -1\n",
+                     id="validate-cells-negative"),
+        # no interior user is covered, so there is no contender count to refit
+        pytest.param("validate", "\n[validate]\nusers = 100\ncells = 400\n"
+                     "sessions = 1000\nratio = 1e-6\n", id="validate-ratio-no-user"),
         pytest.param("equilibrium", "[scenario]\nthinning = nan\n", id="thinning-nan"),
         pytest.param("capacity", "\n[band.6]\nbandwidth = nan\nvacancy = 1\n"
                      "bs_density = 1\n", id="bandwidth-nan"),

@@ -1,12 +1,16 @@
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from secnet import BandConfig, InfeasibleError, Scenario, solve_equilibrium
+from secnet import equilibrium
+from secnet.capacity import HomogeneousSetup, capacity_limit_fixed_band
 from secnet.equilibrium import solve_equilibria
 
 from conftest import make_scenario
@@ -98,7 +102,6 @@ class TestSolveEquilibrium:
         assert sol.rho_o == pytest.approx(1.0 - sol.epsilon)
         assert sol.rho_s == pytest.approx(0.25)
         assert sol.p_active == pytest.approx(sol.rho_s / sol.epsilon)
-        assert not sol.multiple_roots
 
     def test_root_verified_by_independent_scan(self, default_scenario):
         sol = solve_equilibrium(default_scenario)
@@ -251,6 +254,120 @@ class TestBatchedSolve:
                 assert b.coverage == pytest.approx(cov, rel=1e-13, abs=0)
                 assert b.service == pytest.approx(e, rel=1e-13, abs=0)
                 assert b.load == pytest.approx(load, rel=1e-13, abs=0)
+
+
+def mp_equilibrium(scenario):
+    """The root eps* of eps = map(eps) and the slope h'(eps*) of the residual
+    h(eps) = eps - map(eps), at 30 digits: coverage, share and access restated
+    in mpmath on the scenario's float inputs, and g(p) = rho_s solved for the
+    activity p = rho_s / eps with ``mpmath.findroot``; at C = 0 the map is
+    constant and eps* = 1 - prod_n(1 - vacancy_n coverage_n)."""
+    with mpmath.workdps(30):
+        rate = mpmath.mpf(scenario.target_rate)
+        bands = scenario.bands
+        coverage = [1 / (1 + r * mpmath.atan(r)) for r in
+                    (mpmath.sqrt(2 ** (rate / b.bandwidth) - 1) for b in bands)]
+        vc = [b.vacancy * c for b, c in zip(bands, coverage)]
+        # contention at full activity: thinning x coverage x users per BS x share
+        full = [scenario.thinning * c * scenario.user_density / b.bs_density
+                * w / mpmath.fsum(vc) for b, c, w in zip(bands, coverage, vc)]
+
+        def mapped(p):  # 1 - prod_n(1 - eps_n) at activity p
+            access = [(1 - (1 + a * p / 3.5) ** -3.5) / (a * p) for a in full]
+            return 1 - mpmath.fprod(1 - w * x for w, x in zip(vc, access))
+
+        rho = mpmath.mpf(scenario.traffic.capacity) / rate
+        if rho == 0:
+            return 1 - mpmath.fprod(1 - w for w in vc), mpmath.mpf(1)
+        p = mpmath.findroot(lambda p: p * mapped(p) - rho, (rho, 1), solver="anderson")
+        root = rho / p
+        return root, mpmath.diff(lambda e: e - mapped(rho / e), root)
+
+
+class TestUniqueRoot:
+    """The residual h(eps) = eps - map(eps) rises through one root, which
+    exists exactly when the demand is at most the capacity limit (the proof
+    is in the ``secnet.equilibrium`` module docstring)."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+                              st.floats(min_value=0.05, max_value=1.0),
+                              st.floats(min_value=0.2, max_value=5.0)),
+                    min_size=1, max_size=20),
+           st.floats(min_value=1.0, max_value=300.0),
+           st.floats(min_value=0.01, max_value=0.5),
+           st.floats(min_value=0.3, max_value=2.0))
+    def test_residual_never_falls_on_the_prescan(self, bands, ratio, capacity,
+                                                 thinning):
+        # on the solver's pre-scan of (C/R + 1e-9, 1], once h is positive it
+        # stays positive, so the last point where it is not brackets the root
+        scenario = replace(heterogeneous_scenario(bands, ratio, capacity),
+                           thinning=thinning)
+        for rate in SCAN * min(b[0] for b in bands):
+            at_rate = scenario.with_rate(float(rate))
+            lo = rho_s(at_rate) + 1e-9
+            if lo >= 1.0:
+                continue
+            grid = np.linspace(lo, 1.0, equilibrium._PRESCAN_POINTS)
+            positive = np.array(
+                [g - oracle_epsilon_map(at_rate, g)[0] > 0.0 for g in grid])
+            assert np.all(positive[:-1] <= positive[1:])
+
+    @pytest.mark.parametrize("point", [0, 10])
+    def test_root_on_a_prescan_point(self, monkeypatch, default_scenario, point):
+        # a map whose residual 10 (eps - root) is zero at a pre-scan point, and
+        # too steep for damped Picard (each step multiplies the error by -4),
+        # so the root is found by the bracket that starts at that point
+        lo = np.array([rho_s(default_scenario) + 1e-9])
+        root = np.linspace(lo, 1.0, equilibrium._PRESCAN_POINTS, axis=1)[0, point]
+
+        def steep_map(vc, ck, eps):
+            return eps - 10.0 * (eps - root), 0.5 * vc
+
+        monkeypatch.setattr(equilibrium, "_epsilon_map", steep_map)
+        sol = solve_equilibrium(default_scenario)
+        assert sol.method == "bisection"
+        assert sol.residual <= 1e-10
+        assert sol.epsilon == pytest.approx(root, abs=1e-11)
+
+    @pytest.mark.parametrize("n_bands, ratio, rate", [
+        (1, 5.0, 2.0), (5, 50.0, 0.5), (5, 50.0, 4.0), (5, 50.0, 9.0),
+        (20, 300.0, 2.0),
+    ])
+    def test_feasible_exactly_up_to_the_capacity_limit(self, n_bands, ratio, rate):
+        # N identical bands at demand C = L (1 -+ delta), L the capacity limit;
+        # delta clears the search interval's 1e-9 offset: delta * C/R >= 1e-8
+        limit = capacity_limit_fixed_band(HomogeneousSetup(n_bands, ratio, 1.0), rate)
+        delta = max(1e-6, 1e-8 * rate / limit)
+
+        def at_demand(c):  # files of mean 10 every 10 / c
+            return make_scenario(n_bands=n_bands, ratio=ratio, target_rate=rate,
+                                 session_interarrival=10.0 / c)
+
+        assert solve_equilibrium(at_demand(limit * (1 - delta))).residual <= 1e-10
+        with pytest.raises(InfeasibleError) as info:
+            solve_equilibrium(at_demand(limit * (1 + delta)))
+        named = float(re.search(r"R\*g\(1\) = (\S+)", str(info.value)).group(1))
+        assert named == pytest.approx(limit, rel=1e-5)  # printed to 6 digits
+
+
+class TestThirtyDigitRoot:
+    @pytest.mark.parametrize("scenario, method", [
+        (make_scenario(), "picard"),
+        (make_scenario(n_bands=2, ratio=50.0, session_interarrival=100.0,
+                       target_rate=float(SCAN[50])), "bisection"),
+        (make_scenario(n_bands=5, ratio=200.0, session_interarrival=30.0,
+                       target_rate=float(SCAN[59])), "bisection"),
+        (make_scenario(session_interarrival=math.inf), "picard"),
+    ], ids=["default", "bisection-2-bands", "bisection-5-bands", "no-demand"])
+    def test_error_within_reported_residual(self, scenario, method):
+        # |eps - eps*| <= |h(eps)| / |h'(eps*)|: the reported residual is
+        # honest, up to the rounding of the float map
+        sol = solve_equilibrium(scenario)
+        assert sol.method == method
+        root, slope = mp_equilibrium(scenario)
+        bound = (sol.residual + 1e-15) / abs(slope)
+        assert abs(mpmath.mpf(sol.epsilon) - root) <= bound
 
 
 class TestSingleBandExplicit:

@@ -162,6 +162,16 @@ class TestUserCountPmf:
         rep = empirical_user_count_pmf(small_spatial(reps=2, ratio=1e-3), 1.0)
         assert rep.arrays["pmf"][0] > 0.99
 
+    def test_no_covered_user_is_named(self):
+        # the PMF of empty cells stands, and the access estimate it cannot
+        # make is named in the warnings instead of dropped without a word
+        cfg = SpatialSimConfig(40.0, 1.0, 1e-6, replications=2)
+        rep = empirical_user_count_pmf(cfg, 1.0)
+        assert rep.estimates == {}
+        assert len(rep.warnings) == 1
+        assert rep.warnings[0].startswith(
+            "no interior user is covered in any of the 2 replications")
+
     def test_per_cell_mean_is_thinned_user_count(self):
         # averaged over cells, the covered count per cell is exactly the
         # covered-user density over the BS density, with no extra factor
