@@ -1,14 +1,16 @@
 """Capacity limits of homogeneous multi-band deployments and the
 capacity-delay tradeoff front.
 
-The laws are mode I: N bands of width W each.  Mode II, a system bandwidth W
-split into N bands of W/N, is mode I rescaled: coverage depends on the rate
-per unit width, so its limit at per-band rate R is the mode-I limit at R*N
-over N, and its maximum is the mode-I maximum over N.
+The limit laws are mode I: they take the equilibrium's ``Scenario`` with N
+bands that must all be equal, each of width W, and read only its bands,
+user density and thinning (unequal bands raise ``ValueError``).  Mode II, a
+system bandwidth W split into N bands of W/N, is mode I rescaled: coverage
+depends on the rate per unit width, so its limit at per-band rate R is the
+mode-I limit at R*N over N, and its maximum is the mode-I maximum over N.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -29,50 +31,33 @@ _DELAY_SPAN = (1e-2, 50.0)
 _DELAY_POINTS = 96
 
 
-@dataclass(frozen=True)
-class HomogeneousSetup:
-    """N identical bands, each ``band_width`` wide."""
-
-    n_bands: int
-    user_density: float
-    bs_density: float
-    vacancy: float = 1.0
-    band_width: float = 1.0
-    thinning: float = geometry.DEFAULT_THINNING
-
-    def __post_init__(self):
-        if self.n_bands < 1:
-            raise ValueError(f"n_bands must be >= 1, got {self.n_bands}")
-        if self.user_density <= 0 or self.bs_density <= 0:
-            raise ValueError("densities must be > 0")
-        if not 0.0 < self.vacancy <= 1.0:
-            raise ValueError(f"vacancy must be in (0,1], got {self.vacancy}")
-        if self.band_width <= 0:
-            raise ValueError(f"band_width must be > 0, got {self.band_width}")
-        if self.thinning <= 0:
-            raise ValueError(f"thinning must be > 0, got {self.thinning}")
-
-    @property
-    def load_per_band(self):
-        return self.user_density / (self.bs_density * self.n_bands)
+def _identical_bands(scenario: Scenario):
+    """The band of ``scenario`` and N, its number of bands, which must all be
+    equal: the mode-I laws model N copies of one band."""
+    band, n = scenario.bands[0], len(scenario.bands)
+    if scenario.bands.count(band) != n:
+        raise ValueError("the capacity laws need N identical bands")
+    return band, n
 
 
-def capacity_limit_fixed_band(setup: HomogeneousSetup, rate):
+def capacity_limit_fixed_band(scenario: Scenario, rate):
     """Largest stable per-user throughput at target rate ``rate``: the rate
     times the probability that some band serves a user at the stability
     boundary (every user active, a per-band load of the user/BS ratio / N)."""
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    p = geometry.coverage_probability(rate, setup.band_width)
+    band, n = _identical_bands(scenario)
+    p = geometry.coverage_probability(rate, band.bandwidth)
     eps_n = geometry.service_probability(
-        setup.vacancy, p, setup.load_per_band, setup.thinning
+        band.vacancy, p, scenario.user_density / (band.bs_density * n),
+        scenario.thinning,
     )
     if eps_n == 1.0:  # every band always serves
         return rate
-    return rate * -math.expm1(setup.n_bands * math.log1p(-eps_n))
+    return rate * -math.expm1(n * math.log1p(-eps_n))
 
 
-def capacity_limit_derivative(setup: HomogeneousSetup, rate):
+def capacity_limit_derivative(scenario: Scenario, rate):
     """Analytic d/dR of the mode-I capacity limit; accepts a scalar or an
     array of rates.
 
@@ -80,22 +65,22 @@ def capacity_limit_derivative(setup: HomogeneousSetup, rate):
     constant is kept inside the per-band service factor so the derivative
     is consistent with the limit expression itself.
     """
-    w = setup.band_width
-    lam_n = setup.load_per_band
-    thin = setup.thinning
+    band, n = _identical_bands(scenario)
+    w = band.bandwidth
+    lam_n = scenario.user_density / (band.bs_density * n)
+    thin = scenario.thinning
     two = np.power(2.0, rate / w)
     chi2 = two - 1.0
     chi = np.sqrt(chi2)
     p = geometry.sinr_ccdf_lim(chi2)
-    eps_n = geometry.service_probability(setup.vacancy, p, lam_n, thin)
-    f0 = -np.expm1(setup.n_bands * np.log1p(-eps_n))
+    eps_n = geometry.service_probability(band.vacancy, p, lam_n, thin)
+    f0 = -np.expm1(n * np.log1p(-eps_n))
     dp_dchi = -(np.arctan(chi) + chi / (1.0 + chi2)) * p * p
     dchi_dr = math.log(2.0) * two / (2.0 * w * chi)
-    deps_dp = setup.vacancy * np.power(
+    deps_dp = band.vacancy * np.power(
         1.0 + thin * lam_n * p / geometry._A, -(geometry._A + 1.0)
     )
-    df0_dr = setup.n_bands * np.power(1.0 - eps_n, setup.n_bands - 1) \
-        * deps_dp * dp_dchi * dchi_dr
+    df0_dr = n * np.power(1.0 - eps_n, n - 1) * deps_dp * dp_dchi * dchi_dr
     out = f0 + rate * df0_dr
     return float(out) if np.ndim(out) == 0 else out
 
@@ -106,37 +91,38 @@ class RateOptimum:
     capacity: float
 
 
-def optimal_rate_fixed_band(setup: HomogeneousSetup) -> RateOptimum:
+def optimal_rate_fixed_band(scenario: Scenario) -> RateOptimum:
     """Rate maximizing the mode-I capacity limit: the derivative's root at
     its first + -> - sign change, scanned span by span (``_SCAN_EDGES``)."""
-    w = setup.band_width
+    w = _identical_bands(scenario)[0].bandwidth
     for lo, hi in zip(_SCAN_EDGES, _SCAN_EDGES[1:]):
         grid = np.geomspace(lo * w, hi * w, _BRACKET_POINTS)
-        dv = capacity_limit_derivative(setup, grid)
+        dv = capacity_limit_derivative(scenario, grid)
         turns = np.flatnonzero((dv[:-1] > 0) & (dv[1:] < 0))
         if turns.size:
             i = turns[0]
             rate = brentq(
-                lambda r: capacity_limit_derivative(setup, r),
+                lambda r: capacity_limit_derivative(scenario, r),
                 grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15,
             )
-            return RateOptimum(rate, capacity_limit_fixed_band(setup, rate))
+            return RateOptimum(rate, capacity_limit_fixed_band(scenario, rate))
     raise InfeasibleError(f"no capacity optimum below rate {hi:g} x band width")
 
 
-def optimize_fixed_system(user_bs_ratio, vacancy=1.0, band_width=1.0,
-                          thinning=geometry.DEFAULT_THINNING):
-    """Jointly optimize band count and rate at the fixed system bandwidth
-    ``band_width``; returns (best N, best per-band rate, capacity).
+def optimize_fixed_system(scenario: Scenario):
+    """Jointly optimize band count and rate at the fixed system bandwidth, the
+    width of the scenario's band, which the N found splits; returns (best N,
+    best per-band rate, capacity).  The scenario's own band count is ignored.
 
     C(N), the mode-II maximum, must rise and then fall in N: N doubles while
     C(N+1) > C(N), then bisection finds the first N where it does not.  An
     ``InfeasibleError`` of ``optimal_rate_fixed_band`` propagates.
     """
+    band = _identical_bands(scenario)[0]
+
     @cache
     def best(n):
-        setup = HomogeneousSetup(n, user_bs_ratio, 1.0, vacancy, band_width, thinning)
-        opt = optimal_rate_fixed_band(setup)
+        opt = optimal_rate_fixed_band(replace(scenario, bands=(band,) * n))
         return opt.rate / n, opt.capacity / n
 
     def grows(n):

@@ -281,16 +281,13 @@ def cmd_capacity(parser, scenario, args):
             raise ConfigError(f"[capacity] ratios must be finite, > 0: {text!r}")
     else:
         ratios = [scenario.user_density / band.bs_density]
+    unit = replace(band, bs_density=1.0)  # so that the user density is the ratio
     rows = []
     for ratio in ratios:
         approx = cap.scaling_approximation(ratio)
         for n in range(n_min, n_max + 1):
-            setup = cap.HomogeneousSetup(
-                n_bands=n, user_density=ratio, bs_density=1.0,
-                vacancy=band.vacancy, band_width=band.bandwidth,
-                thinning=scenario.thinning,
-            )
-            opt = cap.optimal_rate_fixed_band(setup)
+            opt = cap.optimal_rate_fixed_band(
+                replace(scenario, user_density=ratio, bands=(unit,) * n))
             c2 = opt.capacity / n
             rows.append((ratio, n, opt.rate, opt.capacity, c2, n * c2, approx))
     columns = [

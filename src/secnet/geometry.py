@@ -87,12 +87,13 @@ def access_probability(contention):
 
     Closed form of E[1/(K+1)] under the in-coverage count mixture of
     contention c, [1 - (1 + c/3.5)^-3.5] / c, computed with expm1/log1p so
-    that it keeps full precision as c -> 0; its limit there is 1.
+    that it keeps full precision as c -> 0; its limit there is 1, which it
+    returns below 3.5 x the smallest normal float, where c/3.5 is subnormal.
     """
     c = np.asarray(contention, dtype=float)
     if c.min(initial=0.0) < 0:
         raise ValueError(f"contention must be >= 0, got {contention}")
-    zero = c == 0.0  # at c = 0 the quotient is 0 / 1, and adding zero makes it 1
+    zero = c < _A * np.finfo(float).tiny  # there quotient / (c + 1) + zero is 1
     out = -np.expm1(-_A * np.log1p(c / _A)) / (c + zero) + zero
     return float(out) if out.ndim == 0 else out
 

@@ -13,16 +13,19 @@ def transmission_time_mean(beta_s_mean, rho_o):
     return beta_s_mean / (1.0 - rho_o)
 
 
-def capacity_limit_fixed_system(setup, rate):
-    """Mode-II capacity limit at per-band rate ``rate``, computed directly:
-    the N bands split ``setup.band_width``, so a band's coverage at ``rate``
-    in width W/N is its coverage at ``rate`` * N in width W.  The oracle of
-    the rescaling identity the library's mode-II results rest on."""
-    p = geometry.coverage_probability(rate * setup.n_bands, setup.band_width)
+def capacity_limit_fixed_system(scenario, rate):
+    """Mode-II capacity limit at per-band rate ``rate`` of a scenario of N
+    identical bands, computed directly: the N bands split the band's width
+    W, so a band's coverage at ``rate`` in width W/N is its coverage at
+    ``rate`` * N in width W.  The oracle of the rescaling identity the
+    library's mode-II results rest on."""
+    band, n = scenario.bands[0], len(scenario.bands)
+    p = geometry.coverage_probability(rate * n, band.bandwidth)
     eps_n = geometry.service_probability(
-        setup.vacancy, p, setup.load_per_band, setup.thinning
+        band.vacancy, p, scenario.user_density / (band.bs_density * n),
+        scenario.thinning,
     )
-    return rate * (1.0 - (1.0 - eps_n) ** setup.n_bands)
+    return rate * (1.0 - (1.0 - eps_n) ** n)
 
 
 def make_scenario(
@@ -35,11 +38,10 @@ def make_scenario(
     bs_density=1.0,
     vacancy=1.0,
     bandwidth=1.0,
+    thinning=geometry.DEFAULT_THINNING,
 ):
-    bands = tuple(
-        BandConfig(bandwidth=bandwidth, vacancy=vacancy, bs_density=bs_density)
-        for _ in range(n_bands)
-    )
+    bands = (BandConfig(bandwidth=bandwidth, vacancy=vacancy,
+                        bs_density=bs_density),) * n_bands
     traffic = TrafficModel(
         session_interarrival, SizeDistribution("exponential", file_mean)
     )
@@ -49,6 +51,7 @@ def make_scenario(
         target_rate=target_rate,
         traffic=traffic,
         outage=OutageModel(outage_interarrival),
+        thinning=thinning,
     )
 
 

@@ -24,7 +24,6 @@ from scipy.optimize import minimize_scalar
 from secnet import capacity as cap
 from secnet import geometry
 from secnet.capacity import (
-    HomogeneousSetup,
     capacity_limit_derivative,
     capacity_limit_fixed_band,
     min_delay_over_rate,
@@ -78,7 +77,7 @@ def test_criterion_1_capacity_scaling_fit():
     ratios = [2.0, 10.0, 50.0, 100.0, 500.0]
     deviations = []
     for ratio in ratios:
-        _, _, c_star = optimize_fixed_system(ratio)
+        _, _, c_star = optimize_fixed_system(make_scenario(ratio=ratio))
         deviations.append(c_star - scaling_approximation(ratio))
     worst = max(abs(d) for d in deviations)
     detail = ", ".join(
@@ -95,12 +94,12 @@ def test_criterion_2_bandwidth_mode_identity():
     """
     worst = 0.0
     for n in range(1, 21):
-        setup = HomogeneousSetup(n_bands=n, user_density=50.0, bs_density=1.0)
-        c1 = optimal_rate_fixed_band(setup).capacity
+        scenario = make_scenario(n_bands=n, ratio=50.0)
+        c1 = optimal_rate_fixed_band(scenario).capacity
         grid = np.geomspace(1e-3, 50.0, 400) / n
-        k = int(np.argmax(capacity_limit_fixed_system(setup, grid)))
+        k = int(np.argmax(capacity_limit_fixed_system(scenario, grid)))
         res = minimize_scalar(
-            lambda r: -capacity_limit_fixed_system(setup, r),
+            lambda r: -capacity_limit_fixed_system(scenario, r),
             bounds=(grid[k - 1], grid[k + 1]), method="bounded",
             options={"xatol": 1e-10 * grid[k]},
         )
@@ -299,9 +298,9 @@ def test_criterion_7_qualitative_shapes():
     problems = []
 
     # (a) the capacity limit has a unique interior maximum in the rate
-    setup = HomogeneousSetup(n_bands=5, user_density=50.0, bs_density=1.0)
+    scenario = make_scenario(n_bands=5, ratio=50.0)
     grid = np.geomspace(0.05, 20.0, 400)
-    vals = np.array([capacity_limit_fixed_band(setup, r) for r in grid])
+    vals = np.array([capacity_limit_fixed_band(scenario, r) for r in grid])
     k = int(np.argmax(vals))
     if not 0 < k < len(grid) - 1:
         problems.append("capacity optimum not interior")
@@ -334,9 +333,7 @@ def test_criterion_7_qualitative_shapes():
 
     # (c) maximum capacity increases in N with diminishing returns
     maxima = np.array([
-        optimal_rate_fixed_band(
-            HomogeneousSetup(n_bands=n, user_density=50.0, bs_density=1.0)
-        ).capacity
+        optimal_rate_fixed_band(make_scenario(n_bands=n, ratio=50.0)).capacity
         for n in range(1, 11)
     ])
     gains = np.diff(maxima)
@@ -351,9 +348,9 @@ def test_criterion_7_qualitative_shapes():
     # (d) fixed-system bandwidth: an interior optimal band count exists,
     # one that beats both of its neighbours
     for ratio in (5.0, 50.0):
-        n_star, _, c_star = optimize_fixed_system(ratio)
+        n_star, _, c_star = optimize_fixed_system(make_scenario(ratio=ratio))
         if n_star == 1 or c_star <= max(
-            optimal_rate_fixed_band(HomogeneousSetup(n, ratio, 1.0)).capacity / n
+            optimal_rate_fixed_band(make_scenario(n, ratio)).capacity / n
             for n in (n_star - 1, n_star + 1)
         ):
             problems.append(f"no interior optimal N at ratio {ratio:g}")
@@ -384,12 +381,12 @@ def test_criterion_8_property_suite(tmp_path):
         problems.append(f"transform mean off by {rel:.2e}")
 
     # analytic capacity-limit derivative vs finite differences
-    setup = HomogeneousSetup(n_bands=5, user_density=50.0, bs_density=1.0)
+    scenario = make_scenario(n_bands=5, ratio=50.0)
     for r in (0.5, 2.0, 5.0, 9.0):
         h = 1e-6 * r
-        fd = (capacity_limit_fixed_band(setup, r + h)
-              - capacity_limit_fixed_band(setup, r - h)) / (2.0 * h)
-        if abs(capacity_limit_derivative(setup, r) - fd) > 1e-5 * max(abs(fd), 1e-3):
+        fd = (capacity_limit_fixed_band(scenario, r + h)
+              - capacity_limit_fixed_band(scenario, r - h)) / (2.0 * h)
+        if abs(capacity_limit_derivative(scenario, r) - fd) > 1e-5 * max(abs(fd), 1e-3):
             problems.append(f"derivative mismatch at rate {r:g}")
 
     # fixed-point residual

@@ -1,13 +1,13 @@
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from secnet import capacity as cap
-from secnet import geometry
 from secnet.capacity import (
-    HomogeneousSetup,
     capacity_limit_derivative,
     capacity_limit_fixed_band,
     min_delay_over_rate,
@@ -20,102 +20,170 @@ from secnet.errors import InfeasibleError
 from conftest import capacity_limit_fixed_system, make_scenario
 
 
-def setup_mode_one(n=5, ratio=50.0):
-    return HomogeneousSetup(n_bands=n, user_density=ratio, bs_density=1.0)
-
-
 class TestCapacityLimit:
     def test_frozen_default_optimum(self):
-        opt = optimal_rate_fixed_band(setup_mode_one())
+        opt = optimal_rate_fixed_band(make_scenario())
         assert opt.rate == pytest.approx(5.119391629, rel=1e-8)
         assert opt.capacity == pytest.approx(1.609018478, rel=1e-8)
 
     def test_optimum_above_first_scan_span(self):
         # at ratio 1e5 the optimum lies above the first scan's end, 20 W
-        opt = optimal_rate_fixed_band(HomogeneousSetup(1, 1e5, 1.0))
+        opt = optimal_rate_fixed_band(make_scenario(n_bands=1, ratio=1e5))
         assert opt.rate == pytest.approx(26.3169455, rel=1e-8)
         assert opt.capacity == pytest.approx(3.74193926e-4, rel=1e-8)
 
     def test_optimum_past_float_range_is_infeasible(self):
         # the scan would have to pass R/W = 1000, where 2^(R/W) nears overflow
         with pytest.raises(InfeasibleError):
-            optimal_rate_fixed_band(HomogeneousSetup(1, 1e200, 1.0))
+            optimal_rate_fixed_band(make_scenario(n_bands=1, ratio=1e200))
 
     def test_tiny_service_probability_keeps_capacity(self):
         # at ratio 1e30 a band serves with probability about 1e-30, far
         # below the 1e-16 where 1 - (1 - eps_n)^N rounds to 0
-        setup = HomogeneousSetup(1, 1e30, 1.0)
+        scenario = make_scenario(n_bands=1, ratio=1e30)
         for r in (1.0, 20.0, 200.0):
-            assert capacity_limit_fixed_band(setup, r) > 0.0
-        opt = optimal_rate_fixed_band(setup)
+            assert capacity_limit_fixed_band(scenario, r) > 0.0
+        opt = optimal_rate_fixed_band(scenario)
         assert math.isfinite(opt.rate) and opt.capacity > 0.0
 
     def test_always_serving_band_gives_full_rate(self):
         # at vanishing load and rate every band serves with probability 1
-        setup = HomogeneousSetup(2, 1e-20, 1.0)
-        assert capacity_limit_fixed_band(setup, 1e-17) == 1e-17
+        scenario = make_scenario(n_bands=2, ratio=1e-20)
+        assert capacity_limit_fixed_band(scenario, 1e-17) == 1e-17
+
+    def test_subnormal_load_is_the_zero_load_limit(self):
+        # the contention is subnormal at these loads, and the access
+        # probability must still be its zero-load limit 1
+        at_zero_load = optimal_rate_fixed_band(make_scenario(n_bands=1, ratio=1e-300))
+        for ratio in (1e-310, 1e-320, 5e-324):
+            assert optimal_rate_fixed_band(
+                make_scenario(n_bands=1, ratio=ratio)) == at_zero_load
 
     def test_limit_bounded_by_rate(self):
-        setup = setup_mode_one()
+        scenario = make_scenario()
         for r in [0.5, 2.0, 8.0]:
-            c = capacity_limit_fixed_band(setup, r)
+            c = capacity_limit_fixed_band(scenario, r)
             assert 0.0 < c < r
 
     def test_derivative_matches_finite_difference(self):
-        setup = setup_mode_one()
+        scenario = make_scenario()
         for r in [0.5, 2.0, 5.0, 9.0]:
             h = 1e-6 * r
             fd = (
-                capacity_limit_fixed_band(setup, r + h)
-                - capacity_limit_fixed_band(setup, r - h)
+                capacity_limit_fixed_band(scenario, r + h)
+                - capacity_limit_fixed_band(scenario, r - h)
             ) / (2.0 * h)
-            assert capacity_limit_derivative(setup, r) == pytest.approx(
+            assert capacity_limit_derivative(scenario, r) == pytest.approx(
                 fd, rel=1e-5
             )
 
     def test_derivative_array_equals_scalar_calls(self):
-        for setup in (setup_mode_one(), HomogeneousSetup(1, 1e5, 1.0),
-                      HomogeneousSetup(3, 10.0, 1.0, vacancy=0.5, band_width=2.0),
-                      HomogeneousSetup(1, 1e30, 1.0)):
-            grid = np.geomspace(1e-3, 1000.0, 1024) * setup.band_width
-            batch = capacity_limit_derivative(setup, grid)
+        for scenario in (make_scenario(), make_scenario(n_bands=1, ratio=1e5),
+                         make_scenario(3, 10.0, vacancy=0.5, bandwidth=2.0),
+                         make_scenario(n_bands=1, ratio=1e30)):
+            grid = np.geomspace(1e-3, 1000.0, 1024) * scenario.bands[0].bandwidth
+            batch = capacity_limit_derivative(scenario, grid)
             assert np.array_equal(
-                batch, [capacity_limit_derivative(setup, float(r)) for r in grid]
+                batch, [capacity_limit_derivative(scenario, float(r)) for r in grid]
             )
 
     def test_optimum_is_grid_maximum(self):
-        setup = setup_mode_one(n=3, ratio=10.0)
-        opt = optimal_rate_fixed_band(setup)
+        scenario = make_scenario(n_bands=3, ratio=10.0)
+        opt = optimal_rate_fixed_band(scenario)
         grid = np.linspace(0.2, 15.0, 4000)
-        vals = [capacity_limit_fixed_band(setup, r) for r in grid]
+        vals = [capacity_limit_fixed_band(scenario, r) for r in grid]
         assert opt.capacity >= max(vals) - 1e-6
 
     def test_mode_guards(self):
-        setup = setup_mode_one()
         with pytest.raises(ValueError):
-            capacity_limit_fixed_band(setup, 0.0)
+            capacity_limit_fixed_band(make_scenario(), 0.0)
+
+    def test_unequal_bands_raise(self):
+        scenario = make_scenario(n_bands=2)
+        band = scenario.bands[0]
+        scenario = replace(scenario, bands=(band, replace(band, vacancy=0.5)))
+        for law in (lambda s: capacity_limit_fixed_band(s, 4.0),
+                    lambda s: capacity_limit_derivative(s, 4.0),
+                    optimal_rate_fixed_band, optimize_fixed_system):
+            with pytest.raises(ValueError, match="identical bands"):
+                law(scenario)
+
+
+def mp_limit(scenario):
+    """The mode-I limit C(R) of an identical-band scenario in mpmath, as a
+    function of the rate: R (1 - (1 - eps_n)^N), with eps_n the band's
+    vacancy x coverage x access at contention thinning x coverage x load."""
+    band, n = scenario.bands[0], len(scenario.bands)
+    w, vacancy = mpmath.mpf(band.bandwidth), mpmath.mpf(band.vacancy)
+    load = mpmath.mpf(scenario.user_density) / (mpmath.mpf(band.bs_density) * n)
+    thinning, a = mpmath.mpf(scenario.thinning), mpmath.mpf(3.5)
+
+    def limit(r):
+        chi = mpmath.sqrt(2 ** (r / w) - 1)
+        p = 1 / (1 + chi * mpmath.atan(chi))
+        c = thinning * p * load
+        eps_n = vacancy * p * (1 - (1 + c / a) ** -a) / c
+        return r * (1 - (1 - eps_n) ** n)
+    return limit
+
+
+def random_identical_band_scenarios(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield make_scenario(
+            n_bands=int(rng.integers(1, 21)), ratio=10.0 ** rng.uniform(0.0, 5.0),
+            vacancy=rng.uniform(0.05, 1.0), bandwidth=10.0 ** rng.uniform(-1.0, 1.0),
+            thinning=rng.uniform(0.3, 2.0),
+        )
+
+
+class TestHighPrecisionOracle:
+    """The mode-I limit, its analytic derivative and the optimal rate against
+    a 30-digit evaluation of the same law (derivative by ``mpmath.diff``),
+    over random identical-band scenarios at 5 rates each."""
+
+    def test_limit_and_derivative(self):
+        rng = np.random.default_rng(11)
+        with mpmath.workdps(30):
+            for scenario in random_identical_band_scenarios(40, seed=3):
+                limit = mp_limit(scenario)
+                w = scenario.bands[0].bandwidth
+                for r in w * 10.0 ** rng.uniform(-1.5, 1.5, 5):
+                    c, dc = limit(mpmath.mpf(r)), mpmath.diff(limit, mpmath.mpf(r))
+                    assert abs(capacity_limit_fixed_band(scenario, r) - c) <= 1e-13 * c
+                    # relative to C/R too: the derivative is 0 at the optimum
+                    assert abs(capacity_limit_derivative(scenario, r) - dc) \
+                        <= 1e-13 * max(abs(dc), c / r)
+
+    def test_optimal_rate(self):
+        with mpmath.workdps(30):
+            for scenario in random_identical_band_scenarios(40, seed=5):
+                limit = mp_limit(scenario)
+                opt = optimal_rate_fixed_band(scenario)
+                root = mpmath.findroot(lambda r: mpmath.diff(limit, r),
+                                       (opt.rate * (1 - 1e-6), opt.rate * (1 + 1e-6)))
+                assert abs(opt.rate - root) <= 1e-12 * root
+                assert abs(opt.capacity - limit(root)) <= 1e-13 * limit(root)
 
 
 class TestModeIdentities:
     def test_two_modes_related_by_rate_rescaling(self):
         # the direct mode-II limit is the mode-I limit at rate R * N over N
         for n in (1, 3, 8):
-            setup1 = setup_mode_one(n=n)
+            scenario = make_scenario(n_bands=n)
             for r in (0.2, 0.7, 1.5):
-                c2 = capacity_limit_fixed_system(setup1, r)
-                c1 = capacity_limit_fixed_band(setup1, r * n)
+                c2 = capacity_limit_fixed_system(scenario, r)
+                c1 = capacity_limit_fixed_band(scenario, r * n)
                 assert c2 == pytest.approx(c1 / n, rel=1e-12)
 
 
-def mode_two_max(n, ratio, vacancy=1.0, band_width=1.0,
-                 thinning=geometry.DEFAULT_THINNING):
-    setup = HomogeneousSetup(n, ratio, 1.0, vacancy, band_width, thinning)
-    return optimal_rate_fixed_band(setup).capacity / n
+def mode_two_max(n, ratio, **band):
+    return optimal_rate_fixed_band(make_scenario(n, ratio, **band)).capacity / n
 
 
 class TestJointOptimization:
     def test_interior_band_count(self):
-        n_star, r_star, c_star = optimize_fixed_system(50.0)
+        n_star, r_star, c_star = optimize_fixed_system(make_scenario(ratio=50.0))
         assert 1 < n_star < 60
         assert c_star > 0
         # joint optimum beats a few arbitrary fixed band counts
@@ -133,18 +201,18 @@ class TestJointOptimization:
     ])
     def test_matches_full_scan(self, ratio, expected):
         # the optimum of a scan over every N up to 80, bit for bit
-        assert optimize_fixed_system(ratio) == expected
+        assert optimize_fixed_system(make_scenario(ratio=ratio)) == expected
 
     def test_optimum_past_eighty_bands(self):
         # a scan capped at 80 bands returned its edge here, 0.5 % low
-        n_star, _, c_star = optimize_fixed_system(1e4)
+        n_star, _, c_star = optimize_fixed_system(make_scenario(ratio=1e4))
         assert n_star == 89
         assert c_star == pytest.approx(0.06431769636523889, rel=1e-12)
         assert c_star > max(mode_two_max(n, 1e4) for n in (80, 88, 90))
 
     def test_infeasible_optimum_propagates(self):
         with pytest.raises(InfeasibleError):
-            optimize_fixed_system(1e200)
+            optimize_fixed_system(make_scenario(ratio=1e200))
 
     @settings(deadline=None, max_examples=20)
     @given(st.floats(min_value=0.0, max_value=5.0),
@@ -156,9 +224,9 @@ class TestJointOptimization:
         # the search bisects on the sign of C(N+1) - C(N), which must go
         # from + to - once; checked past twice the N it returns
         ratio = 10.0 ** log_ratio
-        n_star, _, _ = optimize_fixed_system(ratio, vacancy, band_width, thinning)
-        c = [mode_two_max(n, ratio, vacancy, band_width, thinning)
-             for n in range(1, 2 * n_star + 4)]
+        band = dict(vacancy=vacancy, bandwidth=band_width, thinning=thinning)
+        n_star, _, _ = optimize_fixed_system(make_scenario(ratio=ratio, **band))
+        c = [mode_two_max(n, ratio, **band) for n in range(1, 2 * n_star + 4)]
         grows = np.diff(c) > 0
         assert list(grows) == [True] * (n_star - 1) + [False] * (n_star + 3)
 
@@ -184,19 +252,3 @@ class TestMinDelay:
         scn = make_scenario(n_bands=1, ratio=500.0, session_interarrival=10.0)
         with pytest.raises(InfeasibleError):
             min_delay_over_rate(scn)
-
-
-class TestSetupValidation:
-    def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            HomogeneousSetup(n_bands=0, user_density=1.0, bs_density=1.0)
-        with pytest.raises(ValueError):
-            HomogeneousSetup(n_bands=1, user_density=1.0, bs_density=1.0,
-                             vacancy=1.5)
-        with pytest.raises(ValueError):
-            HomogeneousSetup(n_bands=1, user_density=1.0, bs_density=1.0,
-                             thinning=0.0)
-
-    def test_load_per_band(self):
-        setup = HomogeneousSetup(n_bands=4, user_density=80.0, bs_density=2.0)
-        assert setup.load_per_band == pytest.approx(10.0)

@@ -228,17 +228,6 @@ def test_readme_subcommands_parse():
         assert args.config == "cfg.ini"
 
 
-def test_readme_python_examples_run(capsys):
-    # the blocks build on each other, so they run in one namespace
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
-    assert len(blocks) == 3
-    namespace = {}
-    for block in blocks:
-        exec(compile(block, "README.md", "exec"), namespace)
-    assert capsys.readouterr().out.startswith("0.4621")
-
-
 class TestEquilibriumCommand:
     def test_matches_library(self, tmp_path):
         cfg = write(tmp_path, "c.ini", FIVE_BANDS)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from secnet import BandConfig, InfeasibleError, Scenario, solve_equilibrium
 from secnet import equilibrium
-from secnet.capacity import HomogeneousSetup, capacity_limit_fixed_band
+from secnet.capacity import capacity_limit_fixed_band
 from secnet.equilibrium import solve_equilibria
 
 from conftest import make_scenario
@@ -337,7 +337,7 @@ class TestUniqueRoot:
     def test_feasible_exactly_up_to_the_capacity_limit(self, n_bands, ratio, rate):
         # N identical bands at demand C = L (1 -+ delta), L the capacity limit;
         # delta clears the search interval's 1e-9 offset: delta * C/R >= 1e-8
-        limit = capacity_limit_fixed_band(HomogeneousSetup(n_bands, ratio, 1.0), rate)
+        limit = capacity_limit_fixed_band(make_scenario(n_bands, ratio), rate)
         delta = max(1e-6, 1e-8 * rate / limit)
 
         def at_demand(c):  # files of mean 10 every 10 / c

@@ -188,6 +188,14 @@ class TestAccessProbability:
     def test_vanishing_contention_limit(self):
         assert access_probability(0.0) == 1.0
 
+    def test_subnormal_contention_is_the_limit(self):
+        # below 3.5 x the smallest normal float c / 3.5 is subnormal, where the
+        # closed form loses its digits (0 at 5e-324, 0.9995 at 1e-320)
+        tiny = np.finfo(float).tiny
+        cs = [5e-324, 1e-320, 1e-310, np.nextafter(3.5 * tiny, 0.0), 3.5 * tiny]
+        assert [access_probability(c) for c in cs] == [1.0] * len(cs)
+        assert np.array_equal(access_probability(np.array(cs)), [1.0] * len(cs))
+
     def test_taylor_branch_continuity(self):
         # both branches must agree with the series expansion around 0
         f = access_probability
