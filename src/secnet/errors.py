@@ -12,7 +12,3 @@ class InfeasibleError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to converge."""
-
-    def __init__(self, message, **diagnostics):
-        super().__init__(message)
-        self.diagnostics = diagnostics

@@ -3,9 +3,10 @@ typical secondary user.
 
 The high-priority class is the stream of outage events; the low-priority
 class is the secondary session traffic.  Outage durations and file sizes
-may be exponential or Gamma.  The module provides the mean session delay,
-the Laplace transform of the session delay, and numerical inversion of
-that transform to a delay CDF.
+may be exponential or Gamma.  ``DelayTransform`` is the one derivation of
+that queue from (traffic, outage, eps, R): its stability checks, its file
+and outage laws, its mean (which ``mean_delay`` returns) and the Laplace
+transform of the session delay; ``delay_cdf`` inverts the transform.
 
 Tolerance hierarchy (loosest check dominates accuracy claims):
 busy-period root residual 1e-12 < transform normalization 1e-8 <
@@ -120,42 +121,10 @@ class OutageModel:
         return SizeDistribution(family, mean, self.duration_shape)
 
 
-def _check_stability(capacity, epsilon, rate):
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"service probability must be in (0, 1], got {epsilon}")
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if epsilon <= capacity / rate:
-        raise UnstableQueueError(
-            f"unstable: service probability {epsilon} <= C/R = {capacity / rate}"
-        )
-
-
 def mean_delay(traffic: TrafficModel, outage: OutageModel, epsilon, rate):
     """Mean sojourn time of a session at service probability ``epsilon``
-    and transmission rate ``rate``.
-
-    The M/G/1 preemptive-resume mean, from the second moments of the file
-    and outage laws, for any family.  The outage duration mean is derived
-    from the equilibrium identity (outage time fraction = 1 - epsilon).
-    """
-    capacity = traffic.capacity
-    _check_stability(capacity, epsilon, rate)
-    file_mean = traffic.file_size.mean
-    if capacity == 0.0:
-        return file_mean / (rate * epsilon)
-    rho_o = 1.0 - epsilon
-    alpha_s = traffic.session_interarrival_mean
-    alpha_o = outage.outage_interarrival_mean
-    beta_s = traffic.file_size.scaled(1.0 / rate)
-    if epsilon == 1.0:
-        second = beta_s.second_moment / alpha_s
-    else:
-        beta_o = outage.duration_distribution(alpha_o * rho_o)
-        second = beta_s.second_moment / alpha_s + beta_o.second_moment / alpha_o
-    return second / (2.0 * epsilon * (epsilon - capacity / rate)) + file_mean / (
-        rate * epsilon
-    )
+    and transmission rate ``rate``: the ``DelayTransform``'s mean."""
+    return DelayTransform(traffic, outage, epsilon, rate).mean
 
 
 def busy_root(s, outage_duration: SizeDistribution, outage_interarrival_mean):
@@ -183,10 +152,7 @@ def busy_root(s, outage_duration: SizeDistribution, outage_interarrival_mean):
     residual = abs(root - outage_duration.laplace(s + (1.0 - root) / alpha_o))
     if residual > _ROOT_TOL:
         raise ConvergenceError(
-            f"busy-period root residual {residual:.3e} exceeds {_ROOT_TOL:.0e}",
-            s=s,
-            root=root,
-            residual=residual,
+            f"busy-period root residual {residual:.3e} exceeds {_ROOT_TOL:.0e}"
         )
     if isinstance(root, complex) and not isinstance(s, complex):
         root = root.real
@@ -201,10 +167,7 @@ def _busy_root_iterate(s, dist, alpha_o):
             return nxt
         x = nxt
     raise ConvergenceError(
-        f"busy-period iteration did not converge in {_ROOT_MAX_ITER} steps",
-        s=s,
-        last=x,
-        alpha_o=alpha_o,
+        f"busy-period iteration did not converge in {_ROOT_MAX_ITER} steps"
     )
 
 
@@ -218,17 +181,33 @@ class DelayTransform:
 
     def __init__(self, traffic: TrafficModel, outage: OutageModel, epsilon, rate):
         capacity = traffic.capacity
-        _check_stability(capacity, epsilon, rate)
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"service probability must be in (0, 1], got {epsilon}")
+        if rate <= 0:
+            raise ValueError(f"rate must be > 0, got {rate}")
+        if epsilon <= capacity / rate:
+            raise UnstableQueueError(
+                f"unstable: service probability {epsilon} <= C/R = {capacity / rate}"
+            )
         self.rho_o = 1.0 - epsilon
         self.rho_s = capacity / rate
         self.alpha_s = traffic.session_interarrival_mean
         self.alpha_o = outage.outage_interarrival_mean
         self.beta_s = traffic.file_size.scaled(1.0 / rate)
+        self.beta_o = None
+        second = self.beta_s.second_moment / self.alpha_s
         if self.rho_o > 0.0:
             self.beta_o = outage.duration_distribution(self.alpha_o * self.rho_o)
+            second = second + self.beta_o.second_moment / self.alpha_o
+        # the P-K mean of the preemptive-resume queue; at C = 0 it keeps the
+        # transmission time alone and drops the outage residual
+        file_mean = traffic.file_size.mean
+        if capacity == 0.0:
+            self.mean = file_mean / (rate * epsilon)
         else:
-            self.beta_o = None
-        self.mean = mean_delay(traffic, outage, epsilon, rate)
+            self.mean = second / (2.0 * epsilon * (epsilon - self.rho_s)) + file_mean / (
+                rate * epsilon
+            )
 
     def _stage(self, s):
         if self.beta_o is None:
@@ -291,11 +270,8 @@ def delay_cdf(handle, t_grid):
 
     bad = (raw < -_RAW_TOLERANCE) | (raw > 1.0 + _RAW_TOLERANCE)
     if np.any(bad):
-        t_bad = t[bad][0]
         raise ConvergenceError(
-            f"inversion oscillation at t={t_bad:g}: value {raw[bad][0]:g}",
-            t=t_bad,
-            value=float(raw[bad][0]),
+            f"inversion oscillation at t={t[bad][0]:g}: value {raw[bad][0]:g}"
         )
     values = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
     meta = {"method": "euler", "terms": _EULER_TERMS, "raw_tolerance": _RAW_TOLERANCE}
