@@ -162,25 +162,37 @@ def _delay_at_rate(scenario: Scenario, rate, solution=None):
         return math.inf
 
 
+def _scan_delays(scenario: Scenario, rates):
+    """Mean delay at each of ``rates`` (inf where infeasible), one batched solve."""
+    solutions = solve_equilibria(scenario, rates)
+    return np.array([_delay_at_rate(scenario, r, s)
+                     for r, s in zip(rates.tolist(), solutions)])
+
+
 def min_delay_over_rate(scenario: Scenario) -> DelayOptimum:
     """Minimize the mean delay over the target rate.
 
     The delay is U-shaped in the rate; a log-spaced scan (one batched
     solve) brackets the minimum and golden-section search polishes it.
+    While the scan's minimum is its last point, the scan goes on upward in
+    the same steps, a span per batched solve; past R/W = 1024 of the widest
+    band nothing covers and the delay is infinite, so that ends.
     """
     w_min = min(b.bandwidth for b in scenario.bands)
     grid = np.geomspace(_DELAY_SPAN[0] * w_min, _DELAY_SPAN[1] * w_min, _DELAY_POINTS)
-    solutions = solve_equilibria(scenario, grid)
-    delays = np.array([_delay_at_rate(scenario, r, s)
-                       for r, s in zip(grid.tolist(), solutions)])
+    delays = _scan_delays(scenario, grid)
     if not np.any(np.isfinite(delays)):
         raise InfeasibleError("no feasible rate in the search span")
+    steps = grid[1:] / grid[0]
     k = int(np.nanargmin(delays))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
+    while k == len(grid) - 1:
+        upper = grid[-1] * steps
+        grid = np.concatenate((grid, upper))
+        delays = np.concatenate((delays, _scan_delays(scenario, upper)))
+        k = int(np.nanargmin(delays))
     res = minimize_scalar(
         lambda r: _delay_at_rate(scenario, r),
-        bounds=(lo, hi),
+        bounds=(grid[max(k - 1, 0)], grid[k + 1]),
         method="bounded",
         options={"xatol": _GOLDEN_TOL * grid[k]},
     )

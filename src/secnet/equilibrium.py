@@ -14,7 +14,9 @@ g_N = q_N + (1 - f_N) g_{N-1}, g_N' = q_N' + (1 - f_N) g_{N-1}' - f_N' g_{N-1}
 = eps (rho_s - g(rho_s / eps)) / rho_s is negative below one root and
 positive above it; the root exists exactly when C <= R g(1), the capacity
 limit, and lies in the searched (rho_s + 1e-9, 1] exactly when
-h(rho_s + 1e-9) <= 0.
+h(rho_s + 1e-9) <= 0.  That search is for C > 0: at C = 0 no user contends,
+the map does not depend on eps, and the root is its value in closed form,
+eps = 1 - prod_n(1 - vacancy_n coverage_n), however small.
 """
 
 from dataclasses import dataclass, replace
@@ -95,18 +97,19 @@ class EquilibriumSolution:
 def _epsilon_map(vc, ck, eps):
     """The map eps -> 1 - prod_n(1 - eps_n(eps)) for one trial ``eps`` per row
     of the (rates x bands) arrays vc = vacancy x coverage and ck = contention
-    x eps, which do not depend on eps: eps_n is ``geometry.service_probability``
-    with these hoisted.  Returns the mapped values and the eps_n; the product
-    is taken in log space for tiny factors."""
-    eps_n = vc * geometry.access_probability(ck / eps[:, None])
-    return 1.0 - np.exp(np.add.reduce(np.log1p(-eps_n), axis=1)), eps_n
+    x eps, which do not depend on eps: eps_n = vc x access is
+    ``geometry.service_probability`` with these hoisted.  Returns the mapped
+    values and the access probabilities; the product is taken in log space
+    for tiny factors."""
+    access = geometry.access_probability(ck / eps[:, None])
+    return -np.expm1(np.add.reduce(np.log1p(-vc * access), axis=1)), access
 
 
 def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
     """Solve eps = 1 - prod(1 - eps_n(eps)) on (C/R, 1] by damped Picard
-    iteration, or by bisection from a pre-scan where Picard stalls; a demand
-    past the capacity limit raises ``InfeasibleError``.  This is
-    ``solve_equilibria`` for one rate."""
+    iteration, or by bisection from a pre-scan where Picard stalls, and at
+    C = 0 in closed form; a demand past the capacity limit raises
+    ``InfeasibleError``.  This is ``solve_equilibria`` for one rate."""
     results = solve_equilibria(scenario, [scenario.target_rate])
     if isinstance(results[0], InfeasibleError):
         # popped, so no local holds the error whose traceback holds this frame
@@ -123,7 +126,7 @@ def solve_equilibria(scenario: Scenario, rates):
     if rates.ndim != 1 or not np.all(rates > 0):
         raise ValueError(f"rates must be a 1-D array of values > 0, got {rates}")
     rho_s = scenario.traffic.capacity / rates
-    lo = np.where(rho_s > 0, rho_s + 1e-9, 1e-12)
+    lo = rho_s + 1e-9
     width, vacancy, bs_density = np.array(
         [(b.bandwidth, b.vacancy, b.bs_density) for b in scenario.bands]).T
     coverage = geometry.coverage_probability(rates[:, None], width)
@@ -139,9 +142,15 @@ def solve_equilibria(scenario: Scenario, rates):
     def h(rows, eps):
         return eps - _epsilon_map(vc[rows], ck[rows], eps)[0]
 
+    rows = np.flatnonzero(total[:, 0] > 0.0)
+    eps = 0.5 * (lo + 1.0)
+    # at C = 0 nobody contends, so the map does not depend on eps: it is the root
+    free = rows[rho_s[rows] == 0.0]
+    if free.size:
+        eps[free] = _epsilon_map(vc[free], ck[free], eps[free])[0]
+        rows = rows[rho_s[rows] > 0.0]
     # (lo, 1] holds the root exactly when h(lo) <= 0; a NaN h(lo) decides
     # nothing, and its row ends at the residual guard
-    rows = np.flatnonzero(total[:, 0] > 0.0)
     over = h(rows, lo[rows]) > 0.0
     bad, rows = rows[over], rows[~over]
     full = (scenario.thinning * scenario.user_density / bs_density) \
@@ -155,7 +164,6 @@ def solve_equilibria(scenario: Scenario, rates):
     # damped Picard on the rows still iterating: a row stops when its step leaves
     # (lo, 1], and converges on a step below 1e-14 and a residual below tolerance
     iterations = np.zeros(len(rates), dtype=int)
-    eps = 0.5 * (lo + 1.0)
     stalled = np.zeros(len(rates), dtype=bool)
     terms, e, low = (vc[rows], ck[rows]), eps[rows], lo[rows]
     for step in range(1, 201):
@@ -180,10 +188,10 @@ def solve_equilibria(scenario: Scenario, rates):
         _bisect(np.flatnonzero(stalled), lo, h, eps, iterations)
 
     ok = np.flatnonzero([r is None for r in results])
-    mapped, eps_n = _epsilon_map(vc[ok], ck[ok], eps[ok])
+    mapped, access = _epsilon_map(vc[ok], ck[ok], eps[ok])
     residual = np.abs(eps[ok] - mapped)
-    band_columns = zip(eps_n.tolist(), coverage[ok].tolist(),
-                       (eps_n / vc[ok]).tolist(), (k[ok] / eps[ok, None]).tolist())
+    band_columns = zip((vc[ok] * access).tolist(), coverage[ok].tolist(),
+                       access.tolist(), (k[ok] / eps[ok, None]).tolist())
     for i, res, columns in zip(ok.tolist(), residual.tolist(), band_columns):
         if not res <= _RESIDUAL_TOL:  # written so that a NaN residual fails
             results[i] = InfeasibleError(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secnet import BandConfig
 from secnet import capacity as cap
 from secnet.capacity import (
     capacity_limit_derivative,
@@ -252,3 +253,16 @@ class TestMinDelay:
         scn = make_scenario(n_bands=1, ratio=500.0, session_interarrival=10.0)
         with pytest.raises(InfeasibleError):
             min_delay_over_rate(scn)
+
+    def test_minimum_past_the_narrow_band_span(self):
+        # the scan starts from the narrowest band's width, here a width-0.1
+        # band of vacancy 1e-6 that carries nothing: the minimum lies past
+        # that span, where the width-10 band alone puts it
+        scn = make_scenario(ratio=0.5, file_mean=100.0, session_interarrival=1000.0)
+        narrow = BandConfig(bandwidth=0.1, vacancy=1e-6, bs_density=1.0)
+        wide = BandConfig(bandwidth=10.0, vacancy=1.0, bs_density=1.0)
+        opt = min_delay_over_rate(replace(scn, bands=(narrow, wide)))
+        alone = min_delay_over_rate(replace(scn, bands=(wide,)))
+        assert opt.rate == pytest.approx(8.90204, rel=1e-5)
+        assert opt.delay == pytest.approx(24.2844, rel=1e-5)
+        assert opt.rate == pytest.approx(alone.rate, rel=1e-5)

@@ -52,6 +52,16 @@ def run(args):
     return cli.main(args)
 
 
+def run_process(args):
+    """``secnet`` run as its own process, so that stderr holds whatever numpy
+    would warn."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "secnet.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def read_rows(path):
     comments, header, rows = [], None, []
     with open(path) as fh:
@@ -250,21 +260,28 @@ class TestEquilibriumCommand:
         assert run(["equilibrium", "--config", cfg]) == EXIT_INFEASIBLE
 
     def test_no_coverage_is_named_without_warnings(self, tmp_path):
-        # 2^(R/W) overflows at R/W = 2000: no band covers any user.  Run as a
-        # process, so that stderr holds whatever numpy would warn.
+        # 2^(R/W) overflows at R/W = 2000: no band covers any user
         cfg = write(tmp_path, "c.ini", ONE_BAND.replace(
             "target_rate = 4", "target_rate = 2000"))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "secnet.cli", "equilibrium", "--config", cfg],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_process(["equilibrium", "--config", cfg])
         assert proc.returncode == EXIT_INFEASIBLE
         assert proc.stdout == ""
         assert proc.stderr == (
             "infeasible: no band covers a user at target rate 2000\n")
+
+    def test_uncovering_band_has_access_one_without_warnings(self, tmp_path):
+        # band 1 is past R/W = 1024 at R = 123 and covers nobody: its access is
+        # the zero-contention limit 1, not 0/0
+        text = BASE.replace("user_density = 50", "user_density = 5").replace(
+            "target_rate = 4", "target_rate = 123").replace(
+            "file_size_mean = 10", "file_size_mean = 1") + "".join(
+            f"\n[band.{i}]\nbandwidth = {w}\nvacancy = 1\nbs_density = 1\n"
+            for i, w in ((1, 0.1), (2, 10)))
+        cfg = write(tmp_path, "c.ini", text)
+        proc = run_process(["equilibrium", "--config", cfg])
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-2] == "1,0,0,1,0"
 
 
 class TestTradeoffCommand:
@@ -286,6 +303,17 @@ class TestTradeoffCommand:
         assert float(row0["mean_delay"]) == pytest.approx(
             10.0 / (4.0 * eps), rel=1e-6
         )
+
+    def test_zero_capacity_row_below_the_search_floor(self, tmp_path):
+        # at R = 90 a width-1 band covers 1.8e-14 of the users: with no
+        # demand that is the equilibrium, however small
+        cfg = write(tmp_path, "c.ini", self.SWEEP.replace(
+            "fixed_rate = 4", "fixed_rate = 90"))
+        out = str(tmp_path / "t.csv")
+        assert run(["tradeoff", "--config", cfg, "--out", out]) == EXIT_OK
+        row0 = read_rows(out)[2][0]
+        assert row0["feasible"] == "1"
+        assert float(row0["epsilon"]) == pytest.approx(1.8093822e-14, rel=1e-7)
 
     def test_delay_monotone_in_capacity(self, tmp_path):
         cfg = write(tmp_path, "c.ini", self.SWEEP)

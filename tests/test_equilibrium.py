@@ -175,6 +175,17 @@ class TestSolveEquilibrium:
         assert rho_s(scn) < sol.epsilon <= 1.0
         assert all(0.0 < b.access <= 1.0 for b in sol.bands)
 
+    def test_uncovering_band_has_access_one(self):
+        # past R/W = 1024 a band covers nobody, so nobody contends in it: its
+        # access is the zero-contention limit 1, with no 0/0 on the way
+        base = make_scenario(ratio=5.0, target_rate=123.0, file_mean=1.0)
+        bands = (BandConfig(0.1, 1.0, 1.0), BandConfig(10.0, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_equilibrium(replace(base, bands=bands))
+        assert sol.bands[0] == equilibrium.BandEquilibrium(0.0, 0.0, 1.0, 0.0)
+        assert sol.bands[1].access < 1.0
+
     def test_nan_thinning_is_infeasible(self, default_scenario):
         # the NaN residual must not pass the residual guard
         with pytest.raises(InfeasibleError, match="residual nan"):
@@ -246,7 +257,7 @@ class TestBatchedSolve:
                 continue
             at_rate = scenario.with_rate(float(rate))
             mapped, eps_n, loads = oracle_epsilon_map(at_rate, sol.epsilon)
-            # the map's 1 - exp(...) is exact only to an ulp of 1
+            # the oracle map's 1 - exp(...) is exact only to an ulp of 1
             assert abs(abs(sol.epsilon - mapped) - sol.residual) \
                 <= 1e-13 * sol.epsilon + 2.0**-52
             for band, b, e, load in zip(scenario.bands, sol.bands, eps_n, loads):
@@ -368,6 +379,18 @@ class TestThirtyDigitRoot:
         root, slope = mp_equilibrium(scenario)
         bound = (sol.residual + 1e-15) / abs(slope)
         assert abs(mpmath.mpf(sol.epsilon) - root) <= bound
+
+
+    @pytest.mark.parametrize("rate", [60.0, 90.0])
+    def test_zero_demand_root_in_closed_form(self, rate):
+        # at C = 0 the map does not depend on eps and its value is the root,
+        # also below the 1e-9 offset of the C > 0 search (1.8e-14 at R = 90)
+        scenario = make_scenario(n_bands=1, target_rate=rate,
+                                 session_interarrival=math.inf)
+        sol = solve_equilibrium(scenario)
+        root = mp_equilibrium(scenario)[0]
+        assert sol.method == "picard"
+        assert abs(mpmath.mpf(sol.epsilon) - root) <= 1e-12 * root
 
 
 class TestSingleBandExplicit:

@@ -68,6 +68,28 @@ def exponential_mean_delay(traffic, outage, epsilon, rate):
     )
 
 
+def pk_mean_delay(traffic, outage, epsilon, rate):
+    """The P-K mean of the preemptive-resume queue, written out as a second
+    statement of ``mean_delay``: the same operations in the same order, so
+    the two agree bit for bit (stability is the caller's to ensure)."""
+    capacity = traffic.capacity
+    file_mean = traffic.file_size.mean
+    if capacity == 0.0:
+        return file_mean / (rate * epsilon)
+    rho_o = 1.0 - epsilon
+    alpha_s = traffic.session_interarrival_mean
+    alpha_o = outage.outage_interarrival_mean
+    beta_s = traffic.file_size.scaled(1.0 / rate)
+    if epsilon == 1.0:
+        second = beta_s.second_moment / alpha_s
+    else:
+        beta_o = outage.duration_distribution(alpha_o * rho_o)
+        second = beta_s.second_moment / alpha_s + beta_o.second_moment / alpha_o
+    return second / (2.0 * epsilon * (epsilon - capacity / rate)) + file_mean / (
+        rate * epsilon
+    )
+
+
 class TestSizeDistribution:
     def test_moments(self):
         e = SizeDistribution("exponential", 3.0)
@@ -173,6 +195,30 @@ class TestMeanDelay:
         assert mean_delay(traffic, outage, eps, rate) == pytest.approx(
             exponential_mean_delay(traffic, outage, eps, rate), rel=1e-12
         )
+
+    SHAPES = st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=5.0))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(["exponential", "gamma"]), SHAPES, SHAPES,
+           st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.95)),
+           st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0)),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.floats(min_value=0.1, max_value=50.0),
+           st.floats(min_value=0.1, max_value=100.0))
+    @example("exponential", 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0)  # C = 0, eps = 1
+    @example("gamma", 0.5, 5.0, 0.3, 1.0, 1.0, 2.0, 5.0)        # eps = 1
+    @example("gamma", 5.0, 0.5, 0.0, 0.6, 10.0, 4.0, 10.0)      # C = 0
+    def test_is_the_transform_mean_bit_for_bit(self, family, file_shape,
+                                               outage_shape, rho_s, epsilon,
+                                               alpha_o, rate, file_mean):
+        shape = file_shape if family == "gamma" else 1.0
+        alpha_s = math.inf if rho_s == 0.0 else file_mean / (rate * rho_s)
+        traffic = TrafficModel(alpha_s, SizeDistribution(family, file_mean, shape))
+        assume(traffic.capacity / rate < epsilon)
+        outage = OutageModel(alpha_o, outage_shape)
+        delay = mean_delay(traffic, outage, epsilon, rate)
+        assert delay == pk_mean_delay(traffic, outage, epsilon, rate)
+        assert delay_transform(traffic, outage, epsilon, rate).mean == delay
 
     def test_unstable_raises(self):
         traffic, outage, _ = two_class_setup(rho_s=0.5)
