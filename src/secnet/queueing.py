@@ -172,7 +172,10 @@ def _busy_root_iterate(s, dist, alpha_o):
 
 
 class DelayTransform:
-    """Laplace transform of the session sojourn-time PDF.
+    """Laplace transform of the session sojourn-time PDF, and its ``mean``:
+    the M/G/1 preemptive-resume mean from the second moments of the file and
+    outage laws.  The outage duration mean comes from the equilibrium
+    identity (outage time fraction = 1 - epsilon).
 
     Immutable after construction; safe to evaluate concurrently at
     arbitrary points with Re(s) >= 0 (small negative real parts are
@@ -199,8 +202,8 @@ class DelayTransform:
         if self.rho_o > 0.0:
             self.beta_o = outage.duration_distribution(self.alpha_o * self.rho_o)
             second = second + self.beta_o.second_moment / self.alpha_o
-        # the P-K mean of the preemptive-resume queue; at C = 0 it keeps the
-        # transmission time alone and drops the outage residual
+        # at C = 0 the mean keeps the transmission time alone and drops the
+        # outage residual that the general expression keeps as C -> 0
         file_mean = traffic.file_size.mean
         if capacity == 0.0:
             self.mean = file_mean / (rate * epsilon)

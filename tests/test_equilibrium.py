@@ -380,7 +380,6 @@ class TestThirtyDigitRoot:
         bound = (sol.residual + 1e-15) / abs(slope)
         assert abs(mpmath.mpf(sol.epsilon) - root) <= bound
 
-
     @pytest.mark.parametrize("rate", [60.0, 90.0])
     def test_zero_demand_root_in_closed_form(self, rate):
         # at C = 0 the map does not depend on eps and its value is the root,
