@@ -1,5 +1,5 @@
-"""Capacity limits of homogeneous multi-band deployments and the
-capacity-delay tradeoff front.
+"""Capacity limits of homogeneous multi-band deployments, and the
+capacity-delay tradeoff front of any band set, for all of a sweep's demands.
 
 The limit laws are mode I: they take the equilibrium's ``Scenario`` with N
 bands that must all be equal, each of width W, and read only its bands,
@@ -14,21 +14,25 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_minimum
 
 from . import geometry
-from .equilibrium import Scenario, solve_equilibria, solve_equilibrium
-from .errors import InfeasibleError, UnstableQueueError
+# unused solve_equilibrium: perfbench's tracer test checks cli binds this one
+from .equilibrium import Scenario, solve_equilibria, solve_equilibrium  # noqa: F401
+from .errors import ConvergenceError, InfeasibleError
 from .queueing import mean_delay
 
-_GOLDEN_TOL = 1e-8
+_LOG_RATE_TOL = 1e-8  # the delay polish's tolerance in log R: 1e-8 relative in R
 _BRACKET_POINTS = 256
 # Edges of the derivative scan's spans, in band widths: the first span, then
 # doublings up to R/W = 1000, past which 2^(R/W) nears float64 overflow.
 _SCAN_EDGES = (1e-3, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1000.0)
-# The delay optimizer's scan span, in widths of the narrowest band, and points.
+# The delay optimizer's scan span, in widths of the narrowest band, its points,
+# and the traffics whose scans one batched solve takes, which bounds memory.
 _DELAY_SPAN = (1e-2, 50.0)
 _DELAY_POINTS = 96
+_SCAN_BATCH = 16
 
 
 def _identical_bands(scenario: Scenario):
@@ -150,52 +154,60 @@ class DelayOptimum:
     delay: float
 
 
-def _delay_at_rate(scenario: Scenario, rate, solution=None):
-    """Mean delay at ``rate`` (inf if infeasible), from ``solution`` if given."""
-    if isinstance(solution, InfeasibleError):
-        return math.inf
-    try:
-        if solution is None:
-            solution = solve_equilibrium(scenario.with_rate(rate))
-        return mean_delay(scenario.traffic, scenario.outage, solution.epsilon, rate)
-    except (InfeasibleError, UnstableQueueError):
-        return math.inf
+def _mean_delays(scenario: Scenario, rates, traffics):
+    """Mean delay at each row's rate and traffic, inf where no equilibrium
+    exists (one that does has eps > C/R, a stable queue)."""
+    size = _SCAN_BATCH * _DELAY_POINTS
+    if len(rates) > size:  # a batch at a time, whose solutions go before the next
+        return np.concatenate([
+            _mean_delays(scenario, rates[i:i + size], traffics[i:i + size])
+            for i in range(0, len(rates), size)])
+    solutions = solve_equilibria(scenario, rates, [t.capacity for t in traffics])
+    return np.array([math.inf if isinstance(s, InfeasibleError)
+                     else mean_delay(t, scenario.outage, s.epsilon, r)
+                     for r, t, s in zip(rates.tolist(), traffics, solutions)])
 
 
-def _scan_delays(scenario: Scenario, rates):
-    """Mean delay at each of ``rates`` (inf where infeasible), one batched solve."""
-    solutions = solve_equilibria(scenario, rates)
-    return np.array([_delay_at_rate(scenario, r, s)
-                     for r, s in zip(rates.tolist(), solutions)])
+def min_delay_over_rate(scenario: Scenario, traffics):
+    """Minimize the mean delay over the target rate for each of the list
+    ``traffics``, in place of the scenario's own: per traffic a
+    ``DelayOptimum``, or the ``InfeasibleError`` of a traffic no rate serves.
 
-
-def min_delay_over_rate(scenario: Scenario) -> DelayOptimum:
-    """Minimize the mean delay over the target rate.
-
-    The delay is U-shaped in the rate; a log-spaced scan (one batched
-    solve) brackets the minimum and golden-section search polishes it.
-    While the scan's minimum is its last point, the scan goes on upward in
-    the same steps, a span per batched solve; past R/W = 1024 of the widest
-    band nothing covers and the delay is infinite, so that ends.
+    The delay is U-shaped in the rate.  A log-spaced scan of traffics x rates
+    brackets each minimum, going on upward in the same steps while a minimum
+    is its scan's last point (past R/W = 1024 of the widest band nothing
+    covers).  One ``find_minimum`` then polishes all brackets in log R, on
+    -1/delay, which is finite where a bracket's end is infeasible; a row at
+    its iteration cap raises ``ConvergenceError``.
     """
+    n = len(traffics)
     w_min = min(b.bandwidth for b in scenario.bands)
-    grid = np.geomspace(_DELAY_SPAN[0] * w_min, _DELAY_SPAN[1] * w_min, _DELAY_POINTS)
-    delays = _scan_delays(scenario, grid)
-    if not np.any(np.isfinite(delays)):
-        raise InfeasibleError("no feasible rate in the search span")
-    steps = grid[1:] / grid[0]
-    k = int(np.nanargmin(delays))
-    while k == len(grid) - 1:
-        upper = grid[-1] * steps
-        grid = np.concatenate((grid, upper))
-        delays = np.concatenate((delays, _scan_delays(scenario, upper)))
-        k = int(np.nanargmin(delays))
-    res = minimize_scalar(
-        lambda r: _delay_at_rate(scenario, r),
-        bounds=(grid[max(k - 1, 0)], grid[k + 1]),
-        method="bounded",
-        options={"xatol": _GOLDEN_TOL * grid[k]},
+    span = np.geomspace(_DELAY_SPAN[0] * w_min, _DELAY_SPAN[1] * w_min, _DELAY_POINTS)
+    steps = span[1:] / span[0]
+    grid, delays = np.empty(0), np.empty((n, 0))
+    k, up = np.zeros(n, dtype=int), np.arange(n)
+    while up.size:  # the first span for every traffic, then one up per step
+        more = np.full((n, len(span)), math.inf)
+        more[up] = _mean_delays(scenario, np.tile(span, len(up)), [
+            traffics[i] for i in up for _ in span]).reshape(len(up), -1)
+        grid = np.concatenate((grid, span))
+        delays = np.concatenate((delays, more), axis=1)
+        k[up] = np.argmin(delays[up], axis=1)
+        up = np.flatnonzero(np.isfinite(delays).any(axis=1) & (k == len(grid) - 1))
+        span = grid[-1] * steps
+    rows = np.flatnonzero(np.isfinite(delays).any(axis=1))
+    k = np.maximum(k[rows], 1)  # a minimum on the first point has no valid bracket
+    res = find_minimum(
+        lambda x, i: -1.0 / _mean_delays(scenario, np.exp(x), [traffics[j] for j in i]),
+        tuple(np.log(grid[k + j]) for j in (-1, 0, 1)), args=(rows,),
+        tolerances={"xatol": _LOG_RATE_TOL, "xrtol": 0.0},
     )
-    if not math.isfinite(res.fun):
-        raise InfeasibleError("delay minimization landed on an infeasible rate")
-    return DelayOptimum(rate=float(res.x), delay=float(res.fun))
+    if np.any(res.status == -2):
+        raise ConvergenceError("delay minimization reached its iteration cap")
+    results = [InfeasibleError("no feasible rate in the search span") for _ in traffics]
+    for i, status, rate, f in zip(rows.tolist(), res.status.tolist(),
+                                  np.exp(res.x).tolist(), res.f_x.tolist()):
+        ok = status == 0 and f < 0.0
+        results[i] = DelayOptimum(rate, -1.0 / f) if ok else InfeasibleError(
+            "delay minimization landed on an infeasible rate")
+    return results

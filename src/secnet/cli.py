@@ -12,16 +12,14 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import capacity as cap
 from . import geometry
-from .equilibrium import BandConfig, Scenario, solve_equilibrium
+from .equilibrium import BandConfig, Scenario, solve_equilibria, solve_equilibrium
 from .errors import ConvergenceError, InfeasibleError, UnstableQueueError
 from .queueing import (
     OutageModel,
@@ -209,31 +207,6 @@ def _sweep_values(parser):
                    parser.get("sweep", "scale", fallback="linear"))
 
 
-def _with_capacity(scenario, capacity):
-    """Scenario with the traffic interarrival retuned to demand ``capacity``."""
-    mean = scenario.traffic.file_size.mean
-    inter = math.inf if capacity == 0.0 else mean / capacity
-    traffic = replace(scenario.traffic, session_interarrival_mean=inter)
-    return replace(scenario, traffic=traffic)
-
-
-def _tradeoff_point(args):
-    """One sweep row of ``scenario`` at ``rate``, or at its delay-optimal
-    rate when ``rate`` is None."""
-    scenario, value, rate = args
-    capacity = scenario.traffic.capacity
-    try:
-        if rate is None:
-            # with no traffic a vanishing-load proxy picks the rate
-            proxy = scenario if capacity > 0.0 else _with_capacity(scenario, 1e-9)
-            rate = cap.min_delay_over_rate(proxy).rate
-        eps = solve_equilibrium(scenario.with_rate(rate)).epsilon
-        delay = mean_delay(scenario.traffic, scenario.outage, eps, rate)
-        return (value, capacity, rate, eps, delay, 1)
-    except (InfeasibleError, UnstableQueueError):
-        return (value, capacity, math.nan, math.nan, math.nan, 0)
-
-
 def cmd_tradeoff(parser, scenario, args):
     if "sweep" not in parser:
         raise ConfigError("tradeoff needs a [sweep] section")
@@ -245,20 +218,32 @@ def cmd_tradeoff(parser, scenario, args):
         if parameter == "target_rate":
             raise ConfigError("[sweep] fixed_rate would override a target_rate sweep")
         fixed_rate = _getfloat(parser, "sweep", "fixed_rate")
+        if fixed_rate <= 0:
+            raise ConfigError(f"[sweep] fixed_rate must be > 0, got {fixed_rate:g}")
     values = _sweep_values(parser)
     if not np.all(values >= 0) or parameter == "target_rate" and 0 in values:
         raise ConfigError(f"[sweep] {parameter} values must be >= 0 (rates > 0)")
-    if parameter == "capacity":
-        tasks = [(_with_capacity(scenario, v), v, fixed_rate) for v in values.tolist()]
-    else:
-        tasks = [(scenario.with_rate(v), v, v) for v in values.tolist()]
-    # a fork-started pool forks all its workers at the first submit
-    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_tradeoff_point, tasks))
-    else:
-        rows = [_tradeoff_point(t) for t in tasks]
+    if parameter == "target_rate":
+        traffics, rates = [scenario.traffic] * len(values), values.tolist()
+    else:  # the traffic, its interarrival retuned to each demand
+        mean = scenario.traffic.file_size.mean
+        traffics = [replace(scenario.traffic, session_interarrival_mean=mean / c if c
+                            else math.inf) for c in values.tolist()]
+        proxy = replace(scenario.traffic, session_interarrival_mean=mean / 1e-9)
+        rates = [fixed_rate] * len(values)
+        if fixed_rate is None:  # with no traffic a vanishing-load proxy picks the rate
+            optima = cap.min_delay_over_rate(
+                scenario, [t if t.capacity > 0.0 else proxy for t in traffics])
+            rates = [o.rate if isinstance(o, cap.DelayOptimum) else math.nan
+                     for o in optima]
+    rows = [(v, t.capacity, math.nan, math.nan, math.nan, 0)
+            for v, t in zip(values.tolist(), traffics)]
+    ok = [i for i, rate in enumerate(rates) if not math.isnan(rate)]
+    for i, sol in zip(ok, solve_equilibria(
+            scenario, [rates[i] for i in ok], [traffics[i].capacity for i in ok])):
+        if not isinstance(sol, InfeasibleError):  # its eps > C/R: a stable queue
+            delay = mean_delay(traffics[i], scenario.outage, sol.epsilon, rates[i])
+            rows[i] = (*rows[i][:2], rates[i], sol.epsilon, delay, 1)
     columns = ["sweep_value", "capacity", "rate", "epsilon", "mean_delay", "feasible"]
     return columns, {}, rows, []
 
@@ -481,7 +466,6 @@ def make_parser():
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default="-")
     ap.add_argument("--seed", type=_seed, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--validate", action="store_true")
     ap.add_argument("--format", choices=["csv", "json-lines"], default="csv")
     return ap

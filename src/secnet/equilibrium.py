@@ -117,15 +117,19 @@ def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
     return results[0]
 
 
-def solve_equilibria(scenario: Scenario, rates):
+def solve_equilibria(scenario: Scenario, rates, demands=None):
     """``solve_equilibrium`` at each target rate of the array ``rates``: a list
     with, per rate, the ``EquilibriumSolution`` of ``scenario.with_rate(rate)``
-    or the ``InfeasibleError`` its solve raises.  The rates take the steps of
-    single solves in lockstep, so no result depends on the other rates."""
+    or the ``InfeasibleError`` its solve raises, at its demand C in ``demands``
+    if given.  Rows step in lockstep, so none depends on the others."""
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or not np.all(rates > 0):
         raise ValueError(f"rates must be a 1-D array of values > 0, got {rates}")
-    rho_s = scenario.traffic.capacity / rates
+    demands = np.broadcast_to(
+        scenario.traffic.capacity if demands is None else demands, rates.shape)
+    if not np.all(demands >= 0):
+        raise ValueError(f"demands must be >= 0, got {demands}")
+    rho_s = demands / rates
     lo = rho_s + 1e-9
     width, vacancy, bs_density = np.array(
         [(b.bandwidth, b.vacancy, b.bs_density) for b in scenario.bands]).T
@@ -159,7 +163,7 @@ def solve_equilibria(scenario: Scenario, rates):
     for i, low, cap in zip(bad.tolist(), lo[bad].tolist(), limit.tolist()):
         results[i] = InfeasibleError(
             f"no service equilibrium above eps = {low:g} at R = {rates[i]:g}: demand "
-            f"C = {scenario.traffic.capacity:g}, capacity limit R*g(1) = {cap:g}")
+            f"C = {demands[i]:g}, capacity limit R*g(1) = {cap:g}")
 
     # damped Picard on the rows still iterating: a row stops when its step leaves
     # (lo, 1], and converges on a step below 1e-14 and a residual below tolerance

@@ -273,7 +273,7 @@ def _capacity_at_fixed_delay(n_bands, target_delay, ratio=50.0):
         scn = make_scenario(n_bands=n_bands, ratio=ratio,
                             session_interarrival=10.0 / c)
         try:
-            return min_delay_over_rate(scn).delay
+            return min_delay_over_rate(scn, [scn.traffic])[0].delay
         except Exception:
             return math.inf
 
@@ -310,7 +310,7 @@ def test_criterion_7_qualitative_shapes():
     # (a') the mean delay is U-shaped in the rate at C = 1
     scn = make_scenario()
     rgrid = np.geomspace(2.8, 12.0, 60)
-    delays = np.array([cap._delay_at_rate(scn, r) for r in rgrid])
+    delays = cap._mean_delays(scn, rgrid, [scn.traffic] * len(rgrid))
     finite = np.isfinite(delays)
     dk = int(np.argmin(np.where(finite, delays, np.inf)))
     if not 0 < dk < len(rgrid) - 1:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from secnet import BandConfig
 from secnet import capacity as cap
 from secnet.capacity import (
+    DelayOptimum,
     capacity_limit_derivative,
     capacity_limit_fixed_band,
     min_delay_over_rate,
@@ -240,19 +241,54 @@ class TestJointOptimization:
 
 class TestMinDelay:
     def test_default_scenario_minimum(self, default_scenario):
-        opt = min_delay_over_rate(default_scenario)
+        opt = min_delay_over_rate(default_scenario, [default_scenario.traffic])[0]
         assert opt.rate == pytest.approx(3.38397, rel=1e-4)
         assert opt.delay == pytest.approx(36.38487, rel=1e-4)
 
     def test_minimum_beats_neighbors(self, default_scenario):
-        opt = min_delay_over_rate(default_scenario)
-        for r in (opt.rate * 0.9, opt.rate * 1.1):
-            assert cap._delay_at_rate(default_scenario, r) >= opt.delay
+        traffic = default_scenario.traffic
+        opt = min_delay_over_rate(default_scenario, [traffic])[0]
+        rates = np.array([opt.rate * 0.9, opt.rate * 1.1])
+        for d in cap._mean_delays(default_scenario, rates, [traffic] * 2):
+            assert d >= opt.delay
 
-    def test_infeasible_scenario_raises(self):
+    def test_infeasible_scenario_returns_error(self):
         scn = make_scenario(n_bands=1, ratio=500.0, session_interarrival=10.0)
-        with pytest.raises(InfeasibleError):
-            min_delay_over_rate(scn)
+        [opt] = min_delay_over_rate(scn, [scn.traffic])
+        assert type(opt) is InfeasibleError
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=3), st.sampled_from([5.0, 50.0]))
+    def test_batch_equals_single_calls(self, demands, n_bands, ratio):
+        # every row bit for bit, with a C = 1e-9 proxy row and a C = 50 row
+        # that no rate serves
+        scn = make_scenario(n_bands=n_bands, ratio=ratio)
+        traffics = [replace(scn.traffic, session_interarrival_mean=10.0 / c)
+                    for c in (*demands, 1e-9, 50.0) if c > 0.0]
+        batch = min_delay_over_rate(scn, traffics)
+        assert type(batch[-1]) is InfeasibleError
+        assert isinstance(batch[-2], DelayOptimum)
+        for traffic, batched in zip(traffics, batch):
+            [single] = min_delay_over_rate(scn, [traffic])
+            assert type(batched) is type(single)
+            if isinstance(single, DelayOptimum):
+                assert batched == single
+
+    def test_minimum_at_the_capacity_limit_edge(self, default_scenario):
+        # 0.2 % below the capacity limit the delay is finite on one scan
+        # point only: the bracket's ends are infeasible, and the polish still
+        # finds the minimum
+        c = optimal_rate_fixed_band(default_scenario).capacity * (1.0 - 2e-3)
+        traffic = replace(default_scenario.traffic, session_interarrival_mean=10.0 / c)
+        grid = np.geomspace(1e-2, 50.0, 96)
+        scan = cap._mean_delays(default_scenario, grid, [traffic] * len(grid))
+        assert np.count_nonzero(np.isfinite(scan)) == 1
+        [opt] = min_delay_over_rate(default_scenario, [traffic])
+        assert np.isfinite(opt.delay)
+        rates = opt.rate * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+        delays = cap._mean_delays(default_scenario, rates, [traffic] * 2)
+        assert np.all(delays >= opt.delay)
 
     def test_minimum_past_the_narrow_band_span(self):
         # the scan starts from the narrowest band's width, here a width-0.1
@@ -261,8 +297,8 @@ class TestMinDelay:
         scn = make_scenario(ratio=0.5, file_mean=100.0, session_interarrival=1000.0)
         narrow = BandConfig(bandwidth=0.1, vacancy=1e-6, bs_density=1.0)
         wide = BandConfig(bandwidth=10.0, vacancy=1.0, bs_density=1.0)
-        opt = min_delay_over_rate(replace(scn, bands=(narrow, wide)))
-        alone = min_delay_over_rate(replace(scn, bands=(wide,)))
+        [opt] = min_delay_over_rate(replace(scn, bands=(narrow, wide)), [scn.traffic])
+        [alone] = min_delay_over_rate(replace(scn, bands=(wide,)), [scn.traffic])
         assert opt.rate == pytest.approx(8.90204, rel=1e-5)
         assert opt.delay == pytest.approx(24.2844, rel=1e-5)
         assert opt.rate == pytest.approx(alone.rate, rel=1e-5)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from secnet import ConvergenceError, cli, solve_equilibrium
+from secnet import capacity as cap
 from secnet.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -18,6 +19,7 @@ from secnet.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
 )
+from secnet.equilibrium import solve_equilibria
 
 from conftest import make_scenario
 
@@ -175,6 +177,8 @@ class TestConfigHandling:
                      id="ratio-infinite"),
         pytest.param("tradeoff", "\n[sweep]\nmin = 0\nmax = 0.1\npoints = 3\n"
                      "fixed_rate = inf\n", id="sweep-fixed-rate-infinite"),
+        pytest.param("tradeoff", "\n[sweep]\nmin = 0\nmax = 0.1\npoints = 3\n"
+                     "fixed_rate = 0\n", id="sweep-fixed-rate-zero"),
         # a fixed rate would replace every swept target rate
         pytest.param("tradeoff", "\n[sweep]\nparameter = target_rate\nmin = 1\n"
                      "max = 6\npoints = 4\nfixed_rate = 4\n",
@@ -212,6 +216,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["equilibrium", "--config", "c.ini", "--bogus"], id="unknown-flag"),
+        pytest.param(["tradeoff", "--config", "c.ini", "--workers", "2"],
+                     id="removed-workers-flag"),
         pytest.param(["equilibrium"], id="missing-config"),
         pytest.param(["nonsense", "--config", "c.ini"], id="unknown-subcommand"),
         # numpy's generators raise ValueError on a negative seed
@@ -236,6 +242,11 @@ def test_readme_subcommands_parse():
     for command in commands:
         args = cli.make_parser().parse_args(shlex.split(command))
         assert args.config == "cfg.ini"
+    # and every flag it names in a code span is an option (pip's are not)
+    flags = {flag for span in re.findall(r"`([^`\n]*)`", readme)
+             if not span.startswith("pip ")
+             for flag in re.findall(r"--[a-z][a-z-]*", span)}
+    assert flags and flags <= set(cli.make_parser()._option_string_actions)
 
 
 class TestEquilibriumCommand:
@@ -330,53 +341,36 @@ class TestTradeoffCommand:
         run(["tradeoff", "--config", cfg, "--out", b])
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_workers_preserve_order(self, tmp_path):
-        cfg = write(tmp_path, "c.ini", self.SWEEP)
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        run(["tradeoff", "--config", cfg, "--out", a])
-        run(["tradeoff", "--config", cfg, "--out", b, "--workers", "3"])
-        assert open(a, "rb").read() == open(b, "rb").read()
-
     def test_infeasible_points_flagged_not_fatal(self, tmp_path):
-        heavy = ONE_BAND + (
-            "\n[sweep]\nparameter = capacity\nmin = 0.5\nmax = 2\npoints = 3\n"
-            "fixed_rate = 4\n"
-        )
-        cfg = write(tmp_path, "c.ini", heavy)
+        # at a fixed rate, and where no rate serves any point of the sweep
+        for fixed_rate in ("fixed_rate = 4\n", ""):
+            heavy = ONE_BAND + (
+                "\n[sweep]\nparameter = capacity\nmin = 0.5\nmax = 2\npoints = 3\n"
+                + fixed_rate
+            )
+            cfg = write(tmp_path, "c.ini", heavy)
+            out = str(tmp_path / "t.csv")
+            assert run(["tradeoff", "--config", cfg, "--out", out]) == EXIT_OK
+            _, _, rows = read_rows(out)
+            assert all(r["feasible"] == "0" for r in rows)
+            assert all(r["mean_delay"] == "nan" for r in rows)
+
+    def test_sweep_solves_in_bounded_batches(self, tmp_path, monkeypatch):
+        # a long sweep's solves hold at most 16 traffics' scans of 96 rates
+        sizes = []
+
+        def spy(scenario, rates, demands=None):
+            sizes.append(len(rates))
+            return solve_equilibria(scenario, rates, demands)
+
+        monkeypatch.setattr(cap, "solve_equilibria", spy)
+        monkeypatch.setattr(cli, "solve_equilibria", spy)
+        cfg = write(tmp_path, "c.ini", self.SWEEP.replace("points = 5", "points = 100")
+                    .replace("fixed_rate = 4\n", ""))
         out = str(tmp_path / "t.csv")
         assert run(["tradeoff", "--config", cfg, "--out", out]) == EXIT_OK
-        _, _, rows = read_rows(out)
-        assert all(r["feasible"] == "0" for r in rows)
-        assert all(r["mean_delay"] == "nan" for r in rows)
-
-    def test_workers_capped_by_points_and_cores(self, tmp_path, monkeypatch):
-        # a fork-started pool forks all max_workers processes at the first submit
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        cfg = write(tmp_path, "c.ini", self.SWEEP)  # 5 points
-        argv = ["tradeoff", "--config", cfg, "--out", str(tmp_path / "t.csv"),
-                "--workers", "64"]
-        for cores, expected in ((8, 5), (3, 3)):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-            assert run(argv) == EXIT_OK
-            assert started[-1] == expected
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert run(argv) == EXIT_OK
-        assert len(started) == 2  # one core: the serial loop, no pool
+        assert len(read_rows(out)[2]) == 100
+        assert max(sizes) == 16 * 96
 
     def test_json_lines_format(self, tmp_path):
         cfg = write(tmp_path, "c.ini", self.SWEEP)
@@ -493,6 +487,25 @@ scale = log
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "numerical failure: inversion oscillation at t=1: value 1.5\n"
+
+    def test_capped_delay_polish_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # a row whose polish reaches its iteration cap fails the whole run:
+        # no row is written from it
+        find_minimum = cap.find_minimum
+
+        def capped(*args, **kwargs):
+            res = find_minimum(*args, **kwargs)
+            res.status[:] = -2
+            return res
+
+        monkeypatch.setattr(cap, "find_minimum", capped)
+        cfg = write(tmp_path, "c.ini", TestTradeoffCommand.SWEEP.replace(
+            "fixed_rate = 4\n", ""))
+        assert run(["tradeoff", "--config", cfg]) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "numerical failure: delay minimization reached its iteration cap\n")
 
     def test_oscillation_config_ends_in_documented_exit(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", self.OSCILLATION)

@@ -213,19 +213,29 @@ class TestBatchedSolve:
                                 40.0, 0.2), PICARD),
     ])
     def test_batch_equals_single_solves(self, scenario, paths):
-        # every field bit for bit, and the same error where a rate has none
-        outcomes = set()
-        for rate, batched in zip(SCAN, solve_equilibria(scenario, SCAN)):
-            try:
-                single = solve_equilibrium(scenario.with_rate(float(rate)))
-            except InfeasibleError as exc:
-                assert type(batched) is InfeasibleError
-                assert str(batched) == str(exc)
-                outcomes.add("infeasible")
-                continue
-            assert batched == single
-            outcomes.add(single.method)
-        assert paths <= outcomes
+        # every field bit for bit, and the same error where a rate has none;
+        # with a demand per row, a row is the solve with that row's traffic
+        inter = scenario.traffic.session_interarrival_mean
+        traffics = [replace(scenario.traffic,
+                            session_interarrival_mean=inter / f if f else math.inf)
+                    for f in np.resize([1.0, 0.5, 2.0, 0.0], len(SCAN))]
+        cases = [(None, [scenario] * len(SCAN)),
+                 ([t.capacity for t in traffics],
+                  [replace(scenario, traffic=t) for t in traffics])]
+        for demands, scenarios in cases:
+            outcomes = set()
+            batch = solve_equilibria(scenario, SCAN, demands)
+            for rate, scn, batched in zip(SCAN, scenarios, batch):
+                try:
+                    single = solve_equilibrium(scn.with_rate(float(rate)))
+                except InfeasibleError as exc:
+                    assert type(batched) is InfeasibleError
+                    assert str(batched) == str(exc)
+                    outcomes.add("infeasible")
+                    continue
+                assert batched == single
+                outcomes.add(single.method)
+            assert paths <= outcomes
 
     def test_uncovered_rate_is_named_before_solving(self, default_scenario):
         # past R/W = 1024 no band covers any user: that row fails at once and
@@ -241,6 +251,9 @@ class TestBatchedSolve:
         for rates in ([1.0, 0.0], [[1.0]], [-2.0]):
             with pytest.raises(ValueError):
                 solve_equilibria(default_scenario, rates)
+        for demands in ([1.0, 2.0, 3.0], [1.0, -1.0], [[1.0], [1.0]]):
+            with pytest.raises(ValueError):
+                solve_equilibria(default_scenario, [1.0, 2.0], demands)
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0, 5.0]),
