@@ -8,9 +8,12 @@ that queue from (traffic, outage, eps, R): its stability checks, its file
 and outage laws, its mean (which ``mean_delay`` returns) and the Laplace
 transform of the session delay; ``delay_cdf`` inverts the transform.
 
-Tolerance hierarchy (loosest check dominates accuracy claims):
-busy-period root residual 1e-12 < transform normalization 1e-8 <
-transform inversion accuracy ~1e-4.
+Accuracy, measured: the Gamma busy-period root is within 6e-14 (relative)
+of a 30-digit mpmath root for outage loads up to 0.995, at real and complex
+s, and its residual is checked against 1e-12.  Euler inversion multiplies
+transform error by about 5e6, so the root sets the CDF's error: a root
+5e-11 off moved the benchmark pool's Gamma-outage CDF values by up to
+4.9e-6, against the 1e-4 the inversion is trusted to.
 """
 
 import cmath
@@ -23,7 +26,8 @@ from .errors import ConvergenceError, UnstableQueueError
 from .laplace import _EULER_TERMS, euler_inversion
 
 _ROOT_TOL = 1e-12
-_ROOT_MAX_ITER = 10_000
+_NEWTON_STEP = 1e-12  # absolute: the root has |x| <= 1
+_NEWTON_MAX_ITER = 100
 _RAW_TOLERANCE = 1e-3
 
 
@@ -58,12 +62,16 @@ class SizeDistribution:
         """Laplace transform of the PDF, (1 + theta*s)^(-k)."""
         if self.family == "exponential":
             return 1.0 / (1.0 + self.mean * s)
+        return self.laplace_and_derivative(s)[0]
+
+    def laplace_and_derivative(self, s):
+        """(1 + theta*s)^(-k) and its derivative -k*theta*(1 + theta*s)^(-k-1),
+        where k*theta is the mean."""
         base = 1.0 + self.scale * s
-        if isinstance(base, complex):
-            return base ** (-self.shape)
-        if base <= 0.0:
-            raise ValueError("Gamma transform evaluated left of its singularity")
-        return base ** (-self.shape)
+        if not isinstance(base, complex) and base <= 0.0:
+            raise ValueError("transform evaluated left of its singularity")
+        value = base ** (-self.shape)
+        return value, -self.mean * value / base
 
     def scaled(self, factor):
         """Distribution of the variable multiplied by ``factor``."""
@@ -131,8 +139,9 @@ def busy_root(s, outage_duration: SizeDistribution, outage_interarrival_mean):
     """Smallest-modulus solution x of x = L_{beta_o}(s + (1 - x)/alpha_o).
 
     For exponential durations the quadratic is solved in closed form; for
-    Gamma durations the contraction iteration from 0 is used.  The root is
-    the busy-period transform of the outage workload.
+    Gamma durations Newton's method runs on F(x) = L(s + (1 - x)/alpha_o) - x
+    from x = 0.  The root is the busy-period transform of the outage
+    workload.
     """
     alpha_o = outage_interarrival_mean
     rho_o = outage_duration.mean / alpha_o
@@ -148,7 +157,7 @@ def busy_root(s, outage_duration: SizeDistribution, outage_interarrival_mean):
         # one from the big one to dodge cancellation
         root = 1.0 / (rho_o * big)
     else:
-        root = _busy_root_iterate(s, outage_duration, alpha_o)
+        root = _busy_root_newton(s, outage_duration, alpha_o)
     residual = abs(root - outage_duration.laplace(s + (1.0 - root) / alpha_o))
     if residual > _ROOT_TOL:
         raise ConvergenceError(
@@ -159,15 +168,35 @@ def busy_root(s, outage_duration: SizeDistribution, outage_interarrival_mean):
     return root
 
 
-def _busy_root_iterate(s, dist, alpha_o):
+def _busy_root_newton(s, dist, alpha_o):
+    """Newton from x = 0, stopped once a step is at most ``_NEWTON_STEP``.
+
+    For real s, F is convex and decreasing left of its smallest root, so the
+    iterates climb to that root without overshoot.  For Re(s) >= 0 the root
+    lies in the unit disk, where |F'(x) + 1| <= rho_o < 1 keeps F' away from
+    zero; a step that leaves the disk is projected back onto it, which never
+    moves it farther from the root (and lands on the root x = 1 at s = 0).
+
+    Near rho_o = 1 and s = 0, F' ~ 1 - rho_o is so small that rounding in F
+    alone moves x by more than ``_NEWTON_STEP`` (up to 1e-9 at 1 - 1e-5).
+    Newton steps shrink until they reach that floor, so a step that does not
+    shrink while |F| is already within ``_ROOT_TOL`` also ends the iteration.
+    """
     x = 0.0 + 0.0j if isinstance(s, complex) else 0.0
-    for _ in range(_ROOT_MAX_ITER):
-        nxt = dist.laplace(s + (1.0 - x) / alpha_o)
-        if abs(nxt - x) < 0.25 * _ROOT_TOL:
+    guard = s.real >= 0.0
+    last = math.inf
+    for _ in range(_NEWTON_MAX_ITER):
+        value, slope = dist.laplace_and_derivative(s + (1.0 - x) / alpha_o)
+        residual = value - x
+        nxt = x + residual / (1.0 + slope / alpha_o)
+        if guard and abs(nxt) > 1.0:
+            nxt /= abs(nxt)
+        step = abs(nxt - x)
+        if step <= _NEWTON_STEP or (step >= last and abs(residual) <= _ROOT_TOL):
             return nxt
-        x = nxt
+        x, last = nxt, step
     raise ConvergenceError(
-        f"busy-period iteration did not converge in {_ROOT_MAX_ITER} steps"
+        f"busy-period Newton did not converge in {_NEWTON_MAX_ITER} steps"
     )
 
 
@@ -219,7 +248,7 @@ class DelayTransform:
         return s + (1.0 - g) / self.alpha_o
 
     def __call__(self, s):
-        if abs(s) < 1e-12:
+        if abs(s) * self.mean < 1e-12:
             return 1.0
         k = self._stage(s)
         lt = self.beta_s.laplace(k)  # transmission-time transform
@@ -234,7 +263,7 @@ class DelayTransform:
     def transmission_transform(self, s):
         """Transform of the transmission span alone (arrival-to-service
         wait excluded)."""
-        if abs(s) < 1e-12:
+        if abs(s) * self.mean < 1e-12:
             return 1.0
         return self.beta_s.laplace(self._stage(s))
 

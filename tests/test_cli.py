@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secnet import ConvergenceError, cli, solve_equilibrium
+from secnet import ConvergenceError, cli, queueing, solve_equilibrium
 from secnet import capacity as cap
 from secnet.cli import (
     EXIT_CONFIG,
@@ -515,6 +515,27 @@ scale = log
         assert code in documented
         if code != EXIT_OK:
             assert capsys.readouterr().out == ""
+
+    def test_capped_busy_root_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(queueing, "_NEWTON_MAX_ITER", 1)
+        cfg = write(tmp_path, "c.ini", self.OSCILLATION)
+        assert run(["delay-cdf", "--config", cfg]) == EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "numerical failure: busy-period Newton did not converge in 1 steps\n")
+
+    def test_oscillation_config_inverts(self, tmp_path):
+        # Euler inversion multiplies transform error by about 5e6 here, so a
+        # busy-period root 5e-11 off its exact value ended this grid in exit 5
+        cfg = write(tmp_path, "c.ini", self.OSCILLATION)
+        out = str(tmp_path / "cdf.csv")
+        assert run(["delay-cdf", "--config", cfg, "--out", out]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        values = np.array([float(r["cdf"]) for r in rows])
+        assert len(values) == 12
+        assert np.all((values >= 0.9999) & (values <= 1.0))
+        assert np.all(np.diff(values) >= 0.0)
 
 
 class TestValidateCommand:

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from secnet import queueing
 from secnet.errors import ConvergenceError, UnstableQueueError
 from secnet.laplace import talbot_inversion
 from secnet.queueing import (
@@ -106,6 +108,17 @@ class TestSizeDistribution:
             h = 1e-6
             num = -(d.laplace(h) - d.laplace(-h)) / (2 * h)
             assert num == pytest.approx(d.mean, rel=1e-6)
+
+    def test_laplace_derivative_closed_form(self):
+        for d in [SizeDistribution("exponential", 2.0),
+                  SizeDistribution("gamma", 2.0, 0.5),
+                  SizeDistribution("gamma", 0.7, 5.0)]:
+            for s in [0.0, 0.3, 2.0, 1.0 + 2.0j]:
+                value, slope = d.laplace_and_derivative(s)
+                assert value == pytest.approx(d.laplace(s), rel=1e-15)
+                h = 1e-6
+                num = (d.laplace(s + h) - d.laplace(s - h)) / (2 * h)
+                assert abs(slope - num) <= 1e-8 * abs(slope)
 
     def test_gamma_shape_one_equals_exponential(self):
         e = SizeDistribution("exponential", 1.7)
@@ -268,6 +281,54 @@ class TestBusyRoot:
         with pytest.raises(ValueError):
             busy_root_polynomial(1.0, SizeDistribution("gamma", 0.2, 2.5), 1.0)
 
+    @pytest.mark.parametrize("rho_o", [0.5, 0.9, 0.98, 0.995])
+    def test_gamma_root_matches_30_digit_oracle(self, rho_o):
+        alpha_o = 14.6581
+        for shape in (0.5, 1.5, 2.0, 5.0):
+            dist = SizeDistribution("gamma", rho_o * alpha_o, shape)
+            theta = mpmath.mpf(dist.scale)
+            for s in (0.0, 1e-7, 1e-3, 0.1, 3.0,
+                      1e-6 + 1e-5j, 1e-3 + 2e-2j, 0.2 + 1.5j, 5.0 + 40.0j):
+                root = busy_root(s, dist, alpha_o)
+                with mpmath.workdps(30):
+                    z = mpmath.mpmathify(s)
+                    exact = mpmath.findroot(
+                        lambda x: (1 + theta * (z + (1 - x) / alpha_o)) ** -shape - x,
+                        mpmath.mpmathify(complex(root)))
+                    exact = complex(exact)
+                assert abs(root - exact) <= 1e-12 * abs(exact), (shape, s)
+
+    @settings(deadline=None)
+    @given(st.floats(min_value=0.5, max_value=5.0),
+           st.floats(min_value=1e-3, max_value=0.995),
+           st.floats(min_value=0.1, max_value=100.0),
+           st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=0.0, max_value=10.0),
+           st.floats(min_value=-50.0, max_value=50.0))
+    @example(0.5, 0.995, 14.6581, 0.0, 1e-9, 1.0)
+    def test_gamma_root_properties(self, shape, rho_o, alpha_o, u, v, w):
+        # s is drawn in units of the outage interarrival time
+        dist = SizeDistribution("gamma", rho_o * alpha_o, shape)
+        lo, hi = sorted((u / alpha_o, v / alpha_o))
+        points = (lo, hi, complex(lo, w / alpha_o))
+        roots = [busy_root(s, dist, alpha_o) for s in points]
+        for s, x in zip(points, roots):
+            assert abs(x - dist.laplace(s + (1.0 - x) / alpha_o)) <= queueing._ROOT_TOL
+        at_lo, at_hi, at_complex = roots
+        assert 0.0 < at_hi <= at_lo + 1e-12 and at_lo <= 1.0  # nonincreasing, to rounding
+        assert abs(at_complex) <= 1.0
+
+    @pytest.mark.parametrize("rho_o", [1.0 - 1e-5, 1.0 - 1e-9])
+    def test_gamma_root_near_unit_outage_load(self, rho_o):
+        # F' ~ 1 - rho_o near s = 0, so rounding in F alone moves a Newton
+        # step by more than 1e-12; the root must still come back
+        for shape in (0.5, 5.0, 50.0):
+            dist = SizeDistribution("gamma", rho_o * 14.0, shape)
+            for s in (0.0, 1e-12, 1e-9, 1e-12 + 1e-12j, 1e-9 + 1e-4j):
+                x = busy_root(s, dist, 14.0)
+                assert abs(x - dist.laplace(s + (1.0 - x) / 14.0)) <= queueing._ROOT_TOL
+                assert abs(x) <= 1.0
+
 
 class TestDelayTransform:
     def test_normalization(self):
@@ -314,6 +375,20 @@ class TestDelayTransform:
         traffic, outage, _ = two_class_setup(rho_s=0.3)
         with pytest.raises(UnstableQueueError):
             delay_transform(traffic, outage, 0.25, 1.0)
+
+
+@pytest.mark.parametrize("outage_shape", [1.0, 0.5])
+def test_delay_cdf_is_free_of_the_time_unit(outage_shape):
+    # the same queue in time units S apart: files of mean 10 S every 100 S,
+    # outages every 10 S; the CDF at fixed multiples of the mean must agree
+    def cdf(unit):
+        traffic = TrafficModel(100.0 * unit, SizeDistribution("exponential", 10.0 * unit))
+        h = delay_transform(traffic, OutageModel(10.0 * unit, outage_shape), 0.8, 1.0)
+        return delay_cdf(h, np.array([0.1, 1.0, 3.0]) * h.mean).values
+
+    reference = cdf(1.0)
+    for unit in 10.0 ** np.arange(-6, 15, 2):
+        assert np.allclose(cdf(unit), reference, rtol=0.0, atol=1e-9), unit
 
 
 class TestDelayCdf:
