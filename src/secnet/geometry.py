@@ -18,7 +18,7 @@ from scipy.special import gammaln
 #: averages over) gives 1.005 at ratio 5 and 1.010 at ratio 50 (BS density
 #: 1e-6, SIR threshold 1, 1e5 cells), and 0.76/0.77 against per-cell
 #: counts; 2/3 fits neither.  At 2/3 the access probability is 0.4157 and
-#: 0.0535 against Monte Carlo 0.3111 and 0.0357, 34 % and 50 % too high,
+#: 0.0535 against Monte Carlo 0.3117 and 0.0357, 33 % and 50 % too high,
 #: and the service probability is overstated with it.  Thinning 1 gives
 #: 0.3115 and 0.0357.  The value stays until the pinned CLI and benchmark
 #: outputs that depend on it are re-recorded.

@@ -174,6 +174,17 @@ def _busy_time(starts, ends, window_start, window_end):
     return float(np.sum(hi - lo))
 
 
+def _busy_fractions(starts, ends, edges):
+    """Busy share of each window [edges[i], edges[i + 1]], clipping only the
+    disjoint, sorted busy periods that overlap the window."""
+    first = np.searchsorted(ends, edges[:-1], side="right")
+    stop = np.searchsorted(starts, edges[1:], side="left")
+    return [
+        _busy_time(starts[a:b], ends[a:b], lo, hi) / (hi - lo)
+        for a, b, lo, hi in zip(first, stop, edges[:-1], edges[1:])
+    ]
+
+
 def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
     """Simulate the queue for ``horizon_sessions`` completed sessions."""
     rng = np.random.default_rng(cfg.seed)
@@ -231,14 +242,8 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
     t_hi = completions[-1]
     # busy fraction and its CI from windowed sub-estimates
     edges = np.linspace(t_lo, t_hi, cfg.n_batches + 1)
-    busy = _busy_periods(arr_s, completions)
     report.add_mean_estimate(
-        "busy_fraction",
-        [
-            _busy_time(*busy, edges[i], edges[i + 1])
-            / (edges[i + 1] - edges[i])
-            for i in range(cfg.n_batches)
-        ],
+        "busy_fraction", _busy_fractions(*_busy_periods(arr_s, completions), edges)
     )
 
     report.arrays["delays"] = d

@@ -5,19 +5,20 @@ Edge effects are handled by excluding a guard margin near the window
 boundary rather than wrapping the window, since r^-4 path loss makes the
 missing far-field interference negligible for interior points.
 
-The SIR kernel works through the users in blocks of ``_CHUNK`` rows, so
-its scratch memory is three (``_CHUNK`` x BS) buffers whatever the user
-count.  It draws every user's fading, in user order, whether or not it
-computes that user's SIR, so the random stream, and all that is drawn
-after the kernel, does not depend on which SIRs are computed.  The PMF
-reads the covered counts of interior-BS cells and the counts of the cells
-holding interior users, and a cell's count needs the SIR of every user it
-serves; so it computes SIR only for the users of those cells (about 40 %
-of the users).
+The SIR kernel works through the users whose SIR is read, in blocks of
+``_CHUNK`` rows, so its scratch memory is two (``_CHUNK`` x BS) buffers
+whatever the user count.  It draws fading only on the links of those
+users, in user order, and a replication draws nothing after the kernel,
+so which users are read changes only their own fading.  The PMF reads the
+covered counts of interior-BS cells and the counts of the cells holding
+interior users, and a cell's count needs the SIR of every user it serves;
+so it draws fading and computes SIR only for the users of those cells
+(about 40 % of the users).
 """
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import stats
@@ -96,21 +97,15 @@ def _sir(rng, users, bss, cell, needed=None):
     """Per-user SIR: unit-mean exponential fading on every link, r^-4 path
     loss, no noise, served by BS ``cell``.  Computed only for the rows of
     the boolean mask ``needed`` (all rows by default); the others are NaN.
-    Every user's fading is drawn, needed or not."""
-    n = len(users)
-    sir = np.full(n, np.nan)
-    rows = min(n, _CHUNK)
-    fading, power, work = (np.empty((rows, len(bss))) for _ in range(3))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        fade = rng.standard_exponential(out=fading[: hi - lo])
-        idx = np.arange(lo, hi) if needed is None else lo + np.flatnonzero(needed[lo:hi])
+    Fading is drawn for the needed rows only, one row of BS links at a
+    time in row order, so the stream does not depend on ``_CHUNK``."""
+    rows = np.arange(len(users)) if needed is None else np.flatnonzero(needed)
+    sir = np.full(len(users), np.nan)
+    fading, power = (np.empty((min(len(rows), _CHUNK), len(bss))) for _ in range(2))
+    for lo in range(0, len(rows), _CHUNK):
+        idx = rows[lo:lo + _CHUNK]
         k = len(idx)
-        if k == 0:
-            continue
-        if k < hi - lo:
-            # mode "clip" writes into out directly; "raise" buffers
-            fade = np.take(fade, idx - lo, axis=0, out=work[:k], mode="clip")
+        fade = rng.standard_exponential(out=fading[:k])
         p = power[:k]
         cdist(users[idx], bss, "sqeuclidean", out=p)
         # not 1/(p*p): that differs in the last bit on about 27 % of links
@@ -185,6 +180,12 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
             per_rep_access.append(np.mean(1.0 / cell_cov[cell[ref_cov]]))
     counts = np.concatenate(counts)
     n_samples = len(counts)
+    if n_samples == 0:
+        raise ValueError(
+            f"no interior BS in any of the {cfg.replications} replications, so no "
+            "cell count to sample: lower the guard fraction, widen the window "
+            "or raise the replication count"
+        )
     report.arrays["pmf"] = np.bincount(counts) / n_samples
     if per_rep_access:
         report.add_mean_estimate("access_probability", per_rep_access)
@@ -196,31 +197,32 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
     return report
 
 
-def _shoelace(vertices):
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
 def _bounded_interior_areas(bss, cfg):
-    """Areas of cells whose generator lies in the interior sub-window.
+    """Areas of cells whose generator lies in the interior sub-window, in
+    generator order.
 
     Conditioning on the generator position (not on the whole cell fitting
     inside the sub-window) keeps the sample unbiased with respect to cell
     size; cells leaking outside the full window are dropped, which is a
     vanishing fraction when the guard clears several BS spacings.
+    All cells are summed at once: shoelace cross terms of each vertex with
+    the next one of its cell, added up per cell by ``np.add.reduceat``.
     """
     vor = Voronoi(bss)
-    interior = _interior_mask(bss, cfg)
-    areas = []
-    for point_idx in np.nonzero(interior)[0]:
-        region = vor.regions[vor.point_region[point_idx]]
-        if -1 in region or not region:
-            continue
-        verts = vor.vertices[region]
-        if np.any(verts < 0.0) or np.any(verts > cfg.window_side):
-            continue
-        areas.append(_shoelace(verts))
-    return np.asarray(areas)
+    regions = [vor.regions[r] for r in vor.point_region[_interior_mask(bss, cfg)]]
+    sizes = np.fromiter(map(len, regions), np.intp, len(regions))
+    flat = np.fromiter(chain.from_iterable(regions), np.intp, sizes.sum())
+    owner = np.repeat(np.arange(len(regions)), sizes)
+    verts = vor.vertices[flat]  # a -1 (vertex at infinity) reads a dummy row
+    leaks = (flat == -1) | np.any((verts < 0.0) | (verts > cfg.window_side), axis=1)
+    keep = (sizes > 0) & (np.bincount(owner, leaks, len(regions)) == 0)
+    verts, sizes = verts[keep[owner]], sizes[keep]
+    starts = np.cumsum(sizes) - sizes
+    following = np.arange(1, len(verts) + 1)
+    following[starts + sizes - 1] = starts  # a cell's last vertex wraps to its first
+    x, y = verts[:, 0], verts[:, 1]
+    cross = x * y[following] - y * x[following]
+    return 0.5 * np.abs(np.add.reduceat(cross, starts))
 
 
 def _weighted_ks(samples, weights, cdf):
@@ -247,6 +249,12 @@ def sample_voronoi_cells(cfg: SpatialSimConfig) -> SimReport:
         if len(areas):
             all_areas.append(areas)
             rep_means.append(np.mean(areas))
+    if not all_areas:
+        raise ValueError(
+            f"no bounded interior Voronoi cell in any of the {cfg.replications} "
+            "replications: lower the guard fraction, widen the window or raise "
+            "the replication count"
+        )
     areas = np.concatenate(all_areas)
     a = geometry._A
     typical_law = stats.gamma(a=a, scale=1.0 / a)

@@ -10,7 +10,7 @@ fail today, each for a reason its docstring gives:
   the target is at fault is open until the thinning default is fixed.
 - criterion 3: ``geometry.DEFAULT_THINNING = 2/3`` is wrong.  Against the
   contender law of an in-coverage user the refitted constant is about 1,
-  and at 2/3 the model overstates the oracle's access probability by 34 %
+  and at 2/3 the model overstates the oracle's access probability by 33 %
   and 50 % at ratios 5 and 50.
 """
 
@@ -138,7 +138,7 @@ def test_criterion_3_contender_pmf_approximation():
     ``access_probability`` averages 1/(K+1) over, so the model is compared
     with that law, not with the per-cell count.  Fails: the default
     thinning 2/3 is wrong.  Against this law the refitted constant is
-    1.005 and 1.010, and at thinning 1 the TV is 0.0047 and 0.0177.  The
+    1.005 and 1.010, and at thinning 1 the TV is 0.0064 and 0.0177.  The
     printed line sets the oracle's access estimate beside the model's, the
     quantity the fault carries into the service probability.
     """

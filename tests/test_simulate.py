@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
 from secnet import geometry
 from secnet.queueing import SizeDistribution
@@ -19,13 +20,19 @@ from secnet.simulate import (
 )
 from secnet.simulate.queue_sim import (
     _AvailabilityClock,
+    _busy_fractions,
     _busy_periods,
     _busy_time,
     _merged_busy_periods,
     _session_sweep,
 )
 from secnet.simulate import spatial
-from secnet.simulate.spatial import _draw_layers, _serving_cells, _sir
+from secnet.simulate.spatial import (
+    _bounded_interior_areas,
+    _draw_layers,
+    _serving_cells,
+    _sir,
+)
 
 
 def _reference_delays(arr_s, service, arr_o, dur_o):
@@ -101,6 +108,24 @@ def _dense_sinr_and_cells(rng, users, bss):
     return sinr, cell
 
 
+def _reference_interior_areas(bss, cfg):
+    """Per-cell shoelace loop: the oracle of
+    ``spatial._bounded_interior_areas``."""
+    vor = Voronoi(bss)
+    interior = spatial._interior_mask(bss, cfg)
+    areas = []
+    for point_idx in np.nonzero(interior)[0]:
+        region = vor.regions[vor.point_region[point_idx]]
+        if -1 in region or not region:
+            continue
+        verts = vor.vertices[region]
+        if np.any(verts < 0.0) or np.any(verts > cfg.window_side):
+            continue
+        x, y = verts[:, 0], verts[:, 1]
+        areas.append(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return np.asarray(areas)
+
+
 def small_spatial(reps=8, ratio=1.0, seed=0):
     return SpatialSimConfig(
         window_side=30.0, bs_density=1.0, user_density=ratio,
@@ -162,6 +187,13 @@ class TestUserCountPmf:
         rep = empirical_user_count_pmf(small_spatial(reps=2, ratio=1e-3), 1.0)
         assert rep.arrays["pmf"][0] > 0.99
 
+    def test_no_interior_cell_rejected(self):
+        # the interior sub-window is 0.6 wide and holds no BS
+        cfg = SpatialSimConfig(30.0, 0.6, 1.0, guard_fraction=0.49,
+                               replications=1, seed=0)
+        with pytest.raises(ValueError, match="no interior BS in any of the 1"):
+            empirical_user_count_pmf(cfg, 1.0)
+
     def test_no_covered_user_is_named(self):
         # the PMF of empty cells stands, and the access estimate it cannot
         # make is named in the warnings instead of dropped without a word
@@ -215,13 +247,15 @@ class TestSirKernel:
         users = draw.uniform(0.0, 30.0, size=(n, 2))
         needed = {"all": np.ones(n, bool), "none": np.zeros(n, bool),
                   "random": draw.random(n) < 0.4}[mask]
+        # the kernel draws fading for the needed rows only, in row order, so
+        # it matches the dense kernel run on those users alone
         ref_rng = np.random.default_rng(7)
-        ref_sir, ref_cell = _dense_sinr_and_cells(ref_rng, users, bss)
+        ref_sir, ref_cell = _dense_sinr_and_cells(ref_rng, users[needed], bss)
         rng = np.random.default_rng(7)
         cell = _serving_cells(users, bss)
         sir = _sir(rng, users, bss, cell, needed)
-        assert np.array_equal(cell, ref_cell)
-        assert np.array_equal(sir[needed], ref_sir[needed])
+        assert np.array_equal(cell[needed], ref_cell)
+        assert np.array_equal(sir[needed], ref_sir)
         assert np.all(np.isnan(sir[~needed]))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if mask == "all":
@@ -266,6 +300,38 @@ class TestVoronoiCells:
         assert rep.estimates["ks_typical"].value < 0.05
         assert rep.estimates["ks_user_weighted"].value < 0.05
         assert rep.config["n_cells"] > 2000
+
+    def test_no_bounded_interior_cell_rejected(self):
+        cfg = SpatialSimConfig(30.0, 0.6, 1.0, guard_fraction=0.49,
+                               replications=1, seed=0)
+        with pytest.raises(ValueError,
+                           match="no bounded interior Voronoi cell in any of the 1"):
+            sample_voronoi_cells(cfg)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("guard", [0.0, 0.5, 3.0])
+    def test_areas_match_per_cell_oracle(self, seed, guard):
+        # guard 0 keeps the hull's unbounded cells and the cells leaking out
+        # of the window among the interior ones, for the one pass to drop
+        draw = np.random.default_rng(seed)
+        side = draw.uniform(5.0, 40.0)
+        bss = draw.uniform(0.0, side, size=(draw.integers(20, 600), 2))
+        cfg = SimpleNamespace(window_side=side, guard_margin=guard)
+        ref = _reference_interior_areas(bss, cfg)
+        areas = _bounded_interior_areas(bss, cfg)
+        assert len(ref) > 0
+        assert areas.shape == ref.shape
+        assert np.allclose(areas, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_bs, guard", [(3, 0.0), (200, 5.0)])
+    def test_areas_empty(self, n_bs, guard):
+        # three points have only unbounded cells; a guard of half the window
+        # leaves no interior generator
+        bss = np.random.default_rng(1).uniform(0.0, 10.0, size=(n_bs, 2))
+        cfg = SimpleNamespace(window_side=10.0, guard_margin=guard)
+        assert len(_reference_interior_areas(bss, cfg)) == 0
+        areas = _bounded_interior_areas(bss, cfg)
+        assert areas.shape == (0,)
 
 
 def queue_config(rho_s=0.2, rho_o=0.3, alpha_o=0.5, n=100_000, seed=0,
@@ -335,6 +401,19 @@ class TestQueueSim:
             assert _busy_time(*busy, lo, hi) == interval_union_length(
                 arr_s, completions, lo, hi
             )
+
+    def test_windowed_busy_fractions_clip_only_overlapping_periods(self):
+        arr_s, _, _, _, completions, _ = small_queue_case()
+        busy = _busy_periods(arr_s, completions)
+        edges = np.linspace(arr_s[200], completions[-1], 21)
+        # windows on busy-period boundaries, and one past the last period
+        edges = np.concatenate([edges, busy[0][[-3]], busy[1][[-2]],
+                                [completions[-1] + 1.0]])
+        edges.sort()
+        expected = [_busy_time(*busy, lo, hi) / (hi - lo)
+                    for lo, hi in zip(edges[:-1], edges[1:])]
+        assert np.allclose(_busy_fractions(*busy, edges), expected,
+                           rtol=1e-14, atol=0.0)
 
     def test_no_outage_mm1_sojourn(self):
         cfg = QueueSimConfig(

@@ -9,8 +9,11 @@ checkout's ``perfbench/ops.py``.  Relative changes are printed for columns
 checked relative, absolute ones for columns checked absolute.  Echoed
 numbers (``# epsilon = ...``) count as columns named ``echo.<key>``.  An op
 whose status, exit code or non-numeric text changed is listed by id, and
-so is a simulator op whose digest changed.  Exits 1 if a change exceeds its
-tolerance or any op is listed, else 0.
+so is a simulator op whose digest changed.  For those simulator ops it
+also prints, per kind and estimate, the largest shift |new - old| in units
+of the old 99 % CI half-width (absolute for an estimate without a CI, such
+as a KS distance).  Exits 1 if a change exceeds its tolerance or any op is
+listed, else 0.
 """
 
 import json
@@ -32,6 +35,17 @@ def tolerance(ops, subcommand, column):
     if subcommand == "delay-cdf":
         return (0.0, ops.CDF_ATOL) if column != "t" else (1e-9, 0.0)
     return ops._COLUMN_RTOL.get(subcommand, {}).get(column, ops.EQ_RTOL), 1e-12
+
+
+def estimate_shift(old, new):
+    """``(shift, scaled)``: |new - old| of an estimate's value in units of
+    the old 99 % CI half-width, or absolute (``scaled`` False) when the old
+    estimate has no finite CI (a KS distance, or a mean over one
+    replication).  Estimates are ``(value, ci99_half_width, n)``."""
+    change = abs(new[0] - old[0])
+    if old[1] > 0.0 and math.isfinite(old[1]):
+        return change / old[1], True
+    return change, False
 
 
 def numeric_values(ops, text):
@@ -64,6 +78,7 @@ def main(argv):
     # per (kind, column): values, changed, largest change, tolerance, exceeded
     stats = defaultdict(lambda: [0, 0, 0.0, None, False])
     listed, moved = [], set()
+    shifts = defaultdict(list)  # (kind, estimate): (shift, in CI units) per op
     for op_id in sorted(set(old) | set(new)):
         kind = op_id.rsplit("-", 1)[0]
         a, b = old.get(op_id), new.get(op_id)
@@ -75,6 +90,10 @@ def main(argv):
         if subcommand is None or ca[0] == "exception" or cb[0] == "exception":
             if ca != cb:
                 listed.append(f"{op_id}: output changed")
+                for name, old_est in a.get("estimates", {}).items():
+                    new_est = b.get("estimates", {}).get(name)
+                    if new_est is not None:
+                        shifts[(kind, name)].append(estimate_shift(old_est, new_est))
             continue
         (va, oa), (vb, ob) = numeric_values(ops, ca[1]), numeric_values(ops, cb[1])
         if ca[0] != cb[0] or oa != ob or va.keys() != vb.keys():
@@ -102,6 +121,15 @@ def main(argv):
         over |= exceeds
         print(f"{kind:<18} {column:<28} {changed:>6} of {count:<5} {largest:>11.3g} "
               f"{tol:>14}{'  EXCEEDS' if exceeds else ''}")
+    if shifts:
+        print(f"\n{'kind':<18} {'estimate':<28} {'ops':>5} {'max shift/CI':>13} "
+              f"{'max abs shift':>14}")
+        for (kind, name), entries in sorted(shifts.items()):
+            largest = [max((shift for shift, scaled in entries if scaled == want),
+                           default=None) for want in (True, False)]
+            in_ci, absolute = ("-" if x is None else f"{x:.3g}" for x in largest)
+            print(f"{kind:<18} {name:<28} {len(entries):>5} {in_ci:>13} {absolute:>14}")
+        print()
     print(f"{len(moved)} of {len(old)} ops have a changed value, "
           f"{len(listed)} are listed below")
     for line in listed:
