@@ -283,8 +283,8 @@ def cmd_capacity(parser, scenario, args):
 
 
 def _auto_grid(handle):
-    t = max(handle.mean, 1e-6)
-    hi = t
+    # the floor only keeps a mean that underflows to 0 from giving a zero grid
+    hi = max(handle.mean, np.finfo(float).tiny)
     for _ in range(60):
         if float(delay_cdf(handle, [hi]).values[0]) >= 0.9999:
             break

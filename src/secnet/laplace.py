@@ -1,7 +1,7 @@
 """Numerical inversion of Laplace transforms.
 
-Two standard fixed-abscissa methods: Euler summation (``delay_cdf``'s,
-2M+1 transform evaluations per time point) and the fixed Talbot contour.
+Two standard fixed-abscissa methods: Euler summation (``delay_cdf``'s, one
+transform call per time point on an array of 2M+1 nodes) and the fixed Talbot contour.
 Both work well for the smooth, completely monotone transforms produced by
 the queueing module; Talbot is kept as an independent cross-check.
 """
@@ -35,16 +35,15 @@ _EULER_BETA, _EULER_ETA, _EULER_SCALE = _euler_coefficients(_EULER_TERMS)
 def euler_inversion(transform, t):
     """Invert ``transform`` at the strictly positive times ``t``.
 
-    ``transform`` maps complex s (Re s > 0) to complex values.  The half-order
-    M is ``_EULER_TERMS``; 2M+1 transform evaluations are made per point.
+    ``transform`` maps an array of complex s (Re s > 0) to an array of the
+    same shape.  The half-order M is ``_EULER_TERMS``; one call per point.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("inversion times must be strictly positive")
     out = np.empty(t.shape)
     for i, ti in np.ndenumerate(t):
-        vals = np.array([transform(b / ti) for b in _EULER_BETA])
-        out[i] = _EULER_SCALE / ti * np.dot(_EULER_ETA, vals.real)
+        out[i] = _EULER_SCALE / ti * np.dot(_EULER_ETA, transform(_EULER_BETA / ti).real)
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,12 +5,13 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from secnet import ConvergenceError, cli, queueing, solve_equilibrium
+from secnet import ConvergenceError, OutageModel, cli, queueing, solve_equilibrium
 from secnet import capacity as cap
 from secnet.cli import (
     EXIT_CONFIG,
@@ -440,6 +441,29 @@ class TestDelayCdfCommand:
         assert len(rows) == 40
         assert float(rows[0]["t"]) == pytest.approx(1.0)
         assert float(rows[-1]["t"]) == pytest.approx(500.0)
+
+    @pytest.mark.parametrize("outage_shape", [0.5, 1.0, 2.0])
+    def test_auto_grid_follows_the_time_unit(self, outage_shape):
+        # the five-band scenario with every time divided by c (rate and
+        # bandwidths times c, interarrival means over c): t*c and the CDF on
+        # the auto grid must not depend on c, also where the mean delay is
+        # far below 1e-6
+        def grid_and_cdf(c):
+            scenario = replace(
+                make_scenario(target_rate=4.0 * c, bandwidth=c,
+                              session_interarrival=10.0 / c),
+                outage=OutageModel(10.0 / c, outage_shape))
+            handle = queueing.delay_transform(
+                scenario.traffic, scenario.outage,
+                solve_equilibrium(scenario).epsilon, scenario.target_rate)
+            grid = cli._auto_grid(handle)
+            return grid * c, queueing.delay_cdf(handle, grid).values
+
+        reference_t, reference_cdf = grid_and_cdf(1.0)
+        for c in (1e-8, 1e8, 1e12):
+            t, cdf = grid_and_cdf(c)
+            np.testing.assert_allclose(t, reference_t, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(cdf, reference_cdf, rtol=0.0, atol=1e-8)
 
 
 class TestNumericalFailure:

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from secnet import queueing
 from secnet.errors import ConvergenceError, UnstableQueueError
-from secnet.laplace import talbot_inversion
+from secnet.laplace import _EULER_BETA, talbot_inversion
 from secnet.queueing import (
     DelayTransform,
     OutageModel,
@@ -375,6 +375,66 @@ class TestDelayTransform:
         traffic, outage, _ = two_class_setup(rho_s=0.3)
         with pytest.raises(UnstableQueueError):
             delay_transform(traffic, outage, 0.25, 1.0)
+
+
+def same_bits(array, scalars):
+    """Whether the scalar results, stacked, equal ``array`` bit for bit."""
+    stacked = np.array(scalars)
+    return stacked.dtype == array.dtype and stacked.tobytes() == array.tobytes()
+
+
+class TestArrayPaths:
+    """Each array call returns, element by element, the bits of the scalar
+    calls on the same points: the 41 Euler nodes at a few t, s = 0, a point
+    under the transform's near-origin cut, and s of modulus 40 beside s = 0
+    at rho_o = 1 - 1e-9, where Newton stops after 2 and after 27-29 steps."""
+
+    LAWS = [("exponential", 1.0), ("gamma", 0.5), ("gamma", 2.0), ("gamma", 5.0)]
+    NODES = np.concatenate([_EULER_BETA / t for t in (0.05, 1.0, 30.0)])
+    POINTS = np.concatenate([NODES, [0.0, 1e-14, 1e-9, 40.0, 40.0j, 24.0 + 32.0j]])
+    REAL = np.array([0.0, 1e-14, 1e-9, 1e-3, 0.1, 3.0, 40.0])
+
+    @staticmethod
+    def check(f, points):
+        array = f(points)
+        assert array.shape == points.shape
+        assert same_bits(array, [f(x.item()) for x in points])
+
+    @pytest.mark.parametrize("family, shape", LAWS)
+    def test_laplace_and_derivative(self, family, shape):
+        dist = SizeDistribution(family, 0.7, shape)
+        for points in (self.POINTS, self.REAL):
+            for part in (0, 1):
+                self.check(lambda s: dist.laplace_and_derivative(s)[part], points)
+
+    @pytest.mark.parametrize("family, shape", LAWS)
+    @pytest.mark.parametrize("rho_o", [0.3, 0.98, 1.0 - 1e-9])
+    def test_busy_root(self, family, shape, rho_o):
+        dist = SizeDistribution(family, rho_o * 14.0, shape)
+        for points in (self.POINTS, self.REAL):
+            self.check(lambda s: busy_root(s, dist, 14.0), points)
+
+    @pytest.mark.parametrize("outage_shape", [1.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("rho_s, rho_o", [(0.2, 0.3), (0.01, 0.98)])
+    def test_delay_transform(self, outage_shape, rho_s, rho_o):
+        traffic, outage, eps = two_class_setup(rho_s=rho_s, rho_o=rho_o,
+                                               outage_shape=outage_shape)
+        h = delay_transform(traffic, outage, eps, 1.0)
+        near = 0.5e-12 / h.mean  # under the near-origin cut
+        for points in (np.append(self.POINTS, [near, near * 1j]),
+                       np.append(self.REAL, near)):
+            self.check(h, points)
+            self.check(h.transmission_transform, points)
+
+    def test_capped_newton_fails_the_whole_call(self, monkeypatch):
+        # within 10 steps the root at s = 40 converges and the one at s = 0
+        # does not, so the call must raise
+        monkeypatch.setattr(queueing, "_NEWTON_MAX_ITER", 10)
+        dist = SizeDistribution("gamma", (1.0 - 1e-9) * 14.0, 2.0)
+        busy_root(40.0, dist, 14.0)
+        with pytest.raises(ConvergenceError,
+                           match="^busy-period Newton did not converge in 10 steps$"):
+            busy_root(np.array([40.0, 0.0]), dist, 14.0)
 
 
 @pytest.mark.parametrize("outage_shape", [1.0, 0.5])
