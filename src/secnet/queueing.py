@@ -199,7 +199,8 @@ def _busy_root_newton(s, dist, alpha_o):
         if not live.size:
             return x
     raise ConvergenceError(
-        f"busy-period Newton did not converge in {_NEWTON_MAX_ITER} steps")
+        f"busy-period Newton did not converge in {_NEWTON_MAX_ITER} steps"
+    )
 
 
 class DelayTransform:
@@ -246,7 +247,8 @@ class DelayTransform:
     def _stage(self, s):
         if self.beta_o is None:
             return s
-        return s + (1.0 - busy_root(s, self.beta_o, self.alpha_o)) / self.alpha_o
+        g = busy_root(s, self.beta_o, self.alpha_o)
+        return s + (1.0 - g) / self.alpha_o
 
     def _off_origin(self, s, transform):
         """``transform`` where |s|*mean >= 1e-12, else 1 (its value to rounding).
@@ -263,12 +265,17 @@ class DelayTransform:
     def _sojourn(self, s):
         k = self._stage(s)
         lt = self.beta_s.laplace(k)  # transmission-time transform
-        lw = ((1.0 - self.rho_o - self.rho_s) * self.alpha_s * k
-              / (lt + self.alpha_s * s - 1.0))
+        lw = (
+            (1.0 - self.rho_o - self.rho_s)
+            * self.alpha_s
+            * k
+            / (lt + self.alpha_s * s - 1.0)
+        )
         return lt * lw
 
     def transmission_transform(self, s):
-        """Transform of the transmission span alone (the wait for service excluded)."""
+        """Transform of the transmission span alone (arrival-to-service
+        wait excluded)."""
         return self._off_origin(s, lambda z: self.beta_s.laplace(self._stage(z)))
 
 
@@ -298,7 +305,11 @@ def delay_cdf(handle, t_grid):
         raise ValueError("t_grid must be a nonempty 1-D sequence")
     if np.any(t <= 0) or np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing and positive")
-    raw = euler_inversion(lambda s: handle(s) / s, t)
+
+    def cdf_transform(s):
+        return handle(s) / s
+
+    raw = euler_inversion(cdf_transform, t)
 
     bad = (raw < -_RAW_TOLERANCE) | (raw > 1.0 + _RAW_TOLERANCE)
     if np.any(bad):

@@ -33,11 +33,11 @@ class TestSummarize:
         rate, p50, rss = bench_pairs.summarize(METRICS, self.PARENT, change)
         assert rate["parent"] == (11.0, 12.0, 13.0)
         assert rate["change"] == (21.0, 22.0, 23.0)
-        assert (rate["wins"], rate["pairs"], rate["worse"], rate["gain"]) == (10, 10, False, True)
+        assert (rate["wins"], rate["pairs"], rate["worse"], rate["gain"]) == (10, 10, "no", True)
         # lower is better: every pair won
-        assert (p50["wins"], p50["worse"], p50["gain"]) == (10, False, True)
+        assert (p50["wins"], p50["worse"], p50["gain"]) == (10, "no", True)
         # 5 % more memory: lost every pair, but within the 10 % bound
-        assert (rss["wins"], rss["worse"], rss["gain"]) == (0, False, False)
+        assert (rss["wins"], rss["worse"], rss["gain"]) == (0, "no", False)
 
     def test_worse_than_bound_and_ties(self):
         change = runs(ops_per_s=[7, 8, 9, 9, 9, 7, 8, 9, 9, 9],
@@ -45,10 +45,10 @@ class TestSummarize:
                       peak_rss_mb=[111, 111, 111, 111, 111, 111, 111, 111, 111, 111])
         rate, p50, rss = bench_pairs.summarize(METRICS, self.PARENT, change)
         # median 9 against 12: 25 % lower is exactly the bound, not past it
-        assert rate["change"][1] == 9.0 and not rate["worse"]
+        assert rate["change"][1] == 9.0 and rate["worse"] == "no"
         # ties count for neither side
-        assert (p50["wins"], p50["worse"], p50["gain"]) == (0, False, False)
-        assert rss["worse"]
+        assert (p50["wins"], p50["worse"], p50["gain"]) == (0, "no", False)
+        assert rss["worse"] == "yes"
 
     def test_gain_needs_nine_in_ten_and_the_parent_spread(self):
         # wins 8 of 10 by a wide margin: no gain
@@ -61,6 +61,32 @@ class TestSummarize:
                       op_p50_ms=[55] * 10, peak_rss_mb=[100] * 10)
         rate = bench_pairs.summarize(METRICS, self.PARENT, change)[0]
         assert rate["wins"] == 10 and not rate["gain"]
+
+    def test_gain_withheld_when_more_operations_fail(self):
+        metrics = METRICS + [{"name": "ok_share", "better": "higher", "bound": 0.05}]
+        parent = [dict(run, ok_share=1.0) for run in self.PARENT]
+        change = runs(ops_per_s=[30] * 10, op_p50_ms=[25] * 10,
+                      peak_rss_mb=[100] * 10, ok_share=[1.0] * 4 + [0.99] * 6)
+        rate, p50, _, ok = bench_pairs.summarize(metrics, parent, change)
+        # every pair won by far, but the median run fails more operations
+        assert (rate["wins"], rate["gain"], p50["gain"]) == (10, False, False)
+        assert (ok["wins"], ok["worse"]) == (0, "no")
+        change = [dict(run, ok_share=1.0) for run in change]
+        assert bench_pairs.summarize(metrics, parent, change)[0]["gain"]
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        # quartiles 9 and 16 around a median of 12: wider than 25 % of 12
+        parent = runs(ops_per_s=[4, 8, 8, 12, 12, 12, 16, 16, 20, 20],
+                      op_p50_ms=[54] * 10, peak_rss_mb=[100] * 10)
+        change = runs(ops_per_s=[11] * 10, op_p50_ms=[54] * 10, peak_rss_mb=[100] * 10)
+        assert bench_pairs.summarize(METRICS, parent, change)[0]["worse"] == "unresolved"
+        # a median worse by more than the bound still reads worse
+        change = runs(ops_per_s=[8] * 10, op_p50_ms=[54] * 10, peak_rss_mb=[100] * 10)
+        assert bench_pairs.summarize(METRICS, parent, change)[0]["worse"] == "yes"
+        # every change run beats every parent run: resolved, and a gain
+        change = runs(ops_per_s=[21] * 10, op_p50_ms=[54] * 10, peak_rss_mb=[100] * 10)
+        rate = bench_pairs.summarize(METRICS, parent, change)[0]
+        assert (rate["worse"], rate["gain"]) == ("no", True)
 
     def test_format_has_a_row_per_metric(self):
         rows = bench_pairs.summarize(METRICS, self.PARENT, self.PARENT)

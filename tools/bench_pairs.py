@@ -10,12 +10,15 @@ end-to-end metric of ``BENCHMARK.json`` it then prints each side's median
 and quartiles, how many pairs the change won (in the direction of the
 metric's ``better``; ties count for neither side), whether the change's
 median is worse than the parent's by more than the metric's ``bound``
-(relative), and whether the change shows a gain: it won at least nine
-pairs in ten and its median beats the parent's by more than the distance
-between the parent's quartiles.  The two trees must hold the same
-``perfbench/`` and ``BENCHMARK.json``, so that they differ only in the
-program they measure.  Exits 1 if a run is incorrect or a metric is worse
-than its bound, else 0.
+(relative) -- "unresolved" instead of "no" when the parent's quartiles lie
+further apart than the bound, unless every change run beats every parent
+run -- and whether the change shows a gain: it won at least nine pairs in
+ten, its median beats the parent's by more than the distance between the
+parent's quartiles, and its median ``ok_share`` is not below the parent's.
+Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  The two trees must
+hold the same ``perfbench/`` and ``BENCHMARK.json``, so that they differ
+only in the program they measure.  Exits 1 if a run is incorrect or a
+metric is worse than its bound, else 0.
 """
 
 import argparse
@@ -61,22 +64,36 @@ def summarize(metrics, parent_runs, change_runs):
 
     ``metrics`` are ``BENCHMARK.json``'s ``end_to_end`` entries; run i of
     each side belongs to pair i.  Each row holds the metric's name, each
-    side's (q1, median, q3), the pairs the change won, whether its median is
-    worse than the parent's by more than ``bound`` and whether it shows a
-    gain (won at least ``WIN_SHARE`` of the pairs, and its median is better
-    than the parent's by more than the parent's interquartile distance)."""
+    side's (q1, median, q3), the pairs the change won, ``worse`` ("yes" if
+    its median is worse than the parent's by more than ``bound``, else
+    "unresolved" if the parent's interquartile distance exceeds ``bound``
+    and some change run does not beat every parent run, else "no") and
+    whether it shows a gain (won at least ``WIN_SHARE`` of the pairs, its
+    median is better than the parent's by more than the parent's
+    interquartile distance, and its median ``ok_share`` is not lower)."""
+    def column(runs, name):
+        return np.array([run[name] for run in runs], dtype=float)
+
+    fails_more = "ok_share" in parent_runs[0] and (
+        np.median(column(change_runs, "ok_share"))
+        < np.median(column(parent_runs, "ok_share")))
     rows = []
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
-        old = np.array([run[name] for run in parent_runs], dtype=float)
-        new = np.array([run[name] for run in change_runs], dtype=float)
+        old, new = column(parent_runs, name), column(change_runs, name)
         q_old, q_new = (tuple(np.percentile(v, [25, 50, 75])) for v in (old, new))
         wins = int(np.sum(sign * (new - old) > 0.0))
-        worse = sign * (q_new[1] - q_old[1]) < -m["bound"] * abs(q_old[1])
-        gain = (wins >= WIN_SHARE * len(old)
+        allowed = m["bound"] * abs(q_old[1])
+        if sign * (q_new[1] - q_old[1]) < -allowed:
+            worse = "yes"
+        elif q_old[2] - q_old[0] > allowed and not np.min(sign * new) > np.max(sign * old):
+            worse = "unresolved"
+        else:
+            worse = "no"
+        gain = (wins >= WIN_SHARE * len(old) and not fails_more
                 and sign * (q_new[1] - q_old[1]) > q_old[2] - q_old[0])
         rows.append({"metric": name, "parent": q_old, "change": q_new,
-                     "wins": wins, "pairs": len(old), "worse": bool(worse),
+                     "wins": wins, "pairs": len(old), "worse": worse,
                      "gain": bool(gain)})
     return rows
 
@@ -86,10 +103,10 @@ def format_rows(rows):
         return f"{t[1]:.4g} [{t[0]:.4g}, {t[2]:.4g}]"
 
     lines = [f"{'metric':<12} {'parent median [q1, q3]':>30} "
-             f"{'change median [q1, q3]':>30} {'won':>7} {'worse':>6} {'gain':>5}"]
+             f"{'change median [q1, q3]':>30} {'won':>7} {'worse':>10} {'gain':>5}"]
     for r in rows:
         lines.append(f"{r['metric']:<12} {q(r['parent']):>30} {q(r['change']):>30} "
-                     f"{r['wins']:>3}/{r['pairs']:<3} {'yes' if r['worse'] else 'no':>6} "
+                     f"{r['wins']:>3}/{r['pairs']:<3} {r['worse']:>10} "
                      f"{'yes' if r['gain'] else 'no':>5}")
     return "\n".join(lines)
 
@@ -101,7 +118,6 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     differ = differing_files(parent, change)
@@ -110,7 +126,7 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     bench = json.loads((parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     trees = {"parent": parent, "change": change}
     runs = {"parent": [], "change": []}
     correct = True
@@ -127,7 +143,7 @@ def main(argv=None):
     print(format_rows(rows))
     if not correct:
         print("a run was incorrect", file=sys.stderr)
-    return 0 if correct and not any(r["worse"] for r in rows) else 1
+    return 0 if correct and not any(r["worse"] == "yes" for r in rows) else 1
 
 
 if __name__ == "__main__":
