@@ -52,21 +52,70 @@ class ConfigError(Exception):
     pass
 
 
-_SCHEMA = {
-    "scenario": {"user_density", "target_rate", "thinning"},
-    "traffic": {
-        "session_interarrival_mean",
-        "file_size_mean",
-        "file_size_family",
-        "file_size_shape",
+_REQUIRED = "required"
+_SPACING = {"linear": np.linspace, "log": np.geomspace}
+# Every config key, as (kind, default, bound).  A kind is float (finite), int
+# (a count: 200 or 200.0, not 2.5), list (comma-separated floats), str, or the
+# choices the value must be one of.  A default of None leaves an absent key to
+# the command that reads it.  The keys that build the model have no bound here:
+# BandConfig, Scenario and the queueing types check their ranges for every caller.
+_KEYS = {
+    "scenario": {
+        "user_density": (float, _REQUIRED, None),
+        "target_rate": (float, _REQUIRED, None),
+        "thinning": (float, geometry.DEFAULT_THINNING, None),
     },
-    "outage": {"interarrival_mean", "duration_shape"},
-    "sweep": {"parameter", "min", "max", "points", "scale", "fixed_rate"},
-    "capacity": {"n_min", "n_max", "ratios"},
-    "grid": {"t_min", "t_max", "points", "scale"},
-    "validate": {"users", "cells", "sessions", "thinning", "ratio"},
+    "traffic": {
+        "session_interarrival_mean": (float, _REQUIRED, None),
+        "file_size_mean": (float, _REQUIRED, None),
+        "file_size_family": (str, "exponential", None),
+        "file_size_shape": (float, 1.0, None),
+    },
+    "outage": {
+        "interarrival_mean": (float, _REQUIRED, None),
+        "duration_shape": (float, 1.0, None),
+    },
+    "band.N": {
+        "bandwidth": (float, _REQUIRED, None),
+        "vacancy": (float, _REQUIRED, None),
+        "bs_density": (float, _REQUIRED, None),
+    },
+    "sweep": {
+        "parameter": (("capacity", "target_rate"), "capacity", None),
+        "min": (float, _REQUIRED, None),
+        "max": (float, _REQUIRED, None),
+        "points": (int, _REQUIRED, ">= 2"),
+        "scale": (_SPACING, "linear", None),
+        "fixed_rate": (float, None, "> 0"),
+    },
+    "capacity": {
+        "n_min": (int, 1, ">= 1"),
+        "n_max": (int, 10, None),
+        "ratios": (list, None, "> 0"),
+    },
+    "grid": {
+        "t_min": (float, _REQUIRED, "> 0"),
+        "t_max": (float, _REQUIRED, None),
+        "points": (int, _GRID_POINTS, ">= 1"),
+        "scale": (_SPACING, "log", None),
+    },
+    "validate": {
+        "users": (int, 20000, "> 0"),
+        "cells": (int, 20000, "> 0"),
+        "sessions": (int, None, None),
+        "thinning": (float, None, "> 0"),
+        "ratio": (float, 5.0, "> 0"),
+    },
 }
-_BAND_KEYS = {"bandwidth", "vacancy", "bs_density"}
+
+
+def _rows(section):
+    """The ``_KEYS`` rows of a config section, None for an unknown one: every
+    ``[band.N]`` with N in decimal digits shares the ``band.N`` rows."""
+    head, _, number = section.partition(".")
+    if head == "band":
+        return _KEYS["band.N"] if number.isdecimal() else None
+    return _KEYS.get(section)
 
 
 def load_config(path):
@@ -78,79 +127,69 @@ def load_config(path):
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
-        if section.startswith("band."):
-            allowed = _BAND_KEYS
-        elif section in _SCHEMA:
-            allowed = _SCHEMA[section]
-        else:
+        rows = _rows(section)
+        if rows is None:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in allowed:
+            if key not in rows:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     return parser
 
 
-def _getfloat(parser, section, key, default=None):
-    """Finite float value of ``[section] key``; ``default`` when the key or the
-    whole section is absent, and a ``ConfigError`` when no default is given."""
-    if default is not None and not parser.has_option(section, key):
+def _read(parser, section, key):
+    """Checked value of ``[section] key`` by its ``_KEYS`` row: the row's default
+    when the key or the whole section is absent, and a ``ConfigError`` naming
+    ``[section] key`` when it is required, malformed or out of its bound."""
+    kind, default, bound = _rows(section)[key]
+    if not parser.has_option(section, key):
+        if default is _REQUIRED:
+            raise ConfigError(f"[{section}] {key} is required")
         return default
+    text = parser.get(section, key)
+    if kind is str:
+        return text
+    if not isinstance(kind, type):
+        if text not in kind:
+            raise ConfigError(
+                f"[{section}] {key} must be {' or '.join(kind)}, got {text!r}")
+        return text
     try:
-        value = parser.getfloat(section, key)
-        if not math.isfinite(value):
-            raise ValueError(f"{value} is not finite")
-    except (configparser.Error, ValueError) as exc:
+        values = [float(x) for x in (text.split(",") if kind is list else [text])]
+        for value in values:
+            if not math.isfinite(value):
+                raise ValueError(f"{value} is not finite")
+    except ValueError as exc:
         raise ConfigError(f"bad or missing value for [{section}] {key}: {exc}")
-    return value
+    for value in values:
+        if kind is int and not value.is_integer():
+            raise ConfigError(f"[{section}] {key} must be an integer, got {value:g}")
+        op, limit = (bound or ">= -inf").split()
+        if not (value > float(limit) if op == ">" else value >= float(limit)):
+            raise ConfigError(f"[{section}] {key} must be {bound}, got {value:g}")
+    return values if kind is list else kind(values[0])
 
 
-def _getint(parser, section, key, default=None):
-    """``_getfloat`` for a count: 200 or 200.0, and a fraction is an error."""
-    value = _getfloat(parser, section, key, default)
-    if not float(value).is_integer():
-        raise ConfigError(f"[{section}] {key} must be an integer, got {value:g}")
-    return int(value)
+def _read_section(parser, section):
+    """``_read`` of every key of ``section``, by key."""
+    return {key: _read(parser, section, key) for key in _rows(section)}
 
 
 def build_scenario(parser):
     try:
-        bands = []
-        band_sections = sorted(
+        bands = [BandConfig(**_read_section(parser, s)) for s in sorted(
             (s for s in parser.sections() if s.startswith("band.")),
             key=lambda s: int(s.split(".", 1)[1]),
-        )
-        if not band_sections:
+        )]
+        if not bands:
             raise ConfigError("no [band.N] sections found")
-        for s in band_sections:
-            bands.append(
-                BandConfig(
-                    bandwidth=_getfloat(parser, s, "bandwidth"),
-                    vacancy=_getfloat(parser, s, "vacancy"),
-                    bs_density=_getfloat(parser, s, "bs_density"),
-                )
-            )
-        family = parser.get("traffic", "file_size_family", fallback="exponential")
-        shape = _getfloat(parser, "traffic", "file_size_shape", default=1.0)
+        t = _read_section(parser, "traffic")
         file_size = SizeDistribution(
-            family, _getfloat(parser, "traffic", "file_size_mean"), shape
-        )
-        traffic = TrafficModel(
-            _getfloat(parser, "traffic", "session_interarrival_mean"), file_size
-        )
-        outage = OutageModel(
-            _getfloat(parser, "outage", "interarrival_mean"),
-            _getfloat(parser, "outage", "duration_shape", default=1.0),
-        )
-        return Scenario(
-            user_density=_getfloat(parser, "scenario", "user_density"),
-            bands=bands,
-            target_rate=_getfloat(parser, "scenario", "target_rate"),
-            traffic=traffic,
-            outage=outage,
-            thinning=_getfloat(
-                parser, "scenario", "thinning", default=geometry.DEFAULT_THINNING
-            ),
-        )
+            t["file_size_family"], t["file_size_mean"], t["file_size_shape"])
+        traffic = TrafficModel(t["session_interarrival_mean"], file_size)
+        o = _read_section(parser, "outage")
+        outage = OutageModel(o["interarrival_mean"], o["duration_shape"])
+        return Scenario(bands=bands, traffic=traffic, outage=outage,
+                        **_read_section(parser, "scenario"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -186,41 +225,15 @@ def _write(out, fmt, columns, echo, rows, failed):
         raise ConfigError(f"cannot write {out}: {exc.strerror}")
 
 
-def _spaced(section, lo, hi, points, scale):
-    """``points`` values from ``lo`` to ``hi`` on the ``[section]`` scale."""
-    if scale == "linear":
-        return np.linspace(lo, hi, points)
-    if scale == "log":
-        if min(lo, hi) <= 0:
-            raise ConfigError(f"log {section} needs min and max > 0")
-        return np.geomspace(lo, hi, points)
-    raise ConfigError(f"unknown {section} scale {scale!r}")
-
-
-def _sweep_values(parser):
-    points = _getint(parser, "sweep", "points")
-    if points < 2:
-        raise ConfigError("sweep points must be >= 2")
-    lo = _getfloat(parser, "sweep", "min")
-    hi = _getfloat(parser, "sweep", "max")
-    return _spaced("sweep", lo, hi, points,
-                   parser.get("sweep", "scale", fallback="linear"))
-
-
 def cmd_tradeoff(parser, scenario, args):
-    if "sweep" not in parser:
-        raise ConfigError("tradeoff needs a [sweep] section")
-    parameter = parser.get("sweep", "parameter", fallback="capacity")
-    if parameter not in ("capacity", "target_rate"):
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
-    fixed_rate = None
-    if "fixed_rate" in parser["sweep"]:
-        if parameter == "target_rate":
-            raise ConfigError("[sweep] fixed_rate would override a target_rate sweep")
-        fixed_rate = _getfloat(parser, "sweep", "fixed_rate")
-        if fixed_rate <= 0:
-            raise ConfigError(f"[sweep] fixed_rate must be > 0, got {fixed_rate:g}")
-    values = _sweep_values(parser)
+    sweep = _read_section(parser, "sweep")
+    parameter, fixed_rate = sweep["parameter"], sweep["fixed_rate"]
+    if parameter == "target_rate" and fixed_rate is not None:
+        raise ConfigError("[sweep] fixed_rate would override a target_rate sweep")
+    lo, hi, scale = sweep["min"], sweep["max"], sweep["scale"]
+    if scale == "log" and min(lo, hi) <= 0:
+        raise ConfigError("log sweep needs min and max > 0")
+    values = _SPACING[scale](lo, hi, sweep["points"])
     if not np.all(values >= 0) or parameter == "target_rate" and 0 in values:
         raise ConfigError(f"[sweep] {parameter} values must be >= 0 (rates > 0)")
     if parameter == "target_rate":
@@ -249,23 +262,14 @@ def cmd_tradeoff(parser, scenario, args):
 
 
 def cmd_capacity(parser, scenario, args):
-    n_min = _getint(parser, "capacity", "n_min", default=1)
-    n_max = _getint(parser, "capacity", "n_max", default=10)
-    if not 1 <= n_min <= n_max:
+    capacity = _read_section(parser, "capacity")
+    n_min, n_max = capacity["n_min"], capacity["n_max"]
+    if n_min > n_max:
         raise ConfigError(
             f"[capacity] needs 1 <= n_min <= n_max, got n_min {n_min}, n_max {n_max}"
         )
     band = scenario.bands[0]
-    if parser.has_option("capacity", "ratios"):
-        text = parser.get("capacity", "ratios")
-        try:
-            ratios = [float(x) for x in text.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [capacity] ratios: {exc}")
-        if not all(0 < r < math.inf for r in ratios):
-            raise ConfigError(f"[capacity] ratios must be finite, > 0: {text!r}")
-    else:
-        ratios = [scenario.user_density / band.bs_density]
+    ratios = capacity["ratios"] or [scenario.user_density / band.bs_density]
     unit = replace(band, bs_density=1.0)  # so that the user density is the ratio
     rows = []
     for ratio in ratios:
@@ -318,16 +322,12 @@ def cmd_delay_cdf(parser, scenario, args):
         scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
     )
     if "grid" in parser:
-        points = _getint(parser, "grid", "points", default=_GRID_POINTS)
-        lo = _getfloat(parser, "grid", "t_min")
-        hi = _getfloat(parser, "grid", "t_max")
-        if points < 1 or not 0 < lo < hi:
+        spec = _read_section(parser, "grid")
+        lo, hi = spec["t_min"], spec["t_max"]
+        if lo >= hi:
             raise ConfigError(
-                f"[grid] needs points >= 1 and 0 < t_min < t_max, got "
-                f"points {points}, t_min {lo:g}, t_max {hi:g}"
-            )
-        grid = _spaced("grid", lo, hi, points,
-                       parser.get("grid", "scale", fallback="log"))
+                f"[grid] needs t_min < t_max, got t_min {lo:g}, t_max {hi:g}")
+        grid = _SPACING[spec["scale"]](lo, hi, spec["points"])
     else:
         grid = _auto_grid(handle)
     result = delay_cdf(handle, grid)
@@ -337,10 +337,9 @@ def cmd_delay_cdf(parser, scenario, args):
     rows = [[float(t), float(v)] for t, v in zip(grid, result.values)]
     failed = []
     if args.validate:
-        sessions = _getint(parser, "validate", "sessions", default=200000)
-        rep = run_priority_queue(
-            _queue_sim_config(scenario, sol.epsilon, sessions, args.seed)
-        )
+        sessions = _read(parser, "validate", "sessions")
+        rep = run_priority_queue(_queue_sim_config(
+            scenario, sol.epsilon, 200000 if sessions is None else sessions, args.seed))
         empirical = empirical_cdf(rep.arrays["delays"], grid)
         ks = float(np.abs(empirical - result.values).max())
         extra["validate.ks"] = _fmt(ks)
@@ -362,14 +361,10 @@ def cmd_equilibrium(parser, scenario, args):
 
 
 def cmd_validate(parser, scenario, args):
-    users = _getint(parser, "validate", "users", default=20000)
-    cells = _getint(parser, "validate", "cells", default=20000)
-    sessions = _getint(parser, "validate", "sessions", default=100000)
-    thinning = _getfloat(parser, "validate", "thinning", default=scenario.thinning)
-    ratio = _getfloat(parser, "validate", "ratio", default=5.0)
-    if min(users, cells, thinning, ratio) <= 0:
-        raise ConfigError(f"[validate] users, cells, thinning and ratio must be > 0, "
-                          f"got {users}, {cells}, {thinning:g} and {ratio:g}")
+    spec = _read_section(parser, "validate")
+    users, cells, ratio = spec["users"], spec["cells"], spec["ratio"]
+    thinning = spec["thinning"] or scenario.thinning
+    sessions = 100000 if spec["sessions"] is None else spec["sessions"]
     seed = args.seed
     sol = solve_equilibrium(scenario)
     queue_cfg = _queue_sim_config(scenario, sol.epsilon, sessions, seed)

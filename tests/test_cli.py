@@ -1,3 +1,6 @@
+import configparser
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,10 +9,12 @@ import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secnet import ConvergenceError, OutageModel, cli, queueing, solve_equilibrium
 from secnet import capacity as cap
@@ -77,6 +82,33 @@ def read_rows(path):
             else:
                 rows.append(dict(zip(header, line.split(","))))
     return comments, header, rows
+
+
+ROWS = [(section, key, *row) for section, rows in cli._KEYS.items()
+        for key, row in rows.items()]
+
+
+def _outside(kind, bound):
+    """Values that break ``bound``, such as "> 0" or ">= 2", as config text."""
+    op, limit = bound.split()
+    if kind is int:
+        return st.integers(-10**6, int(limit) - (op == ">=")).map(str)
+    return st.floats(-1e6, float(limit), exclude_max=op == ">=").map(repr)
+
+
+@st.composite
+def bad_entries(draw):
+    """A config key and a value its ``cli._KEYS`` row rejects: text that is no
+    number or choice, a non-finite number, a fraction for a count, or a number
+    outside the row's bound.  A count is never drawn valid, so never large."""
+    section, key, kind, _, bound = draw(st.sampled_from(ROWS))
+    values = [st.sampled_from(["abc", "", "1e", "0x10", "nan", "inf", "-inf"])]
+    if kind is int:
+        values.append(st.integers(-10**6, 10**6).map(lambda n: f"{n}.5"))
+    if bound:
+        values.append(_outside(kind, bound))
+    value = draw(st.one_of(values))
+    return section, key, kind, f"5,{value}" if kind is list else value
 
 
 class TestConfigHandling:
@@ -190,6 +222,8 @@ class TestConfigHandling:
                      id="validate-thinning-nan"),
         pytest.param("validate", "\n[validate]\nratio = inf\n",
                      id="validate-ratio-infinite"),
+        pytest.param("equilibrium", "\n[band.x]\nbandwidth = 1\nvacancy = 1\n"
+                     "bs_density = 1\n", id="band-name-not-a-number"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys,
                                              subcommand, extra):
@@ -214,6 +248,38 @@ class TestConfigHandling:
         cfg.write_bytes(FIVE_BANDS.encode() + b"# \xff\n")
         assert run(["equilibrium", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_band_name_not_a_number_is_named(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", FIVE_BANDS + "\n[band.x]\nbandwidth = 1\n"
+                    "vacancy = 1\nbs_density = 1\n")
+        assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
+        assert "unknown section [band.x]" in capsys.readouterr().err
+
+    # the subcommand that reads each section; the others read only the model
+    READER = {"sweep": "tradeoff", "capacity": "capacity", "grid": "delay-cdf",
+              "validate": "validate"}
+
+    @settings(deadline=None, max_examples=150)
+    @given(entry=bad_entries())
+    def test_fuzzed_value_is_config_error(self, tmp_path_factory, entry):
+        section, key, kind, value = entry
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(FIVE_BANDS + "\n[sweep]\nmin = 0\nmax = 0.1\npoints = 3\n"
+                           "\n[grid]\nt_min = 1\nt_max = 10\n")
+        name = "band.1" if section == "band.N" else section
+        if not parser.has_section(name):
+            parser.add_section(name)
+        parser.set(name, key, value)
+        cfg = tmp_path_factory.mktemp("fuzz") / "c.ini"
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([self.READER.get(section, "equilibrium"), "--config", str(cfg)])
+        assert (code, out.getvalue()) == (EXIT_CONFIG, "")
+        assert err.getvalue().startswith("config error:")
+        if kind is not str:  # a family name is checked by SizeDistribution
+            assert f"[{name}] {key}" in err.getvalue()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["equilibrium", "--config", "c.ini", "--bogus"], id="unknown-flag"),
@@ -248,6 +314,35 @@ def test_readme_subcommands_parse():
              if not span.startswith("pip ")
              for flag in re.findall(r"--[a-z][a-z-]*", span)}
     assert flags and flags <= set(cli.make_parser()._option_string_actions)
+
+
+def test_readme_key_tables_match_the_config_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    reference = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for line in reference.splitlines():
+        if heading := re.match(r"`\[([a-z_.N]+)\]`", line):
+            rows = tables.setdefault(heading.group(1), {})
+        elif line.startswith("| `"):
+            key, kind, default, bound, _ = (c.strip() for c in line[1:-1].split("|"))
+            rows[key.strip("`")] = kind, default, bound
+    assert tables.keys() == cli._KEYS.keys()
+    names = {float: "float", int: "count", list: "floats", str: "text"}
+    for section, rows in cli._KEYS.items():
+        assert tables[section].keys() == rows.keys(), section
+        for key, (kind, default, bound) in rows.items():
+            readme_kind, readme_default, readme_bound = tables[section][key]
+            assert readme_kind == (names[kind] if isinstance(kind, type)
+                                   else " or ".join(f"`{c}`" for c in kind)), key
+            if default is None:  # set by the command, as the cell says
+                assert readme_default.startswith("— "), key
+            elif isinstance(default, str):
+                assert readme_default.strip("`") == default, key
+            else:
+                assert float(Fraction(readme_default)) == default, key
+            # a bare comparison is a bound the reader checks
+            bare = re.fullmatch(r"[<>]=? \S+", readme_bound)
+            assert readme_bound == bound if bound else not bare, key
 
 
 class TestEquilibriumCommand:
