@@ -19,7 +19,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import geometry
-from .equilibrium import BandConfig, Scenario, solve_equilibria, solve_equilibrium
+from .equilibrium import BandConfig, Scenario, solve_equilibrium
 from .errors import ConvergenceError, InfeasibleError, UnstableQueueError
 from .queueing import (
     OutageModel,
@@ -27,7 +27,6 @@ from .queueing import (
     TrafficModel,
     delay_cdf,
     delay_transform,
-    mean_delay,
 )
 from .simulate import (
     QueueSimConfig,
@@ -119,7 +118,9 @@ def _rows(section):
 
 
 def load_config(path):
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a header needs a character, so [DEFAULT] is an
+    # ordinary (unknown) section, not keys copied into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -237,26 +238,27 @@ def cmd_tradeoff(parser, scenario, args):
     if not np.all(values >= 0) or parameter == "target_rate" and 0 in values:
         raise ConfigError(f"[sweep] {parameter} values must be >= 0 (rates > 0)")
     if parameter == "target_rate":
-        traffics, rates = [scenario.traffic] * len(values), values.tolist()
+        traffics, rates = [scenario.traffic] * len(values), values
     else:  # the traffic, its interarrival retuned to each demand
         mean = scenario.traffic.file_size.mean
         traffics = [replace(scenario.traffic, session_interarrival_mean=mean / c if c
                             else math.inf) for c in values.tolist()]
         proxy = replace(scenario.traffic, session_interarrival_mean=mean / 1e-9)
-        rates = [fixed_rate] * len(values)
+        rates = np.full(len(values), math.nan if fixed_rate is None else fixed_rate)
         if fixed_rate is None:  # with no traffic a vanishing-load proxy picks the rate
             optima = cap.min_delay_over_rate(
                 scenario, [t if t.capacity > 0.0 else proxy for t in traffics])
-            rates = [o.rate if isinstance(o, cap.DelayOptimum) else math.nan
-                     for o in optima]
-    rows = [(v, t.capacity, math.nan, math.nan, math.nan, 0)
-            for v, t in zip(values.tolist(), traffics)]
-    ok = [i for i, rate in enumerate(rates) if not math.isnan(rate)]
-    for i, sol in zip(ok, solve_equilibria(
-            scenario, [rates[i] for i in ok], [traffics[i].capacity for i in ok])):
-        if not isinstance(sol, InfeasibleError):  # its eps > C/R: a stable queue
-            delay = mean_delay(traffics[i], scenario.outage, sol.epsilon, rates[i])
-            rows[i] = (*rows[i][:2], rates[i], sol.epsilon, delay, 1)
+            rates = np.array([o.rate if isinstance(o, cap.DelayOptimum) else math.nan
+                              for o in optima])
+    ok = np.flatnonzero(~np.isnan(rates))
+    epsilon, delay = np.full(len(values), math.nan), np.full(len(values), math.nan)
+    epsilon[ok], delay[ok] = cap.operating_points(
+        scenario, rates[ok], [traffics[i] for i in ok])
+    feasible = ~np.isnan(epsilon)  # its eps > C/R: a stable queue
+    rates = np.where(feasible, rates, math.nan)
+    delay = np.where(feasible, delay, math.nan)
+    rows = list(zip(values.tolist(), [t.capacity for t in traffics], rates.tolist(),
+                    epsilon.tolist(), delay.tolist(), feasible.astype(int).tolist()))
     columns = ["sweep_value", "capacity", "rate", "epsilon", "mean_delay", "feasible"]
     return columns, {}, rows, []
 
@@ -271,14 +273,14 @@ def cmd_capacity(parser, scenario, args):
     band = scenario.bands[0]
     ratios = capacity["ratios"] or [scenario.user_density / band.bs_density]
     unit = replace(band, bs_density=1.0)  # so that the user density is the ratio
+    cells = [(ratio, n) for ratio in ratios for n in range(n_min, n_max + 1)]
+    optima = cap.optimal_rates_fixed_band(
+        [replace(scenario, user_density=ratio, bands=(unit,) * n) for ratio, n in cells])
+    approx = {ratio: cap.scaling_approximation(ratio) for ratio in ratios}
     rows = []
-    for ratio in ratios:
-        approx = cap.scaling_approximation(ratio)
-        for n in range(n_min, n_max + 1):
-            opt = cap.optimal_rate_fixed_band(
-                replace(scenario, user_density=ratio, bands=(unit,) * n))
-            c2 = opt.capacity / n
-            rows.append((ratio, n, opt.rate, opt.capacity, c2, n * c2, approx))
+    for (ratio, n), opt in zip(cells, optima):
+        c2 = opt.capacity / n
+        rows.append((ratio, n, opt.rate, opt.capacity, c2, n * c2, approx[ratio]))
     columns = [
         "ratio", "n_bands", "optimal_rate", "c_max_fixed_band",
         "c_max_fixed_system", "n_times_c_max_fixed_system", "scaling_approx",

@@ -2,8 +2,12 @@
 
 The per-band service probability depends on the active-user density, which
 depends on the total service probability eps, which depends on the per-band
-values again: eps = map(eps), solved for the scalar eps.  ``solve_equilibria``
-solves it for an array of target rates at once, on (rates x bands) arrays.
+values again: eps = map(eps), solved for the scalar eps.  ``solve_epsilons``
+solves it for an array of target rates at once, on (rates x bands) arrays,
+and returns eps, its residual and a status per row as arrays;
+``solve_equilibria`` wraps it for callers that read the per-band
+``BandEquilibrium`` columns or an ``InfeasibleError`` per row.  The fixed
+point's step calls ``geometry``'s unchecked access kernel.
 
 The root is unique.  In the activity p = rho_s / eps the map is g(p) / p with
 g(p) = p (1 - prod_n(1 - f_n(p))), f_n(p) = vacancy_n coverage_n access(a_n p)
@@ -20,6 +24,7 @@ eps = 1 - prod_n(1 - vacancy_n coverage_n), however small.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,15 +99,15 @@ class EquilibriumSolution:
     method: str
 
 
-def _epsilon_map(vc, ck, eps):
+def _epsilon_map(nvc, ck, eps):
     """The map eps -> 1 - prod_n(1 - eps_n(eps)) for one trial ``eps`` per row
-    of the (rates x bands) arrays vc = vacancy x coverage and ck = contention
-    x eps, which do not depend on eps: eps_n = vc x access is
-    ``geometry.service_probability`` with these hoisted.  Returns the mapped
-    values and the access probabilities; the product is taken in log space
-    for tiny factors."""
-    access = geometry.access_probability(ck / eps[:, None])
-    return -np.expm1(np.add.reduce(np.log1p(-vc * access), axis=1)), access
+    of the (rates x bands) arrays nvc = -vacancy x coverage and ck =
+    contention x eps, which do not depend on eps: eps_n = vc x access is
+    ``geometry.service_probability`` with these hoisted, and -vc is formed
+    once per solve.  Returns the mapped values and the access probabilities;
+    the product is taken in log space for tiny factors."""
+    access = geometry._access(ck / eps[:, None])
+    return -np.expm1(np.add.reduce(np.log1p(nvc * access), axis=1)), access
 
 
 def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
@@ -117,11 +122,35 @@ def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
     return results[0]
 
 
-def solve_equilibria(scenario: Scenario, rates, demands=None):
-    """``solve_equilibrium`` at each target rate of the array ``rates``: a list
-    with, per rate, the ``EquilibriumSolution`` of ``scenario.with_rate(rate)``
-    or the ``InfeasibleError`` its solve raises, at its demand C in ``demands``
-    if given.  Rows step in lockstep, so none depends on the others."""
+# Row status of ``solve_epsilons``: solved, no band covers a user, a demand
+# past the capacity limit, and a solve that stalled short of the residual bound
+SOLVED, UNCOVERED, OVERLOADED, STALLED = range(4)
+
+
+class Epsilons(NamedTuple):
+    """``solve_epsilons``' arrays, one row per rate: eps (NaN where the status
+    is not ``SOLVED``), its residual |eps - map(eps)|, the status, the solver
+    steps and whether bisection took over from Picard."""
+
+    epsilon: np.ndarray
+    residual: np.ndarray
+    status: np.ndarray
+    iterations: np.ndarray
+    bisected: np.ndarray
+
+
+def solve_epsilons(scenario: Scenario, rates, demands=None) -> Epsilons:
+    """The equilibrium eps at each target rate of the array ``rates``, at its
+    demand C in ``demands`` if given, as arrays: ``solve_equilibria``'s
+    solve without its per-row objects.  Rows step in lockstep, so none
+    depends on the others."""
+    return _solve(scenario, rates, demands)[0]
+
+
+def _solve(scenario, rates, demands):
+    """``solve_epsilons``, and what ``solve_equilibria`` builds its rows from:
+    the checked rates and demands, rho_s, and the (rates x bands) coverage,
+    vacancy x coverage, each band's share of it and load x eps."""
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or not np.all(rates > 0):
         raise ValueError(f"rates must be a 1-D array of values > 0, got {rates}")
@@ -135,49 +164,44 @@ def solve_equilibria(scenario: Scenario, rates, demands=None):
         [(b.bandwidth, b.vacancy, b.bs_density) for b in scenario.bands]).T
     coverage = geometry.coverage_probability(rates[:, None], width)
     vc = vacancy * coverage
-    total = vc.sum(axis=1, keepdims=True)  # 0 where no band covers a user
-    share = vc / np.where(total > 0.0, total, 1.0)
-    results = [None if covered else InfeasibleError(  # None while solving
-        f"no band covers a user at target rate {rate:g}")
-        for rate, covered in zip(rates.tolist(), total[:, 0].tolist())]
+    total = vc.sum(axis=1)  # 0 where no band covers a user
+    share = vc / np.where(total > 0.0, total, 1.0)[:, None]
     k = (scenario.user_density / bs_density) * rho_s[:, None] * share  # load x eps
-    ck = scenario.thinning * coverage * k
+    nvc, ck = -vc, scenario.thinning * coverage * k
 
     def h(rows, eps):
-        return eps - _epsilon_map(vc[rows], ck[rows], eps)[0]
+        return eps - _epsilon_map(nvc[rows], ck[rows], eps)[0]
 
-    rows = np.flatnonzero(total[:, 0] > 0.0)
+    status = np.where(total > 0.0, SOLVED, UNCOVERED)
+    rows = np.flatnonzero(total > 0.0)
     eps = 0.5 * (lo + 1.0)
     # at C = 0 nobody contends, so the map does not depend on eps: it is the root
     free = rows[rho_s[rows] == 0.0]
     if free.size:
-        eps[free] = _epsilon_map(vc[free], ck[free], eps[free])[0]
+        eps[free] = _epsilon_map(nvc[free], ck[free], eps[free])[0]
         rows = rows[rho_s[rows] > 0.0]
     # (lo, 1] holds the root exactly when h(lo) <= 0; a NaN h(lo) decides
     # nothing, and its row ends at the residual guard
     over = h(rows, lo[rows]) > 0.0
-    bad, rows = rows[over], rows[~over]
-    full = (scenario.thinning * scenario.user_density / bs_density) \
-        * coverage[bad] * share[bad]  # contention at full activity, p = 1
-    limit = rates[bad] * _epsilon_map(vc[bad], full, np.ones(len(bad)))[0]
-    for i, low, cap in zip(bad.tolist(), lo[bad].tolist(), limit.tolist()):
-        results[i] = InfeasibleError(
-            f"no service equilibrium above eps = {low:g} at R = {rates[i]:g}: demand "
-            f"C = {demands[i]:g}, capacity limit R*g(1) = {cap:g}")
+    status[rows[over]] = OVERLOADED
+    rows = rows[~over]
 
     # damped Picard on the rows still iterating: a row stops when its step leaves
     # (lo, 1], and converges on a step below 1e-14 and a residual below tolerance
     iterations = np.zeros(len(rates), dtype=int)
     stalled = np.zeros(len(rates), dtype=bool)
-    terms, e, low = (vc[rows], ck[rows]), eps[rows], lo[rows]
+    terms, e, low = (nvc[rows], ck[rows]), eps[rows], lo[rows]
     for step in range(1, 201):
         if not rows.size:
             break
         nxt = 0.5 * (e + _epsilon_map(*terms, e)[0])
-        out = ~((low < nxt) & (nxt <= 1.0))
+        # nxt <= 1 holds, as e <= 1 and the map lies in [0, 1]: a step leaves
+        # (lo, 1] exactly where nxt <= lo or is NaN
+        inside = low < nxt
         small = np.abs(nxt - e) < 1e-14
-        if (out | small).any():
-            done = small & ~out
+        if np.count_nonzero(small) or np.count_nonzero(inside) < len(inside):
+            out = ~inside
+            done = small & inside
             done[done] = np.abs(h(rows[done], nxt[done])) < _RESIDUAL_TOL
             keep = ~(out | done)
             iterations[rows[~keep]] = step
@@ -191,22 +215,59 @@ def solve_equilibria(scenario: Scenario, rates, demands=None):
     if stalled.any():
         _bisect(np.flatnonzero(stalled), lo, h, eps, iterations)
 
-    ok = np.flatnonzero([r is None for r in results])
-    mapped, access = _epsilon_map(vc[ok], ck[ok], eps[ok])
-    residual = np.abs(eps[ok] - mapped)
-    band_columns = zip((vc[ok] * access).tolist(), coverage[ok].tolist(),
-                       access.tolist(), (k[ok] / eps[ok, None]).tolist())
-    for i, res, columns in zip(ok.tolist(), residual.tolist(), band_columns):
-        if not res <= _RESIDUAL_TOL:  # written so that a NaN residual fails
-            results[i] = InfeasibleError(
-                f"equilibrium solver stalled with residual {res:.3e}")
-            continue
-        results[i] = EquilibriumSolution(
-            epsilon=float(eps[i]), bands=tuple(map(BandEquilibrium, *columns)),
-            rho_o=1.0 - float(eps[i]), rho_s=float(rho_s[i]),
-            p_active=float(rho_s[i] / eps[i]), residual=res,
-            iterations=int(iterations[i]),
-            method="bisection" if stalled[i] else "picard")
+    ok = np.flatnonzero(status == SOLVED)
+    residual = np.full(len(rates), np.nan)
+    residual[ok] = np.abs(eps[ok] - _epsilon_map(nvc[ok], ck[ok], eps[ok])[0])
+    # written so that a NaN residual fails
+    status[ok[~(residual[ok] <= _RESIDUAL_TOL)]] = STALLED
+    eps[status != SOLVED] = np.nan
+    return Epsilons(eps, residual, status, iterations, stalled), (
+        rates, demands, rho_s, coverage, vc, share, k)
+
+
+def solve_equilibria(scenario: Scenario, rates, demands=None):
+    """``solve_equilibrium`` at each target rate of the array ``rates``: a list
+    with, per rate, the ``EquilibriumSolution`` of ``scenario.with_rate(rate)``
+    or the ``InfeasibleError`` its solve raises, at its demand C in ``demands``
+    if given.  It is ``solve_epsilons`` with the per-band columns and error
+    messages built for each row."""
+    sol, (rates, demands, rho_s, coverage, vc, share, k) = _solve(
+        scenario, rates, demands)
+    ok = np.flatnonzero(sol.status == SOLVED)
+    eps = sol.epsilon[ok]
+    access = _epsilon_map(-vc[ok], scenario.thinning * coverage[ok] * k[ok], eps)[1]
+    columns = zip((vc[ok] * access).tolist(), coverage[ok].tolist(),
+                  access.tolist(), (k[ok] / eps[:, None]).tolist())
+    over = np.flatnonzero(sol.status == OVERLOADED)
+    limit = {}
+    if over.size:  # the capacity limit R g(1): contention at full activity, p = 1
+        bs_density = np.array([b.bs_density for b in scenario.bands])
+        full = (scenario.thinning * scenario.user_density / bs_density) \
+            * coverage[over] * share[over]
+        limit = dict(zip(over.tolist(), (rates[over] * _epsilon_map(
+            -vc[over], full, np.ones(len(over)))[0]).tolist()))
+    results = []
+    for i, (status, rate, res) in enumerate(zip(
+            sol.status.tolist(), rates.tolist(), sol.residual.tolist())):
+        if status == UNCOVERED:
+            results.append(InfeasibleError(
+                f"no band covers a user at target rate {rate:g}"))
+        elif status == OVERLOADED:
+            results.append(InfeasibleError(
+                f"no service equilibrium above eps = {rho_s[i] + 1e-9:g} at R = "
+                f"{rate:g}: demand C = {demands[i]:g}, capacity limit R*g(1) = "
+                f"{limit[i]:g}"))
+        elif status == STALLED:
+            results.append(InfeasibleError(
+                f"equilibrium solver stalled with residual {res:.3e}"))
+        else:
+            epsilon = float(sol.epsilon[i])
+            results.append(EquilibriumSolution(
+                epsilon=epsilon, bands=tuple(map(BandEquilibrium, *next(columns))),
+                rho_o=1.0 - epsilon, rho_s=float(rho_s[i]),
+                p_active=float(rho_s[i] / sol.epsilon[i]), residual=res,
+                iterations=int(sol.iterations[i]),
+                method="bisection" if sol.bisected[i] else "picard"))
     return results
 
 

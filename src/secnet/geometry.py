@@ -93,9 +93,24 @@ def access_probability(contention):
     c = np.asarray(contention, dtype=float)
     if c.min(initial=0.0) < 0:
         raise ValueError(f"contention must be >= 0, got {contention}")
-    zero = c < _A * np.finfo(float).tiny  # there quotient / (c + 1) + zero is 1
-    out = -np.expm1(-_A * np.log1p(c / _A)) / (c + zero) + zero
+    out = _access(c)
     return float(out) if out.ndim == 0 else out
+
+
+# Below this contention c/3.5 is subnormal, and access is its zero-load limit 1
+_TINY_CONTENTION = _A * np.finfo(float).tiny
+
+
+def _access(c):
+    """``access_probability`` of the float array c >= 0, unchecked: the one
+    home of the law, which the equilibrium's fixed-point step calls.  The
+    minus signs of -expm1(-3.5 log1p(c/3.5)) / c fold into the constant and
+    the final subtraction, which IEEE negation leaves exact."""
+    # 1.0 where c/3.5 is subnormal, so that the quotient over c + 1 rounds
+    # away and 1 remains; a float, as numpy adds a bool array to a float one
+    # far slower than two float arrays
+    zero = (c < _TINY_CONTENTION).astype(float)
+    return zero - np.expm1(np.log1p(c / _A) * -_A) / (c + zero)
 
 
 def service_probability(vacancy, coverage, load, thinning):

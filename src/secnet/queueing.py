@@ -10,6 +10,11 @@ transform of the session delay; ``delay_cdf`` inverts the transform.  The
 chain works elementwise on arrays of s (a scalar s gives a scalar), and the
 Gamma busy-period Newton steps all elements in lockstep.
 
+``DelayTransform.mean`` is the one home of the mean: it is the one-row
+value of ``mean_delays``, the Pollaczek-Khinchine mean on arrays of (eps, R,
+traffic), which the planning batches call for all their rows at once with
+the same operations in the same order, so both give the same bits.
+
 Accuracy, measured: the Gamma busy-period root is within 6e-14 (relative)
 of a 30-digit mpmath root for outage loads up to 0.995, at real and complex
 s, and its residual is checked against 1e-12.  Euler inversion multiplies
@@ -136,6 +141,32 @@ def mean_delay(traffic: TrafficModel, outage: OutageModel, epsilon, rate):
     return DelayTransform(traffic, outage, epsilon, rate).mean
 
 
+def mean_delays(epsilon, rate, interarrival, file_mean, file_shape, outage: OutageModel):
+    """The M/G/1 preemptive-resume mean sojourn time (Pollaczek-Khinchine,
+    from the second moments of the file and outage laws), elementwise over
+    arrays of eps, R, the session interarrival mean and the Gamma file law's
+    mean and shape, for one outage law; the rows must be stable, eps > C/R.
+
+    ``DelayTransform.mean`` is its value at one row.  The outage duration
+    mean comes from the equilibrium identity (outage time fraction =
+    1 - eps).  Each second moment is mean^2 (shape + 1) / shape, squared by
+    ``float_power``, which rounds as a Python float's ``**`` does; numpy's
+    array ``power`` and x * x differ from it in the last bit now and then.
+    """
+    alpha_o, shape_o = outage.outage_interarrival_mean, outage.duration_shape
+    capacity = file_mean / interarrival  # 0 at an infinite interarrival mean
+    file_time = file_mean * (1.0 / rate)  # the transmission-time mean
+    outage_time = alpha_o * (1.0 - epsilon)
+    second = (np.float_power(file_time, 2.0) * (file_shape + 1.0) / file_shape
+              / interarrival
+              + np.float_power(outage_time, 2.0) * (shape_o + 1.0) / shape_o / alpha_o)
+    transmission = file_mean / (rate * epsilon)
+    # at C = 0 the mean keeps the transmission time alone and drops the
+    # outage residual that the general expression keeps as C -> 0
+    return np.where(capacity == 0.0, transmission,
+                    second / (2.0 * epsilon * (epsilon - capacity / rate)) + transmission)
+
+
 def busy_root(s, outage_duration: SizeDistribution, outage_interarrival_mean):
     """Smallest-modulus solution x of x = L_{beta_o}(s + (1 - x)/alpha_o).
 
@@ -204,10 +235,9 @@ def _busy_root_newton(s, dist, alpha_o):
 
 
 class DelayTransform:
-    """Laplace transform of the session sojourn-time PDF, and its ``mean``:
-    the M/G/1 preemptive-resume mean from the second moments of the file and
-    outage laws.  The outage duration mean comes from the equilibrium
-    identity (outage time fraction = 1 - epsilon).
+    """Laplace transform of the session sojourn-time PDF, and its ``mean``,
+    ``mean_delays`` at this one row.  The outage duration mean comes from
+    the equilibrium identity (outage time fraction = 1 - epsilon).
 
     Immutable after construction; safe to evaluate concurrently at
     arbitrary points with Re(s) >= 0 (small negative real parts are
@@ -230,19 +260,11 @@ class DelayTransform:
         self.alpha_o = outage.outage_interarrival_mean
         self.beta_s = traffic.file_size.scaled(1.0 / rate)
         self.beta_o = None
-        second = self.beta_s.second_moment / self.alpha_s
         if self.rho_o > 0.0:
             self.beta_o = outage.duration_distribution(self.alpha_o * self.rho_o)
-            second = second + self.beta_o.second_moment / self.alpha_o
-        # at C = 0 the mean keeps the transmission time alone and drops the
-        # outage residual that the general expression keeps as C -> 0
-        file_mean = traffic.file_size.mean
-        if capacity == 0.0:
-            self.mean = file_mean / (rate * epsilon)
-        else:
-            self.mean = second / (2.0 * epsilon * (epsilon - self.rho_s)) + file_mean / (
-                rate * epsilon
-            )
+        file_size = traffic.file_size
+        self.mean = float(mean_delays(epsilon, rate, self.alpha_s, file_size.mean,
+                                      file_size.shape, outage))
 
     def _stage(self, s):
         if self.beta_o is None:

@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -126,3 +128,32 @@ class TestTreeCheck:
         code = bench_pairs.main([str(a), str(b), "--workload", "delay", "--seed", "1"])
         assert code == 2
         assert "BENCHMARK.json" in capsys.readouterr().err
+
+
+class TestRuns:
+    META = {"meta": {"workload": "planning", "setup_runs_s": [1.2, 0.95, 1.5]}}
+    LAST = {"correct": True, "metrics": {"ops_per_s": {"value": 60.0, "unit": "1/s"},
+                                         "setup_s": {"value": 1.2, "unit": "s"}}}
+
+    def fake_run(self, cmd, cwd, **kwargs):
+        stdout = "".join(json.dumps(x) + "\n" for x in ({"setup_s": 1.0}, self.META,
+                                                        self.LAST))
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    def test_run_once_reads_the_setup_runs(self, monkeypatch):
+        monkeypatch.setattr(bench_pairs.subprocess, "run", self.fake_run)
+        assert bench_pairs.run_once(Path("."), "planning", 1, 30) == (
+            True, {"ops_per_s": 60.0, "setup_s": 1.2}, [1.2, 0.95, 1.5])
+
+    def test_each_run_prints_its_setup_runs(self, monkeypatch, tmp_path, capsys):
+        bench = json.dumps({"run_seconds": 30, "end_to_end": [
+            {"name": "ops_per_s", "better": "higher", "bound": 0.25}]})
+        a = make_tree(tmp_path / "a", bench_text=bench)
+        b = make_tree(tmp_path / "b", bench_text=bench)
+        monkeypatch.setattr(bench_pairs.subprocess, "run", self.fake_run)
+        code = bench_pairs.main([str(a), str(b), "--workload", "planning",
+                                 "--seed", "1", "--pairs", "1"])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[:2] for line in lines] == [["pair", "0"]] * 2
+        assert all(line.endswith("setup_runs_s=[1.2, 0.95, 1.5]") for line in lines)

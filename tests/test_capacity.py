@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from secnet import BandConfig
 from secnet import capacity as cap
@@ -14,6 +15,7 @@ from secnet.capacity import (
     capacity_limit_fixed_band,
     min_delay_over_rate,
     optimal_rate_fixed_band,
+    optimal_rates_fixed_band,
     optimize_fixed_system,
     scaling_approximation,
 )
@@ -88,6 +90,45 @@ class TestCapacityLimit:
             assert np.array_equal(
                 batch, [capacity_limit_derivative(scenario, float(r)) for r in grid]
             )
+
+    @staticmethod
+    def scipy_optimum(scenario):
+        """The optimal rate as one scipy ``brentq`` on the first + -> - turn of
+        the derivative over the scan spans, row by row: the batch's oracle."""
+        w = scenario.bands[0].bandwidth
+        for lo, hi in zip(cap._SCAN_EDGES, cap._SCAN_EDGES[1:]):
+            grid = np.geomspace(lo * w, hi * w, cap._BRACKET_POINTS)
+            dv = capacity_limit_derivative(scenario, grid)
+            turns = np.flatnonzero((dv[:-1] > 0) & (dv[1:] < 0))
+            if turns.size:
+                i = turns[0]
+                return brentq(lambda r: capacity_limit_derivative(scenario, r),
+                              grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15)
+        raise AssertionError("no turn")
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.tuples(st.floats(min_value=-300.0, max_value=5.0),
+                              st.integers(min_value=1, max_value=40),
+                              st.floats(min_value=0.01, max_value=1.0),
+                              st.floats(min_value=-2.0, max_value=2.0)),
+                    min_size=1, max_size=8))
+    def test_batch_is_its_batch_of_one_and_scipy_brentq(self, rows):
+        # bit for bit against each row alone, and within 2 ulp of scipy on
+        # the same bracket; ratios up to 1e5 put optima past the first span
+        scenarios = [make_scenario(n_bands=n, ratio=10.0 ** log_ratio, vacancy=vacancy,
+                                   bandwidth=10.0 ** log_width)
+                     for log_ratio, n, vacancy, log_width in rows]
+        batch = optimal_rates_fixed_band(scenarios)
+        for scenario, batched in zip(scenarios, batch):
+            assert batched == optimal_rate_fixed_band(scenario)
+            root = self.scipy_optimum(scenario)
+            assert abs(batched.rate - root) <= 2 * np.spacing(root)
+
+    def test_infeasible_row_fails_the_batch(self):
+        scenarios = [make_scenario(), make_scenario(n_bands=1, ratio=1e200)]
+        with pytest.raises(InfeasibleError) as exc:
+            optimal_rates_fixed_band(scenarios)
+        assert str(exc.value) == "no capacity optimum below rate 1000 x band width"
 
     def test_optimum_is_grid_maximum(self):
         scenario = make_scenario(n_bands=3, ratio=10.0)

@@ -25,7 +25,7 @@ from secnet.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
 )
-from secnet.equilibrium import solve_equilibria
+from secnet.equilibrium import solve_epsilons
 
 from conftest import make_scenario
 
@@ -224,6 +224,7 @@ class TestConfigHandling:
                      id="validate-ratio-infinite"),
         pytest.param("equilibrium", "\n[band.x]\nbandwidth = 1\nvacancy = 1\n"
                      "bs_density = 1\n", id="band-name-not-a-number"),
+        pytest.param("equilibrium", "\n[DEFAULT]\n", id="default-section"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys,
                                              subcommand, extra):
@@ -254,6 +255,13 @@ class TestConfigHandling:
                     "vacancy = 1\nbs_density = 1\n")
         assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
         assert "unknown section [band.x]" in capsys.readouterr().err
+
+    def test_default_section_is_named(self, tmp_path, capsys):
+        # [DEFAULT] is no section of the config: its keys are not copied into
+        # the others, so the error names it, not a section it was not in
+        cfg = write(tmp_path, "c.ini", FIVE_BANDS + "\n[DEFAULT]\ntarget_rate = 4\n")
+        assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown section [DEFAULT]\n"
 
     # the subcommand that reads each section; the others read only the model
     READER = {"sweep": "tradeoff", "capacity": "capacity", "grid": "delay-cdf",
@@ -457,10 +465,9 @@ class TestTradeoffCommand:
 
         def spy(scenario, rates, demands=None):
             sizes.append(len(rates))
-            return solve_equilibria(scenario, rates, demands)
+            return solve_epsilons(scenario, rates, demands)
 
-        monkeypatch.setattr(cap, "solve_equilibria", spy)
-        monkeypatch.setattr(cli, "solve_equilibria", spy)
+        monkeypatch.setattr(cap, "solve_epsilons", spy)
         cfg = write(tmp_path, "c.ini", self.SWEEP.replace("points = 5", "points = 100")
                     .replace("fixed_rate = 4\n", ""))
         out = str(tmp_path / "t.csv")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from secnet import BandConfig, InfeasibleError, Scenario, solve_equilibrium
 from secnet import equilibrium
 from secnet.capacity import capacity_limit_fixed_band
-from secnet.equilibrium import solve_equilibria
+from secnet.equilibrium import solve_epsilons, solve_equilibria
 
 from conftest import make_scenario
 
@@ -236,6 +236,32 @@ class TestBatchedSolve:
                 assert batched == single
                 outcomes.add(single.method)
             assert paths <= outcomes
+
+    @pytest.mark.parametrize("scenario", [
+        make_scenario(),
+        make_scenario(n_bands=2, ratio=50.0, session_interarrival=100.0),
+        heterogeneous_scenario([(2.0, 0.8, 1.0), (1.0, 1.0, 2.0), (0.5, 0.3, 0.5)],
+                               40.0, 0.2),
+    ])
+    def test_arrays_are_the_solutions(self, scenario):
+        # eps, residual, steps and path per row bit for bit, NaN where the row
+        # has an error, whose status names its kind; uncovered rows included
+        rates = np.append(SCAN * min(b.bandwidth for b in scenario.bands), 3000.0)
+        demands = np.resize([1.0, 0.0, 0.3, 5.0], len(rates))
+        rows = solve_epsilons(scenario, rates, demands)
+        kinds = {"no band": equilibrium.UNCOVERED, "no service": equilibrium.OVERLOADED,
+                 "equilibrium solver stalled": equilibrium.STALLED}
+        for i, sol in enumerate(solve_equilibria(scenario, rates, demands)):
+            if isinstance(sol, InfeasibleError):
+                kind = next(v for k, v in kinds.items() if str(sol).startswith(k))
+                assert rows.status[i] == kind and math.isnan(rows.epsilon[i])
+                continue
+            assert rows.status[i] == equilibrium.SOLVED
+            assert (rows.epsilon[i], rows.residual[i], rows.iterations[i]) == (
+                sol.epsilon, sol.residual, sol.iterations)
+            assert rows.bisected[i] == (sol.method == "bisection")
+        assert {equilibrium.SOLVED, equilibrium.UNCOVERED, equilibrium.OVERLOADED} \
+            <= set(rows.status.tolist())
 
     def test_uncovered_rate_is_named_before_solving(self, default_scenario):
         # past R/W = 1024 no band covers any user: that row fails at once and

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from secnet import geometry
 from secnet.geometry import (
     DEFAULT_THINNING,
     access_probability,
@@ -221,6 +222,28 @@ class TestAccessProbability:
            st.floats(min_value=1e-6, max_value=10.0))
     def test_strictly_decreasing(self, c, dc):
         assert access_probability(c + dc) < access_probability(c)
+
+    @staticmethod
+    def closed_form(c):
+        """[1 - (1 + c/3.5)^-3.5] / c written out in numpy, with the limit 1
+        below 3.5 x the smallest normal float as a bool mask."""
+        zero = c < 3.5 * np.finfo(float).tiny
+        return -np.expm1(-3.5 * np.log1p(c / 3.5)) / (c + zero) + zero
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e300),
+                              st.floats(min_value=0.0, max_value=1e-300)),
+                    min_size=1, max_size=50))
+    def test_kernel_is_the_law_bit_for_bit(self, contention):
+        # the unchecked kernel the fixed point calls, on arrays, against the
+        # checked law element by element and the closed form, subnormals too
+        tiny = np.finfo(float).tiny
+        c = np.array([*contention, 0.0, 5e-324, 1e-310, np.nextafter(3.5 * tiny, 0.0),
+                      3.5 * tiny, 1e-6, 3.5])
+        kernel = geometry._access(c)
+        assert np.array_equal(kernel, [access_probability(x) for x in c])
+        assert np.array_equal(kernel, self.closed_form(c))
+        assert np.array_equal(geometry._access(c.reshape(-1, 1)), kernel.reshape(-1, 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):

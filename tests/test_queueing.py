@@ -17,6 +17,7 @@ from secnet.queueing import (
     delay_cdf,
     delay_transform,
     mean_delay,
+    mean_delays,
 )
 
 from conftest import transmission_time_mean
@@ -232,6 +233,32 @@ class TestMeanDelay:
         delay = mean_delay(traffic, outage, epsilon, rate)
         assert delay == pk_mean_delay(traffic, outage, epsilon, rate)
         assert delay_transform(traffic, outage, epsilon, rate).mean == delay
+
+    @pytest.mark.parametrize("outage_shape", [1.0, 0.5, 3.0])
+    def test_array_mean_is_the_transform_mean_bit_for_bit(self, outage_shape):
+        # 5000 random stable rows of exponential and Gamma files, with C = 0
+        # and eps = 1 rows among them: the batch equals each row's
+        # DelayTransform mean and the written-out P-K mean, bit for bit
+        rng = np.random.default_rng(21)
+        n = 5000
+        rate = 10.0 ** rng.uniform(-1.0, 2.0, n)
+        file_mean = 10.0 ** rng.uniform(-1.0, 2.0, n)
+        file_shape = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.3, 5.0, n))
+        rho_s = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(1e-4, 0.5, n))
+        epsilon = np.where(rng.random(n) < 0.1, 1.0, rho_s + rng.uniform(1e-3, 0.5, n))
+        epsilon = np.minimum(epsilon, 1.0)
+        with np.errstate(divide="ignore"):
+            interarrival = np.where(rho_s > 0.0, file_mean / (rate * rho_s), math.inf)
+        outage = OutageModel(7.0, outage_shape)
+        batch = mean_delays(epsilon, rate, interarrival, file_mean, file_shape, outage)
+        rows = zip(epsilon.tolist(), rate.tolist(), interarrival.tolist(),
+                   file_mean.tolist(), file_shape.tolist(), batch.tolist())
+        for eps, r, alpha_s, mean, shape, batched in rows:
+            family = "exponential" if shape == 1.0 else "gamma"
+            traffic = TrafficModel(alpha_s, SizeDistribution(family, mean, shape))
+            assert batched == DelayTransform(traffic, outage, eps, r).mean
+            assert batched == pk_mean_delay(traffic, outage, eps, r)
+        assert np.any(rho_s == 0.0) and np.any(epsilon == 1.0)
 
     def test_unstable_raises(self):
         traffic, outage, _ = two_class_setup(rho_s=0.5)

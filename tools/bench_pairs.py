@@ -5,7 +5,10 @@
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each tree, one after
 the other; the parent goes first in even pairs and the change in odd ones.
-Each run's end-to-end metrics go to stderr as they arrive.  For every
+Each run's end-to-end metrics go to stderr as they arrive, with the three
+set-up times whose median is its ``setup_s`` (``setup_runs_s``): each set-up
+imports numpy and scipy and compiles ``secnet`` afresh where no bytecode is
+written, so they spread widely from run to run.  For every
 end-to-end metric of ``BENCHMARK.json`` it then prints each side's median
 and quartiles, how many pairs the change won (in the direction of the
 metric's ``better``; ties count for neither side), whether the change's
@@ -51,12 +54,14 @@ def differing_files(a, b):
 
 
 def run_once(tree, workload, seed, seconds):
-    """One untraced benchmark run in ``tree``: (correct, {metric: value})."""
+    """One untraced benchmark run in ``tree``: (correct, {metric: value}, the
+    set-up times ``setup_s`` is the median of, from the line before)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    last = json.loads(done.stdout.splitlines()[-1])
-    return last["correct"], {k: v["value"] for k, v in last["metrics"].items()}
+    meta, last = (json.loads(line) for line in done.stdout.splitlines()[-2:])
+    return (last["correct"], {k: v["value"] for k, v in last["metrics"].items()},
+            meta["meta"]["setup_runs_s"])
 
 
 def summarize(metrics, parent_runs, change_runs):
@@ -132,11 +137,11 @@ def main(argv=None):
     correct = True
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            ok, values = run_once(trees[side], args.workload, args.seed, seconds)
+            ok, values, setups = run_once(trees[side], args.workload, args.seed, seconds)
             correct &= ok
             runs[side].append(values)
-            print(f"pair {i} {side} correct={ok} {json.dumps(values)}",
-                  file=sys.stderr, flush=True)
+            print(f"pair {i} {side} correct={ok} {json.dumps(values)} "
+                  f"setup_runs_s={json.dumps(setups)}", file=sys.stderr, flush=True)
     rows = summarize(bench["end_to_end"], runs["parent"], runs["change"])
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{seconds:g} s runs")
