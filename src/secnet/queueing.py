@@ -49,9 +49,9 @@ class SizeDistribution:
     def __post_init__(self):
         if self.family not in ("exponential", "gamma"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.mean <= 0:
+        if not self.mean > 0:
             raise ValueError(f"mean must be > 0, got {self.mean}")
-        if self.shape <= 0:
+        if not self.shape > 0:
             raise ValueError(f"shape must be > 0, got {self.shape}")
         if self.family == "exponential" and self.shape != 1.0:
             raise ValueError("exponential distribution has shape 1")
@@ -287,6 +287,8 @@ class DelayTransform:
     def _sojourn(self, s):
         k = self._stage(s)
         lt = self.beta_s.laplace(k)  # transmission-time transform
+        if math.isinf(self.alpha_s):  # zero traffic: the alpha_s -> inf limit
+            return lt * ((1.0 - self.rho_o) * k / s)
         lw = (
             (1.0 - self.rho_o - self.rho_s)
             * self.alpha_s

@@ -42,10 +42,10 @@ class QueueSimConfig:
     n_batches: ClassVar[int] = 20
 
     def __post_init__(self):
-        if self.session_interarrival_mean <= 0 or self.outage_interarrival_mean <= 0:
-            raise ValueError("interarrival means must be > 0")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        for name in ("session_interarrival_mean", "outage_interarrival_mean", "rate"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.rho_o >= 1.0:  # the outage class alone would never empty
             raise ValueError(f"outage load rho_o = {self.rho_o:g} must be < 1")
         n = self.horizon_sessions

@@ -5,15 +5,24 @@ Edge effects are handled by excluding a guard margin near the window
 boundary rather than wrapping the window, since r^-4 path loss makes the
 missing far-field interference negligible for interior points.
 
-The SIR kernel works through the users whose SIR is read, in blocks of
-``_CHUNK`` rows, so its scratch memory is two (``_CHUNK`` x BS) buffers
-whatever the user count.  It draws fading only on the links of those
-users, in user order, and a replication draws nothing after the kernel,
-so which users are read changes only their own fading.  The PMF reads the
-covered counts of interior-BS cells and the counts of the cells holding
-interior users, and a cell's count needs the SIR of every user it serves;
-so it draws fading and computes SIR only for the users of those cells
-(about 40 % of the users).
+Coverage is sampled from its exact law given the positions.  With
+unit-mean exponential (Rayleigh) fading on every link, r^-4 path loss and
+no noise, a user served by the BS at squared distance d0 has
+P(SIR > theta | positions) = prod_{i != serving} 1 / (1 + theta (d0/d_i)^2),
+with d_i the squared distances to the other BSs (Andrews, Baccelli and
+Ganti, 2011).  Users' links carry disjoint sets of fadings, so given the
+positions their coverage events are independent.  A replication therefore
+draws one uniform u per user, in user order, after the positions, and a
+user is covered when u < exp(-S), with S = sum_i log1p(theta (d0/d_i)^2)
+its miss load: the covered indicators have the joint law that drawing the
+fading of every link would give them.  The kernel that computes S is
+deterministic; it works through the users whose coverage is read in
+blocks of ``_CHUNK`` rows, so it costs time in proportion to read users x
+BSs and its scratch memory is one (``_CHUNK`` x BS) buffer whatever the
+user count.  The PMF reads the covered counts of interior-BS cells and the
+counts of the cells holding interior users, and a cell's count needs the
+coverage of every user it serves; so it computes S only for the users of
+those cells (about 40 % of the users).
 """
 
 import math
@@ -28,8 +37,7 @@ from scipy.spatial.distance import cdist
 from .. import geometry
 from .report import Estimate, SimReport
 
-_PATH_LOSS_EXPONENT = 4  # fixed; the analytic chain assumes it
-_CHUNK = 256  # user rows per SIR block, small enough for the cache
+_CHUNK = 256  # user rows per kernel block, small enough for the cache
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,10 @@ class SpatialSimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.window_side <= 0 or self.bs_density <= 0 or self.user_density <= 0:
-            raise ValueError("window side and densities must be > 0")
+        for name in ("window_side", "bs_density", "user_density"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.guard_fraction < 0.5:
             raise ValueError("guard fraction must be in (0, 0.5)")
         if self.replications < 1:
@@ -93,35 +103,48 @@ def _serving_cells(users, bss):
     return cKDTree(bss).query(users)[1]
 
 
-def _sir(rng, users, bss, cell, needed=None):
-    """Per-user SIR: unit-mean exponential fading on every link, r^-4 path
-    loss, no noise, served by BS ``cell``.  Computed only for the rows of
-    the boolean mask ``needed`` (all rows by default); the others are NaN.
-    Fading is drawn for the needed rows only, one row of BS links at a
-    time in row order, so the stream does not depend on ``_CHUNK``."""
-    rows = np.arange(len(users)) if needed is None else np.flatnonzero(needed)
-    sir = np.full(len(users), np.nan)
-    fading, power = (np.empty((min(len(rows), _CHUNK), len(bss))) for _ in range(2))
+def _miss_load(users, bss, cell, threshold, read=None):
+    """Per-user miss load S = sum over the BSs i other than the serving BS
+    ``cell`` of log1p(threshold (d0/d_i)^2), d the squared distances, so
+    that exp(-S) is the user's coverage probability given the positions.
+    Computed only for the rows of the boolean mask ``read`` (all rows by
+    default); the others are NaN.  A row's value does not depend on the
+    other rows read or on ``_CHUNK``."""
+    rows = np.arange(len(users)) if read is None else np.flatnonzero(read)
+    load = np.full(len(users), np.nan)
+    scratch = np.empty((min(len(rows), _CHUNK), len(bss)))
+    root = math.sqrt(threshold)
     for lo in range(0, len(rows), _CHUNK):
         idx = rows[lo:lo + _CHUNK]
-        k = len(idx)
-        fade = rng.standard_exponential(out=fading[:k])
-        p = power[:k]
-        cdist(users[idx], bss, "sqeuclidean", out=p)
-        # not 1/(p*p): that differs in the last bit on about 27 % of links
-        np.power(p, -_PATH_LOSS_EXPONENT / 2, out=p)
-        np.multiply(fade, p, out=p)
-        signal = p[np.arange(k), cell[idx]]
-        interference = p.sum(axis=1) - signal
-        with np.errstate(divide="ignore"):  # zero interference => SIR = inf
-            sir[idx] = signal / interference
-    return sir
+        d2 = scratch[:len(idx)]
+        cdist(users[idx], bss, "sqeuclidean", out=d2)
+        serving = (np.arange(len(idx)), cell[idx])
+        near = d2[serving] * root
+        d2[serving] = np.inf  # the serving link adds nothing, even at d0 = 0
+        # r^-4 path loss squares the ratio of squared distances, and
+        # (sqrt(theta) d0 / d_i)^2 <= theta: no overflow for finite theta
+        np.divide(near[:, None], d2, out=d2)
+        np.square(d2, out=d2)
+        np.log1p(d2, out=d2)
+        load[idx] = d2.sum(axis=1)
+    return load
+
+
+def _covered(rng, users, bss, cell, threshold, read=None):
+    """Covered indicator of each user: one uniform per user, drawn in user
+    order, below exp(-S).  Rows outside ``read`` are not covered."""
+    u = rng.random(len(users))
+    return u < np.exp(-_miss_load(users, bss, cell, threshold, read))
+
+
+def _check_threshold(threshold):
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
 
 
 def spatial_coverage(cfg: SpatialSimConfig, threshold) -> SimReport:
     """Estimate P(SIR > threshold) for interior users."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    _check_threshold(threshold)
     report = SimReport(seed=cfg.seed, config={**cfg.echo(), "threshold": threshold})
     fractions = []
     total_users = 0
@@ -131,8 +154,8 @@ def spatial_coverage(cfg: SpatialSimConfig, threshold) -> SimReport:
         users = users[_interior_mask(users, cfg)]
         if len(users) == 0:
             continue
-        sir = _sir(rng, users, bss, _serving_cells(users, bss))
-        fractions.append(np.mean(sir > threshold))
+        covered = _covered(rng, users, bss, _serving_cells(users, bss), threshold)
+        fractions.append(np.mean(covered))
         total_users += len(users)
     if not fractions:
         raise ValueError(
@@ -158,8 +181,7 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
     Also estimates the fair-access probability E[1/K] over in-coverage users
     (K >= 1 counts the user itself), or warns when there is none.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    _check_threshold(threshold)
     report = SimReport(seed=cfg.seed, config={**cfg.echo(), "threshold": threshold})
     per_rep_access = []
     counts = []
@@ -172,7 +194,7 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
         read = interior_bs.copy()
         read[cell[interior_users]] = True
         needed = read[cell]  # users of the cells whose counts are read
-        covered = needed & (_sir(rng, users, bss, cell, needed) > threshold)
+        covered = _covered(rng, users, bss, cell, threshold, needed)
         cell_cov = np.bincount(cell[covered], minlength=len(bss))
         counts.append(cell_cov[interior_bs])
         ref_cov = covered & interior_users

@@ -147,6 +147,10 @@ class TestSizeDistribution:
             SizeDistribution("exponential", 0.0)
         with pytest.raises(ValueError):
             SizeDistribution("exponential", 1.0, shape=2.0)
+        with pytest.raises(ValueError, match="mean must be > 0, got nan"):
+            SizeDistribution("exponential", math.nan)
+        with pytest.raises(ValueError, match="shape must be > 0, got nan"):
+            SizeDistribution("gamma", 1.0, math.nan)
 
 
 class TestTrafficAndOutageModels:
@@ -402,6 +406,24 @@ class TestDelayTransform:
         traffic, outage, _ = two_class_setup(rho_s=0.3)
         with pytest.raises(UnstableQueueError):
             delay_transform(traffic, outage, 0.25, 1.0)
+
+    @pytest.mark.parametrize("family, shape, outage_shape",
+                             [("exponential", 1.0, 1.0), ("gamma", 2.5, 0.5)])
+    def test_zero_traffic_is_the_vanishing_traffic_limit(self, family, shape,
+                                                         outage_shape):
+        # at an infinite interarrival mean the general form is inf/inf; the
+        # transform takes its limit instead, which interarrival 1e12 nears
+        file_size = SizeDistribution(family, 10.0, shape)
+        outage = OutageModel(10.0, outage_shape)
+        zero, tiny = (DelayTransform(TrafficModel(alpha_s, file_size), outage, 0.6, 4.0)
+                      for alpha_s in (math.inf, 1e12))
+        s = np.array([1e-6, 0.01, 0.3, 1.0, 10.0, 0.5 + 2.0j, 1e-3 - 5.0j])
+        values = zero(s)
+        assert np.all(np.isfinite(values))
+        assert np.allclose(values, tiny(s), rtol=0.0, atol=1e-9)
+        times = [1.0, 5.0, 20.0, 80.0]
+        assert np.allclose(delay_cdf(zero, times).values,
+                           delay_cdf(tiny, times).values, rtol=0.0, atol=1e-9)
 
 
 def same_bits(array, scalars):

@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.spatial import Voronoi, cKDTree
 
 from secnet import geometry
@@ -30,8 +33,9 @@ from secnet.simulate import spatial
 from secnet.simulate.spatial import (
     _bounded_interior_areas,
     _draw_layers,
+    _covered,
+    _miss_load,
     _serving_cells,
-    _sir,
 )
 
 
@@ -87,8 +91,9 @@ def _reference_delays(arr_s, service, arr_o, dur_o):
 
 def _dense_sinr_and_cells(rng, users, bss):
     """Dense reference SIR kernel: one (4096 x BS) block of distance, fading
-    and power per 4096 users, SIR for every user.  The oracle of
-    ``spatial._sir`` and ``spatial._serving_cells``."""
+    and power per 4096 users, SIR for every user.  The explicit-fading
+    oracle of ``spatial._miss_load``'s conditional law and of
+    ``spatial._serving_cells``."""
     chunk = 4096
     tree = cKDTree(bss)
     _, cell = tree.query(users)
@@ -236,31 +241,80 @@ class TestUserCountPmf:
 CHUNK = spatial._CHUNK
 
 
+def _reference_miss_load(users, bss, cell, threshold):
+    """Dense per-user loop, every BS link of one user at a time and a
+    correctly rounded sum: the oracle of ``spatial._miss_load``."""
+    load = np.empty(len(users))
+    for j, user in enumerate(users):
+        d2 = ((bss - user) ** 2).sum(axis=1)
+        others = np.delete(d2, cell[j])
+        load[j] = math.fsum(np.log1p(threshold * (d2[cell[j]] / others) ** 2))
+    return load
+
+
 class TestSirKernel:
+    """``spatial._miss_load``, the kernel of the SIR coverage law: exp(-S)
+    is a user's coverage probability given the positions."""
+
     N_BS = 300
+
+    @staticmethod
+    def layout(n, n_bs, seed, side=30.0):
+        draw = np.random.default_rng(seed)
+        bss = draw.uniform(0.0, side, size=(n_bs, 2))
+        users = draw.uniform(0.0, side, size=(n, 2))
+        return users, bss, _serving_cells(users, bss)
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
     @pytest.mark.parametrize("mask", ["all", "none", "random"])
     def test_matches_dense_oracle(self, n, mask):
-        draw = np.random.default_rng(n)
-        bss = draw.uniform(0.0, 30.0, size=(self.N_BS, 2))
-        users = draw.uniform(0.0, 30.0, size=(n, 2))
-        needed = {"all": np.ones(n, bool), "none": np.zeros(n, bool),
-                  "random": draw.random(n) < 0.4}[mask]
-        # the kernel draws fading for the needed rows only, in row order, so
-        # it matches the dense kernel run on those users alone
-        ref_rng = np.random.default_rng(7)
-        ref_sir, ref_cell = _dense_sinr_and_cells(ref_rng, users[needed], bss)
-        rng = np.random.default_rng(7)
+        users, bss, cell = self.layout(n, self.N_BS, n)
+        read = {"all": np.ones(n, bool), "none": np.zeros(n, bool),
+                "random": np.random.default_rng(n + 1).random(n) < 0.4}[mask]
+        load = _miss_load(users, bss, cell, 1.0, read)
+        ref = _reference_miss_load(users[read], bss, cell[read], 1.0)
+        np.testing.assert_allclose(load[read], ref, rtol=1e-12, atol=0.0)
+        assert np.all(np.isnan(load[~read]))
+        # a row's bits do not depend on which other rows are read
+        assert np.array_equal(load[read], _miss_load(users, bss, cell, 1.0)[read])
+
+    def test_huge_threshold_matches_oracle(self):
+        users, bss, cell = self.layout(50, self.N_BS, 5)
+        load = _miss_load(users, bss, cell, 1e300)
+        np.testing.assert_allclose(
+            load, _reference_miss_load(users, bss, cell, 1e300), rtol=1e-12, atol=0.0)
+
+    def test_covered_frequency_is_exp_minus_load(self):
+        # the explicit-fading oracle and the sampler, redrawn on fixed
+        # positions: each user's covered frequency under either lies in the
+        # binomial 99.9 % band of the conditional law exp(-S)
+        users, bss, _ = self.layout(20, self.N_BS, 11)
+        users = 10.0 + users / 3.0  # clear of the window edge
         cell = _serving_cells(users, bss)
-        sir = _sir(rng, users, bss, cell, needed)
-        assert np.array_equal(cell[needed], ref_cell)
-        assert np.array_equal(sir[needed], ref_sir)
-        assert np.all(np.isnan(sir[~needed]))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        if mask == "all":
-            rng = np.random.default_rng(7)
-            assert np.array_equal(_sir(rng, users, bss, cell), ref_sir)
+        p = np.exp(-_miss_load(users, bss, cell, 1.0))
+        assert p.min() < 0.2 and p.max() > 0.8  # the band is tested across (0, 1)
+        draws = 4000
+        rng = np.random.default_rng(12)
+        fading_hits, sampled_hits = np.zeros(len(users)), np.zeros(len(users))
+        for _ in range(draws):
+            sinr, ref_cell = _dense_sinr_and_cells(rng, users, bss)
+            fading_hits += sinr > 1.0
+            sampled_hits += _covered(rng, users, bss, cell, 1.0)
+        assert np.array_equal(cell, ref_cell)
+        lo, hi = stats.binom.interval(0.999, draws, p)
+        for hits in (fading_hits, sampled_hits):
+            assert np.all((lo <= hits) & (hits <= hi))
+
+    def test_covered_depends_only_on_own_uniform(self):
+        # one uniform per user whatever is read: a masked draw is the full
+        # draw restricted to the mask, and the stream ends at the same state
+        users, bss, cell = self.layout(600, self.N_BS, 4)
+        read = np.random.default_rng(9).random(600) < 0.4
+        full_rng, part_rng = np.random.default_rng(2), np.random.default_rng(2)
+        full = _covered(full_rng, users, bss, cell, 1.0)
+        part = _covered(part_rng, users, bss, cell, 1.0, read)
+        assert np.array_equal(part, full & read)
+        assert full_rng.bit_generator.state == part_rng.bit_generator.state
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     def test_chunk_invariance(self, monkeypatch, chunk):
@@ -277,20 +331,31 @@ class TestSirKernel:
 
     def test_scratch_memory_is_blocked(self):
         # numpy reports its buffers to tracemalloc; the dense kernel needed
-        # 66 MB here, several (4096 x 500) temporaries at once
+        # 66 MB here, several (4096 x 500) temporaries at once, and the
+        # kernel needs less than two (CHUNK x 500) blocks
         n, n_bs = 20_000, 500
-        draw = np.random.default_rng(3)
-        bss = draw.uniform(0.0, 45.0, size=(n_bs, 2))
-        users = draw.uniform(0.0, 45.0, size=(n, 2))
-        cell = _serving_cells(users, bss)
-        rng = np.random.default_rng(0)
+        users, bss, cell = self.layout(n, n_bs, 3, side=45.0)
         tracemalloc.start()
         try:
-            _sir(rng, users, bss, cell)
+            _miss_load(users, bss, cell, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * spatial._CHUNK * n_bs * 8 + 64 * n
+        assert peak < 2 * spatial._CHUNK * n_bs * 8 + 64 * n
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1e300])
+    def test_user_on_a_bs_is_covered_without_warning(self, threshold):
+        users, bss, _ = self.layout(40, self.N_BS, 8)
+        users = np.vstack([users, bss[:3]])  # three users exactly on a BS
+        cell = _serving_cells(users, bss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load = _miss_load(users, bss, cell, threshold)
+            covered = _covered(np.random.default_rng(1), users, bss, cell, threshold)
+        assert np.all(np.isfinite(load))
+        assert np.all(load[-3:] == 0.0) and np.all(covered[-3:])
+        if threshold == 0.0:  # every user covered with certainty
+            assert np.all(load == 0.0) and np.all(covered)
 
 
 class TestVoronoiCells:
@@ -507,3 +572,33 @@ class TestEmpiricalHelpers:
         grid = np.array([0.5, 1.0, 2.5, 5.0])
         assert np.allclose(empirical_cdf(samples, grid),
                            [0.0, 1 / 3, 2 / 3, 1.0])
+
+
+
+@pytest.mark.parametrize("sim, field, value", [
+    ("queue", "rate", math.nan),
+    ("queue", "rate", math.inf),
+    ("queue", "session_interarrival_mean", math.inf),
+    ("queue", "session_interarrival_mean", math.nan),
+    ("queue", "outage_interarrival_mean", math.inf),
+    ("queue", "outage_interarrival_mean", math.nan),
+    ("coverage", "window_side", math.nan),
+    ("coverage", "bs_density", math.nan),
+    ("coverage", "bs_density", math.inf),
+    ("coverage", "user_density", math.nan),
+    ("coverage", "user_density", math.inf),
+    ("coverage", "threshold", math.nan),
+    ("coverage", "threshold", math.inf),
+    ("pmf", "threshold", math.nan),
+])
+def test_non_finite_input_names_the_field(sim, field, value):
+    # a NaN or inf simulator input is a ValueError naming its field, not an
+    # internal assertion, an overflow, a warning or a silent estimate
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        if sim == "queue":
+            run_priority_queue(replace(queue_config(n=2_000), **{field: value}))
+        elif field == "threshold":
+            run = spatial_coverage if sim == "coverage" else empirical_user_count_pmf
+            run(small_spatial(reps=1), value)
+        else:
+            spatial_coverage(replace(small_spatial(reps=1), **{field: value}), 1.0)

@@ -10,7 +10,10 @@ against the recorded reference and its canonical output, which is the exit
 code and stdout of a CLI op, the digest of a simulator op's arrays, or the
 exception it raised.  A simulator op also writes its ``estimates`` as
 (value, 99 % CI half-width, n), which its array digest does not cover (a
-PMF op's ``access_probability``, say).  The ops and their checks come from
+PMF op's ``access_probability``, say).  A PMF op adds ``per_cell_mean``,
+the mean covered count per cell that the benchmark's pooled PMF check
+reads, as (value, 0, cells sampled): it has no CI, so ``tools/pool_diff.py``
+reports its shift in absolute terms.  The ops and their checks come from
 this checkout's ``perfbench/ops.py``, so two runs differ only in the
 ``secnet`` they load:
 
@@ -23,6 +26,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,10 +56,15 @@ def main(argv):
                 status, _, canonical, _ = ops.check_op(prepared, result, exc)
                 outcome = {"status": status, "canonical": canonical}
                 if exc is None and not prepared.is_cli:
-                    outcome["estimates"] = {
+                    estimates = outcome["estimates"] = {
                         name: [e.value, e.ci99_half_width, e.n]
                         for name, e in result.estimates.items()
                     }
+                    if op["kind"] == "pmf":
+                        pmf = result.arrays["pmf"]
+                        estimates["per_cell_mean"] = [
+                            float(pmf @ np.arange(len(pmf))), 0.0,
+                            result.config["n_samples"]]
                 outcomes[op["id"]] = outcome
     with open(argv[1], "w") as fh:
         json.dump(outcomes, fh, sort_keys=True, indent=1)
