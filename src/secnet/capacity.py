@@ -292,11 +292,6 @@ def operating_points(scenario: Scenario, rates, traffics):
     return sol.epsilon, delay
 
 
-def _mean_delays(scenario: Scenario, rates, traffics):
-    """``operating_points``' mean delays, inf where no equilibrium exists."""
-    return operating_points(scenario, rates, traffics)[1]
-
-
 def min_delay_over_rate(scenario: Scenario, traffics):
     """Minimize the mean delay over the target rate for each of the list
     ``traffics``, in place of the scenario's own: per traffic a
@@ -317,8 +312,8 @@ def min_delay_over_rate(scenario: Scenario, traffics):
     k, up = np.zeros(n, dtype=int), np.arange(n)
     while up.size:  # the first span for every traffic, then one up per step
         more = np.full((n, len(span)), math.inf)
-        more[up] = _mean_delays(scenario, np.tile(span, len(up)), [
-            traffics[i] for i in up for _ in span]).reshape(len(up), -1)
+        more[up] = operating_points(scenario, np.tile(span, len(up)), [
+            traffics[i] for i in up for _ in span])[1].reshape(len(up), -1)
         grid = np.concatenate((grid, span))
         delays = np.concatenate((delays, more), axis=1)
         k[up] = np.argmin(delays[up], axis=1)
@@ -327,7 +322,8 @@ def min_delay_over_rate(scenario: Scenario, traffics):
     rows = np.flatnonzero(np.isfinite(delays).any(axis=1))
     k = np.maximum(k[rows], 1)  # a minimum on the first point has no valid bracket
     res = find_minimum(
-        lambda x, i: -1.0 / _mean_delays(scenario, np.exp(x), [traffics[j] for j in i]),
+        lambda x, i: -1.0 / operating_points(
+            scenario, np.exp(x), [traffics[j] for j in i])[1],
         tuple(np.log(grid[k + j]) for j in (-1, 0, 1)), args=(rows,),
         tolerances={"xatol": _LOG_RATE_TOL, "xrtol": 0.0},
     )

@@ -5,9 +5,10 @@ depends on the total service probability eps, which depends on the per-band
 values again: eps = map(eps), solved for the scalar eps.  ``solve_epsilons``
 solves it for an array of target rates at once, on (rates x bands) arrays,
 and returns eps, its residual and a status per row as arrays;
-``solve_equilibria`` wraps it for callers that read the per-band
-``BandEquilibrium`` columns or an ``InfeasibleError`` per row.  The fixed
-point's step calls ``geometry``'s unchecked access kernel.
+``solve_equilibrium`` is its batch of one at the scenario's own rate, with
+the per-band ``BandEquilibrium`` columns, or the ``InfeasibleError`` that
+names why the row has no root.  The fixed point's step calls ``geometry``'s
+unchecked access kernel.
 
 The root is unique.  In the activity p = rho_s / eps the map is g(p) / p with
 g(p) = p (1 - prod_n(1 - f_n(p))), f_n(p) = vacancy_n coverage_n access(a_n p)
@@ -23,7 +24,7 @@ the map does not depend on eps, and the root is its value in closed form,
 eps = 1 - prod_n(1 - vacancy_n coverage_n), however small.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,9 +76,6 @@ class Scenario:
         if self.thinning <= 0:
             raise ValueError(f"thinning must be > 0, got {self.thinning}")
 
-    def with_rate(self, rate):
-        return replace(self, target_rate=rate)
-
 
 @dataclass(frozen=True, slots=True)
 class BandEquilibrium:
@@ -114,12 +112,31 @@ def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
     """Solve eps = 1 - prod(1 - eps_n(eps)) on (C/R, 1] by damped Picard
     iteration, or by bisection from a pre-scan where Picard stalls, and at
     C = 0 in closed form; a demand past the capacity limit raises
-    ``InfeasibleError``.  This is ``solve_equilibria`` for one rate."""
-    results = solve_equilibria(scenario, [scenario.target_rate])
-    if isinstance(results[0], InfeasibleError):
-        # popped, so no local holds the error whose traceback holds this frame
-        raise results.pop()
-    return results[0]
+    ``InfeasibleError``.  This is ``solve_epsilons`` for one rate."""
+    rate = float(scenario.target_rate)
+    sol, (rho_s, coverage, vc, share, k) = _solve(scenario, [rate], None)
+    status, residual = sol.status[0], float(sol.residual[0])
+    if status == UNCOVERED:
+        raise InfeasibleError(f"no band covers a user at target rate {rate:g}")
+    if status == OVERLOADED:  # the limit R g(1): contention at full activity, p = 1
+        bs_density = np.array([b.bs_density for b in scenario.bands])
+        full = (scenario.thinning * scenario.user_density / bs_density) * coverage * share
+        limit = rate * _epsilon_map(-vc, full, np.ones(1))[0][0]
+        raise InfeasibleError(
+            f"no service equilibrium above eps = {rho_s[0] + 1e-9:g} at R = "
+            f"{rate:g}: demand C = {scenario.traffic.capacity:g}, capacity limit "
+            f"R*g(1) = {limit:g}")
+    if status == STALLED:
+        raise InfeasibleError(f"equilibrium solver stalled with residual {residual:.3e}")
+    eps = sol.epsilon
+    access = _epsilon_map(-vc, scenario.thinning * coverage * k, eps)[1]
+    columns = (c[0].tolist() for c in (vc * access, coverage, access, k / eps[:, None]))
+    return EquilibriumSolution(
+        epsilon=float(eps[0]), bands=tuple(map(BandEquilibrium, *columns)),
+        rho_o=1.0 - float(eps[0]), rho_s=float(rho_s[0]),
+        p_active=float(rho_s[0] / eps[0]), residual=residual,
+        iterations=int(sol.iterations[0]),
+        method="bisection" if sol.bisected[0] else "picard")
 
 
 # Row status of ``solve_epsilons``: solved, no band covers a user, a demand
@@ -141,16 +158,15 @@ class Epsilons(NamedTuple):
 
 def solve_epsilons(scenario: Scenario, rates, demands=None) -> Epsilons:
     """The equilibrium eps at each target rate of the array ``rates``, at its
-    demand C in ``demands`` if given, as arrays: ``solve_equilibria``'s
-    solve without its per-row objects.  Rows step in lockstep, so none
-    depends on the others."""
+    demand C in ``demands`` if given, as arrays, with no per-row objects.
+    Rows step in lockstep, so none depends on the others."""
     return _solve(scenario, rates, demands)[0]
 
 
 def _solve(scenario, rates, demands):
-    """``solve_epsilons``, and what ``solve_equilibria`` builds its rows from:
-    the checked rates and demands, rho_s, and the (rates x bands) coverage,
-    vacancy x coverage, each band's share of it and load x eps."""
+    """``solve_epsilons``, and what ``solve_equilibrium`` builds its row from:
+    rho_s, and the (rates x bands) coverage, vacancy x coverage, each band's
+    share of it and load x eps."""
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or not np.all(rates > 0):
         raise ValueError(f"rates must be a 1-D array of values > 0, got {rates}")
@@ -222,53 +238,7 @@ def _solve(scenario, rates, demands):
     status[ok[~(residual[ok] <= _RESIDUAL_TOL)]] = STALLED
     eps[status != SOLVED] = np.nan
     return Epsilons(eps, residual, status, iterations, stalled), (
-        rates, demands, rho_s, coverage, vc, share, k)
-
-
-def solve_equilibria(scenario: Scenario, rates, demands=None):
-    """``solve_equilibrium`` at each target rate of the array ``rates``: a list
-    with, per rate, the ``EquilibriumSolution`` of ``scenario.with_rate(rate)``
-    or the ``InfeasibleError`` its solve raises, at its demand C in ``demands``
-    if given.  It is ``solve_epsilons`` with the per-band columns and error
-    messages built for each row."""
-    sol, (rates, demands, rho_s, coverage, vc, share, k) = _solve(
-        scenario, rates, demands)
-    ok = np.flatnonzero(sol.status == SOLVED)
-    eps = sol.epsilon[ok]
-    access = _epsilon_map(-vc[ok], scenario.thinning * coverage[ok] * k[ok], eps)[1]
-    columns = zip((vc[ok] * access).tolist(), coverage[ok].tolist(),
-                  access.tolist(), (k[ok] / eps[:, None]).tolist())
-    over = np.flatnonzero(sol.status == OVERLOADED)
-    limit = {}
-    if over.size:  # the capacity limit R g(1): contention at full activity, p = 1
-        bs_density = np.array([b.bs_density for b in scenario.bands])
-        full = (scenario.thinning * scenario.user_density / bs_density) \
-            * coverage[over] * share[over]
-        limit = dict(zip(over.tolist(), (rates[over] * _epsilon_map(
-            -vc[over], full, np.ones(len(over)))[0]).tolist()))
-    results = []
-    for i, (status, rate, res) in enumerate(zip(
-            sol.status.tolist(), rates.tolist(), sol.residual.tolist())):
-        if status == UNCOVERED:
-            results.append(InfeasibleError(
-                f"no band covers a user at target rate {rate:g}"))
-        elif status == OVERLOADED:
-            results.append(InfeasibleError(
-                f"no service equilibrium above eps = {rho_s[i] + 1e-9:g} at R = "
-                f"{rate:g}: demand C = {demands[i]:g}, capacity limit R*g(1) = "
-                f"{limit[i]:g}"))
-        elif status == STALLED:
-            results.append(InfeasibleError(
-                f"equilibrium solver stalled with residual {res:.3e}"))
-        else:
-            epsilon = float(sol.epsilon[i])
-            results.append(EquilibriumSolution(
-                epsilon=epsilon, bands=tuple(map(BandEquilibrium, *next(columns))),
-                rho_o=1.0 - epsilon, rho_s=float(rho_s[i]),
-                p_active=float(rho_s[i] / sol.epsilon[i]), residual=res,
-                iterations=int(sol.iterations[i]),
-                method="bisection" if sol.bisected[i] else "picard"))
-    return results
+        rho_s, coverage, vc, share, k)
 
 
 def _bisect(rows, lo, h, eps, iterations):

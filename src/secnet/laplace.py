@@ -3,7 +3,9 @@
 Two standard fixed-abscissa methods: Euler summation (``delay_cdf``'s, one
 transform call per time point on an array of 2M+1 nodes) and the fixed Talbot contour.
 Both work well for the smooth, completely monotone transforms produced by
-the queueing module; Talbot is kept as an independent cross-check.
+the queueing module.  Only tests call Talbot, as a cross-check of Euler; it
+stays in the library only because ``perfbench/tracer.py`` wraps
+``talbot_inversion`` by name.
 """
 
 import math

@@ -57,10 +57,6 @@ class SizeDistribution:
             raise ValueError("exponential distribution has shape 1")
 
     @property
-    def second_moment(self):
-        return self.mean**2 * (self.shape + 1.0) / self.shape
-
-    @property
     def scale(self):
         return self.mean / self.shape
 
@@ -103,8 +99,9 @@ class TrafficModel:
     file_size: SizeDistribution
 
     def __post_init__(self):
-        if self.session_interarrival_mean <= 0:
-            raise ValueError("session interarrival mean must be > 0")
+        if not self.session_interarrival_mean > 0:  # NaN fails, inf is no traffic
+            raise ValueError("session_interarrival_mean must be > 0, got "
+                             f"{self.session_interarrival_mean}")
 
     @property
     def capacity(self):
@@ -125,10 +122,10 @@ class OutageModel:
     duration_shape: float = 1.0
 
     def __post_init__(self):
-        if self.outage_interarrival_mean <= 0:
-            raise ValueError("outage interarrival mean must be > 0")
-        if self.duration_shape <= 0:
-            raise ValueError("outage duration shape must be > 0")
+        for name in ("outage_interarrival_mean", "duration_shape"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def duration_distribution(self, mean):
         family = "exponential" if self.duration_shape == 1.0 else "gamma"
@@ -272,17 +269,14 @@ class DelayTransform:
         g = busy_root(s, self.beta_o, self.alpha_o)
         return s + (1.0 - g) / self.alpha_o
 
-    def _off_origin(self, s, transform):
-        """``transform`` where |s|*mean >= 1e-12, else 1 (its value to rounding).
+    def __call__(self, s):
+        """The transform where |s|*mean >= 1e-12, else 1 (its value to rounding).
         A scalar s runs as a 1-d array, so it gets an array element's bits."""
         z = np.atleast_1d(s)
         far = ~(np.abs(z) * self.mean < 1e-12)
         out = np.ones(z.shape, np.result_type(z, float))
-        out[far] = transform(z[far])
+        out[far] = self._sojourn(z[far])
         return out if np.ndim(s) else out[0]
-
-    def __call__(self, s):
-        return self._off_origin(s, self._sojourn)
 
     def _sojourn(self, s):
         k = self._stage(s)
@@ -296,11 +290,6 @@ class DelayTransform:
             / (lt + self.alpha_s * s - 1.0)
         )
         return lt * lw
-
-    def transmission_transform(self, s):
-        """Transform of the transmission span alone (arrival-to-service
-        wait excluded)."""
-        return self._off_origin(s, lambda z: self.beta_s.laplace(self._stage(z)))
 
 
 def delay_transform(traffic, outage, epsilon, rate):

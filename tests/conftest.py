@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from secnet import BandConfig, OutageModel, Scenario, SizeDistribution, TrafficModel
@@ -11,6 +12,24 @@ def transmission_time_mean(beta_s_mean, rho_o):
     if rho_o >= 1.0:
         raise UnstableQueueError(f"outage fraction {rho_o} >= 1")
     return beta_s_mean / (1.0 - rho_o)
+
+
+def second_moment(dist):
+    """E[X^2] of a ``SizeDistribution``, mean^2 (shape + 1) / shape: the
+    oracle of the P-K means' second moments."""
+    return dist.mean**2 * (dist.shape + 1.0) / dist.shape
+
+
+def transmission_transform(handle, s):
+    """Transform of the transmission span alone (arrival-to-service wait
+    excluded) of the ``DelayTransform`` ``handle``: the file's transform at
+    the busy-period stage, and 1 where |s|*mean < 1e-12, as the sojourn
+    transform is cut there.  A scalar s runs as a 1-d array."""
+    z = np.atleast_1d(s)
+    far = ~(np.abs(z) * handle.mean < 1e-12)
+    out = np.ones(z.shape, np.result_type(z, float))
+    out[far] = handle.beta_s.laplace(handle._stage(z[far]))
+    return out if np.ndim(s) else out[0]
 
 
 def capacity_limit_fixed_system(scenario, rate):

@@ -53,6 +53,7 @@ from conftest import (
     capacity_limit_fixed_system,
     make_scenario,
     transmission_time_mean,
+    transmission_transform,
 )
 
 
@@ -169,8 +170,8 @@ def test_criterion_4_exponential_span_approximation():
     on criterion 5's grid, and the simulated mean span's 99% CI holding
     the interruption-inflated mean.
 
-    The exact law is ``DelayTransform.transmission_transform``, inverted;
-    it is the span law secnet implements.  The exponential law with the
+    The exact law is ``conftest.transmission_transform``, inverted: the
+    span stage of the delay transform secnet implements.  The exponential law with the
     same mean, which the test name refers to, is used nowhere in secnet:
     it lies KS 0.0485, 0.0247 and 0.0170 from the exact law at these loads.
     Its distance is printed, so the line shows that the check tells the
@@ -194,7 +195,7 @@ def test_criterion_4_exponential_span_approximation():
         span_mean = transmission_time_mean(rho_s, rho_o)
         handle = delay_transform(traffic, outage, 1.0 - rho_o, 1.0)
         grid = np.geomspace(span_mean / 100.0, span_mean * 25.0, 150)
-        exact = delay_cdf(handle.transmission_transform, grid).values
+        exact = delay_cdf(lambda s: transmission_transform(handle, s), grid).values
         ks = float(np.abs(exact - empirical_cdf(rep.arrays["spans"], grid)).max())
         expo = float(np.abs(exact - stats.expon(scale=span_mean).cdf(grid)).max())
         results[rho_s] = (ks, expo, rep.estimates["mean_span"], span_mean)
@@ -310,7 +311,7 @@ def test_criterion_7_qualitative_shapes():
     # (a') the mean delay is U-shaped in the rate at C = 1
     scn = make_scenario()
     rgrid = np.geomspace(2.8, 12.0, 60)
-    delays = cap._mean_delays(scn, rgrid, [scn.traffic] * len(rgrid))
+    delays = cap.operating_points(scn, rgrid, [scn.traffic] * len(rgrid))[1]
     finite = np.isfinite(delays)
     dk = int(np.argmin(np.where(finite, delays, np.inf)))
     if not 0 < dk < len(rgrid) - 1:

@@ -290,7 +290,7 @@ class TestMinDelay:
         traffic = default_scenario.traffic
         opt = min_delay_over_rate(default_scenario, [traffic])[0]
         rates = np.array([opt.rate * 0.9, opt.rate * 1.1])
-        for d in cap._mean_delays(default_scenario, rates, [traffic] * 2):
+        for d in cap.operating_points(default_scenario, rates, [traffic] * 2)[1]:
             assert d >= opt.delay
 
     def test_infeasible_scenario_returns_error(self):
@@ -323,12 +323,12 @@ class TestMinDelay:
         c = optimal_rate_fixed_band(default_scenario).capacity * (1.0 - 2e-3)
         traffic = replace(default_scenario.traffic, session_interarrival_mean=10.0 / c)
         grid = np.geomspace(1e-2, 50.0, 96)
-        scan = cap._mean_delays(default_scenario, grid, [traffic] * len(grid))
+        scan = cap.operating_points(default_scenario, grid, [traffic] * len(grid))[1]
         assert np.count_nonzero(np.isfinite(scan)) == 1
         [opt] = min_delay_over_rate(default_scenario, [traffic])
         assert np.isfinite(opt.delay)
         rates = opt.rate * np.array([1.0 - 1e-6, 1.0 + 1e-6])
-        delays = cap._mean_delays(default_scenario, rates, [traffic] * 2)
+        delays = cap.operating_points(default_scenario, rates, [traffic] * 2)[1]
         assert np.all(delays >= opt.delay)
 
     def test_minimum_past_the_narrow_band_span(self):

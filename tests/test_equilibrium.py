@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secnet import BandConfig, InfeasibleError, Scenario, solve_equilibrium
+from secnet import (BandConfig, InfeasibleError, Scenario, SizeDistribution,
+                    TrafficModel, solve_equilibrium)
 from secnet import equilibrium
 from secnet.capacity import capacity_limit_fixed_band
-from secnet.equilibrium import solve_epsilons, solve_equilibria
+from secnet.equilibrium import OVERLOADED, SOLVED, STALLED, UNCOVERED, solve_epsilons
 
 from conftest import make_scenario
 
@@ -202,6 +203,31 @@ SCAN = np.geomspace(1e-2, 50.0, 96)  # min_delay_over_rate's scan at W = 1
 
 
 PICARD, BISECTION = {"infeasible", "picard"}, {"infeasible", "picard", "bisection"}
+# how the message of each row status's InfeasibleError opens
+KINDS = {UNCOVERED: "no band", OVERLOADED: "no service",
+         STALLED: "equilibrium solver stalled"}
+
+
+def assert_rows_are_single_solves(rows, rates, scenarios):
+    """Each row of the ``solve_epsilons`` arrays ``rows`` is ``solve_equilibrium``
+    of its scenario at its rate, bit for bit: eps, residual, steps and path,
+    or NaN and the status whose kind its error names.  Returns the paths
+    taken, with "infeasible" for an error."""
+    outcomes = set()
+    for i, (rate, scn) in enumerate(zip(rates, scenarios)):
+        try:
+            single = solve_equilibrium(replace(scn, target_rate=float(rate)))
+        except InfeasibleError as exc:
+            assert str(exc).startswith(KINDS.get(rows.status[i], "<solved>"))
+            assert math.isnan(rows.epsilon[i])
+            outcomes.add("infeasible")
+            continue
+        assert rows.status[i] == SOLVED
+        assert (rows.epsilon[i], rows.residual[i], rows.iterations[i]) == (
+            single.epsilon, single.residual, single.iterations)
+        assert rows.bisected[i] == (single.method == "bisection")
+        outcomes.add(single.method)
+    return outcomes
 
 
 class TestBatchedSolve:
@@ -213,7 +239,7 @@ class TestBatchedSolve:
                                 40.0, 0.2), PICARD),
     ])
     def test_batch_equals_single_solves(self, scenario, paths):
-        # every field bit for bit, and the same error where a rate has none;
+        # every row bit for bit, and the kind of error where a rate has none;
         # with a demand per row, a row is the solve with that row's traffic
         inter = scenario.traffic.session_interarrival_mean
         traffics = [replace(scenario.traffic,
@@ -223,19 +249,8 @@ class TestBatchedSolve:
                  ([t.capacity for t in traffics],
                   [replace(scenario, traffic=t) for t in traffics])]
         for demands, scenarios in cases:
-            outcomes = set()
-            batch = solve_equilibria(scenario, SCAN, demands)
-            for rate, scn, batched in zip(SCAN, scenarios, batch):
-                try:
-                    single = solve_equilibrium(scn.with_rate(float(rate)))
-                except InfeasibleError as exc:
-                    assert type(batched) is InfeasibleError
-                    assert str(batched) == str(exc)
-                    outcomes.add("infeasible")
-                    continue
-                assert batched == single
-                outcomes.add(single.method)
-            assert paths <= outcomes
+            rows = solve_epsilons(scenario, SCAN, demands)
+            assert paths <= assert_rows_are_single_solves(rows, SCAN, scenarios)
 
     @pytest.mark.parametrize("scenario", [
         make_scenario(),
@@ -249,37 +264,34 @@ class TestBatchedSolve:
         rates = np.append(SCAN * min(b.bandwidth for b in scenario.bands), 3000.0)
         demands = np.resize([1.0, 0.0, 0.3, 5.0], len(rates))
         rows = solve_epsilons(scenario, rates, demands)
-        kinds = {"no band": equilibrium.UNCOVERED, "no service": equilibrium.OVERLOADED,
-                 "equilibrium solver stalled": equilibrium.STALLED}
-        for i, sol in enumerate(solve_equilibria(scenario, rates, demands)):
-            if isinstance(sol, InfeasibleError):
-                kind = next(v for k, v in kinds.items() if str(sol).startswith(k))
-                assert rows.status[i] == kind and math.isnan(rows.epsilon[i])
-                continue
-            assert rows.status[i] == equilibrium.SOLVED
-            assert (rows.epsilon[i], rows.residual[i], rows.iterations[i]) == (
-                sol.epsilon, sol.residual, sol.iterations)
-            assert rows.bisected[i] == (sol.method == "bisection")
-        assert {equilibrium.SOLVED, equilibrium.UNCOVERED, equilibrium.OVERLOADED} \
-            <= set(rows.status.tolist())
+        # a row's own traffic has demand C = d exactly: files of mean d, one
+        # per unit time, or no sessions at d = 0
+        traffics = [TrafficModel(1.0, SizeDistribution("exponential", d)) if d
+                    else TrafficModel(math.inf, scenario.traffic.file_size)
+                    for d in demands.tolist()]
+        assert_rows_are_single_solves(
+            rows, rates, [replace(scenario, traffic=t) for t in traffics])
+        assert {SOLVED, UNCOVERED, OVERLOADED} <= set(rows.status.tolist())
 
     def test_uncovered_rate_is_named_before_solving(self, default_scenario):
         # past R/W = 1024 no band covers any user: that row fails at once and
         # without numpy warnings, and leaves the other rows as they were
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol, far = solve_equilibria(default_scenario, [4.0, 2000.0])
-        assert sol == solve_equilibrium(default_scenario)
-        assert type(far) is InfeasibleError
-        assert str(far) == "no band covers a user at target rate 2000"
+            rows = solve_epsilons(default_scenario, [4.0, 2000.0])
+            with pytest.raises(InfeasibleError) as far:
+                solve_equilibrium(replace(default_scenario, target_rate=2000.0))
+        assert_rows_are_single_solves(rows, [4.0], [default_scenario])  # row 0
+        assert rows.status[1] == UNCOVERED and math.isnan(rows.epsilon[1])
+        assert str(far.value) == "no band covers a user at target rate 2000"
 
     def test_rejects_bad_rates(self, default_scenario):
         for rates in ([1.0, 0.0], [[1.0]], [-2.0]):
             with pytest.raises(ValueError):
-                solve_equilibria(default_scenario, rates)
+                solve_epsilons(default_scenario, rates)
         for demands in ([1.0, 2.0, 3.0], [1.0, -1.0], [[1.0], [1.0]]):
             with pytest.raises(ValueError):
-                solve_equilibria(default_scenario, [1.0, 2.0], demands)
+                solve_epsilons(default_scenario, [1.0, 2.0], demands)
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0, 5.0]),
@@ -291,14 +303,17 @@ class TestBatchedSolve:
     def test_matches_independent_oracle(self, bands, ratio, capacity):
         scenario = heterogeneous_scenario(bands, ratio, capacity)
         rates = SCAN * min(b[0] for b in bands)
-        for rate, sol in zip(rates, solve_equilibria(scenario, rates)):
-            if isinstance(sol, InfeasibleError):
+        rows = solve_epsilons(scenario, rates)
+        for rate, status, eps, residual in zip(rates.tolist(), rows.status,
+                                               rows.epsilon.tolist(),
+                                               rows.residual.tolist()):
+            if status != SOLVED:
                 continue
-            at_rate = scenario.with_rate(float(rate))
-            mapped, eps_n, loads = oracle_epsilon_map(at_rate, sol.epsilon)
+            at_rate = replace(scenario, target_rate=rate)
+            mapped, eps_n, loads = oracle_epsilon_map(at_rate, eps)
             # the oracle map's 1 - exp(...) is exact only to an ulp of 1
-            assert abs(abs(sol.epsilon - mapped) - sol.residual) \
-                <= 1e-13 * sol.epsilon + 2.0**-52
+            assert abs(abs(eps - mapped) - residual) <= 1e-13 * eps + 2.0**-52
+            sol = solve_equilibrium(at_rate)
             for band, b, e, load in zip(scenario.bands, sol.bands, eps_n, loads):
                 cov = oracle_coverage(rate, band.bandwidth)
                 assert b.coverage == pytest.approx(cov, rel=1e-13, abs=0)
@@ -354,7 +369,7 @@ class TestUniqueRoot:
         scenario = replace(heterogeneous_scenario(bands, ratio, capacity),
                            thinning=thinning)
         for rate in SCAN * min(b[0] for b in bands):
-            at_rate = scenario.with_rate(float(rate))
+            at_rate = replace(scenario, target_rate=float(rate))
             lo = rho_s(at_rate) + 1e-9
             if lo >= 1.0:
                 continue

@@ -109,6 +109,22 @@ def test_status_change_is_listed(diff):
     assert out.splitlines()[-1] == "voronoi-000: status ok -> failed"
 
 
+def test_stderr_change_is_listed(diff):
+    # an op written without stderr, as older outputs are, has an empty one
+    failing = changed(**{"equilibrium-000": (["stderr"], "infeasible: C > R*g(1)\n")})
+    code, out = diff(failing, failing)
+    assert code == 0
+    code, out = diff(POOL, changed(**{"equilibrium-000": (["stderr"], "")}))
+    assert code == 0
+    code, out = diff(failing, changed(**{
+        "equilibrium-000": (["stderr"], "infeasible: C > R*g(1) = 2\n")}))
+    assert code == 1
+    assert out.splitlines()[-1] == "equilibrium-000: stderr changed"
+    code, out = diff(POOL, failing)
+    assert code == 1
+    assert out.splitlines()[-1] == "equilibrium-000: stderr changed"
+
+
 def test_estimate_shift_units():
     assert pool_diff.estimate_shift([1.0, 0.5, 4], [1.25, 0.5, 4]) == (0.5, True)
     assert pool_diff.estimate_shift([1.0, 0.0, 4], [1.25, 0.0, 4]) == (0.25, False)

@@ -1,9 +1,10 @@
-"""The public functions of ``secnet`` are the ones it runs: each is called
-from code in ``src/`` outside its own ``def``, or wrapped by name in the
-benchmark's tracer.  A function only tests reach belongs in ``tests/``, as a
-local oracle of the comparison that uses it."""
+"""The public functions, methods and properties of ``secnet`` are the ones it
+runs: each is called from code in ``src/`` outside its own ``def``, or
+wrapped by name in the benchmark's tracer.  A function only tests reach
+belongs in ``tests/``, as a local oracle of the comparison that uses it."""
 
 import ast
+import importlib
 from functools import cache
 from pathlib import Path
 
@@ -30,24 +31,58 @@ def _trees():
             for p in sorted(SRC.rglob("*.py"))}
 
 
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _owners(tree):
+    """``(owner, node)``: each top-level statement under its name (``None``
+    for one without), and each statement of a class body under
+    ``Class.name`` for a def, else under the class's name."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            yield getattr(stmt, "name", None), stmt
+            continue
+        for node in stmt.body:
+            yield (f"{stmt.name}.{node.name}" if isinstance(node, _FUNCTION)
+                   else stmt.name), node
+
+
 def public_functions():
     return sorted(
         f"{module}.{node.name}"
         for module, tree in _trees().items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
+        if isinstance(node, _FUNCTION) and not node.name.startswith("_")
+    )
+
+
+def _is_hook(module, qualname):
+    """Whether the method overrides one of a base class, which calls it: a
+    framework hook such as ``cli._ArgumentParser.error``, which argparse
+    calls."""
+    cls_name, name = qualname.split(".")
+    cls = getattr(importlib.import_module(f"secnet.{module}"), cls_name)
+    return any(name in vars(base) for base in cls.__mro__[1:])
+
+
+def public_methods():
+    """Public methods and properties of the classes in ``src/``, hooks aside."""
+    return sorted(
+        f"{module}.{owner}"
+        for module, tree in _trees().items()
+        for owner, node in _owners(tree)
+        if isinstance(node, _FUNCTION) and "." in owner
+        and not node.name.startswith("_") and not _is_hook(module, owner)
     )
 
 
 @cache
 def _references():
-    """``(name, module, top-level def)`` of every name and attribute read in
-    code, the def being ``None`` at module level."""
+    """``(name, module, owner)`` of every name and attribute read in code, the
+    owner being the def or class of ``_owners`` that holds it."""
     refs = set()
     for module, tree in _trees().items():
-        for stmt in tree.body:
-            owner = getattr(stmt, "name", None)
+        for owner, stmt in _owners(tree):
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     refs.add((node.id, module, owner))
@@ -66,12 +101,23 @@ def test_allowlist_names_public_functions():
     assert set(ALLOWED) <= set(public_functions())
 
 
-@pytest.mark.parametrize("qualname", public_functions())
-def test_public_function_is_used(qualname):
+def _assert_used(module, owner):
+    """Some code outside ``owner``'s own def reads its name."""
+    qualname, name = f"{module}.{owner}", owner.rpartition(".")[2]
     if qualname in ALLOWED or qualname in _traced():
         return
-    module, _, name = qualname.rpartition(".")
-    users = {(m, owner) for ref, m, owner in _references() if ref == name}
-    assert users - {(module, name)}, (
+    users = {(m, o) for ref, m, o in _references() if ref == name}
+    assert users - {(module, owner)}, (
         f"{qualname} is reached only from tests: move it into tests/ as a "
         "local oracle, or delete it with the tests that only check it")
+
+
+@pytest.mark.parametrize("qualname", public_functions())
+def test_public_function_is_used(qualname):
+    _assert_used(*qualname.rsplit(".", 1))
+
+
+@pytest.mark.parametrize("qualname", public_methods())
+def test_public_method_is_used(qualname):
+    module, cls, name = qualname.rsplit(".", 2)
+    _assert_used(module, f"{cls}.{name}")

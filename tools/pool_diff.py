@@ -8,8 +8,9 @@ tolerance the benchmark's check applies to that column, read from this
 checkout's ``perfbench/ops.py``.  Relative changes are printed for columns
 checked relative, absolute ones for columns checked absolute.  Echoed
 numbers (``# epsilon = ...``) count as columns named ``echo.<key>``.  An op
-whose status, exit code or non-numeric text changed is listed by id, and
-so is a simulator op whose digest changed.  For those simulator ops it
+whose status, exit code, non-numeric text or stderr changed is listed by
+id (an op written without ``stderr`` has an empty one), and so is a
+simulator op whose digest changed.  For those simulator ops it
 also prints, per kind and estimate, the largest shift |new - old| in units
 of the old 99 % CI half-width (absolute for an estimate without a CI, such
 as a KS distance).  Exits 1 if a change exceeds its tolerance or any op is
@@ -85,6 +86,8 @@ def main(argv):
         if a is None or b is None or a["status"] != b["status"]:
             listed.append(f"{op_id}: status {a and a['status']} -> {b and b['status']}")
             continue
+        if a.get("stderr", "") != b.get("stderr", ""):
+            listed.append(f"{op_id}: stderr changed")
         ca, cb = a["canonical"], b["canonical"]
         subcommand = ops.CLI_KINDS.get(kind)
         if subcommand is None or ca[0] == "exception" or cb[0] == "exception":

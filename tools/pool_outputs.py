@@ -13,15 +13,19 @@ exception it raised.  A simulator op also writes its ``estimates`` as
 PMF op's ``access_probability``, say).  A PMF op adds ``per_cell_mean``,
 the mean covered count per cell that the benchmark's pooled PMF check
 reads, as (value, 0, cells sampled): it has no CI, so ``tools/pool_diff.py``
-reports its shift in absolute terms.  The ops and their checks come from
-this checkout's ``perfbench/ops.py``, so two runs differ only in the
-``secnet`` they load:
+reports its shift in absolute terms.  A CLI op that exits non-zero also
+writes its ``stderr``, the error message: the benchmark's runner drops
+stderr, so the op runs a second time with stderr kept.  The ops and their
+checks come from this checkout's ``perfbench/ops.py``, so two runs differ
+only in the ``secnet`` they load:
 
     python3 tools/pool_outputs.py OLD_TREE old.json
     python3 tools/pool_outputs.py . new.json
     cmp old.json new.json
 """
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -38,7 +42,7 @@ def main(argv):
         return 2
     src = Path(argv[0]).resolve() / "src"
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    import secnet
+    import secnet.cli
     import ops
 
     loaded = Path(secnet.__file__).resolve()
@@ -55,6 +59,12 @@ def main(argv):
                 _, result, exc = ops.run_op(prepared)
                 status, _, canonical, _ = ops.check_op(prepared, result, exc)
                 outcome = {"status": status, "canonical": canonical}
+                if prepared.is_cli and exc is None and result[0] != 0:
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(err):
+                        secnet.cli.main(prepared.argv)
+                    outcome["stderr"] = err.getvalue()
                 if exc is None and not prepared.is_cli:
                     estimates = outcome["estimates"] = {
                         name: [e.value, e.ci99_half_width, e.n]
