@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import InfeasibleError
+from .errors import InfeasibleError, _check_finite_positive
 from .queueing import OutageModel, TrafficModel
 
 _RESIDUAL_TOL = 1e-10
@@ -46,12 +46,9 @@ class BandConfig:
     bs_density: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        _check_finite_positive(bandwidth=self.bandwidth, bs_density=self.bs_density)
         if not 0.0 < self.vacancy <= 1.0:
             raise ValueError(f"vacancy must be in (0,1], got {self.vacancy}")
-        if self.bs_density <= 0:
-            raise ValueError(f"bs_density must be > 0, got {self.bs_density}")
 
 
 @dataclass(frozen=True)
@@ -67,12 +64,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "bands", tuple(self.bands))
-        if self.user_density <= 0:
-            raise ValueError(f"user_density must be > 0, got {self.user_density}")
+        _check_finite_positive(user_density=self.user_density,
+                               target_rate=self.target_rate)
         if not self.bands:
             raise ValueError("at least one band is required")
-        if self.target_rate <= 0:
-            raise ValueError(f"target_rate must be > 0, got {self.target_rate}")
         if self.thinning <= 0:
             raise ValueError(f"thinning must be > 0, got {self.thinning}")
 

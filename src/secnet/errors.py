@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of the
+fields that must be finite and > 0."""
+
+import math
+
+
+def _check_finite_positive(**fields):
+    """Raise a ValueError naming the first field that is not finite and > 0."""
+    for name, value in fields.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 class UnstableQueueError(ValueError):

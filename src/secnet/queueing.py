@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, UnstableQueueError
+from .errors import ConvergenceError, UnstableQueueError, _check_finite_positive
 from .laplace import _EULER_TERMS, euler_inversion
 
 _ROOT_TOL = 1e-12
@@ -49,10 +49,7 @@ class SizeDistribution:
     def __post_init__(self):
         if self.family not in ("exponential", "gamma"):
             raise ValueError(f"unknown family {self.family!r}")
-        if not self.mean > 0:
-            raise ValueError(f"mean must be > 0, got {self.mean}")
-        if not self.shape > 0:
-            raise ValueError(f"shape must be > 0, got {self.shape}")
+        _check_finite_positive(mean=self.mean, shape=self.shape)
         if self.family == "exponential" and self.shape != 1.0:
             raise ValueError("exponential distribution has shape 1")
 
@@ -122,10 +119,8 @@ class OutageModel:
     duration_shape: float = 1.0
 
     def __post_init__(self):
-        for name in ("outage_interarrival_mean", "duration_shape"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _check_finite_positive(outage_interarrival_mean=self.outage_interarrival_mean,
+                               duration_shape=self.duration_shape)
 
     def duration_distribution(self, mean):
         family = "exponential" if self.duration_shape == 1.0 else "gamma"
@@ -245,8 +240,7 @@ class DelayTransform:
         capacity = traffic.capacity
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"service probability must be in (0, 1], got {epsilon}")
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
+        _check_finite_positive(rate=rate)
         if epsilon <= capacity / rate:
             raise UnstableQueueError(
                 f"unstable: service probability {epsilon} <= C/R = {capacity / rate}"

@@ -3,11 +3,12 @@
 Outage events have absolute priority over session traffic and are served
 FCFS among themselves, so their workload process is independent of the
 sessions.  The engine exploits that: it first builds the outage busy
-periods, turns them into a piecewise-linear "available service time"
-clock, and then runs the session FCFS recursion in that clock.  This is
-event-for-event equivalent to a naive event-driven loop (the tests pin
-exact agreement with such a reference loop) but runs as a handful of
-vectorized scans.
+periods of a stream that leads with an empty outage at time 0, so that
+every later instant follows a busy start, reads them as a piecewise-linear
+"available service time" clock, and then runs the session FCFS recursion
+in that clock (``_session_sweep``).  This is event-for-event equivalent to
+a naive event-driven loop (the tests pin exact agreement with such a
+reference loop) but runs as a handful of vectorized scans.
 
 Ties are deterministic by construction: an outage arriving exactly at a
 session completion instant does not delay it (the session has already
@@ -21,6 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..errors import _check_finite_positive
 from ..queueing import SizeDistribution
 from .report import SimReport
 
@@ -42,10 +44,9 @@ class QueueSimConfig:
     n_batches: ClassVar[int] = 20
 
     def __post_init__(self):
-        for name in ("session_interarrival_mean", "outage_interarrival_mean", "rate"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _check_finite_positive(
+            session_interarrival_mean=self.session_interarrival_mean,
+            outage_interarrival_mean=self.outage_interarrival_mean, rate=self.rate)
         if self.rho_o >= 1.0:  # the outage class alone would never empty
             raise ValueError(f"outage load rho_o = {self.rho_o:g} must be < 1")
         n = self.horizon_sessions
@@ -79,56 +80,12 @@ class QueueSimConfig:
         }
 
 
-class _AvailabilityClock:
-    """Cumulative secondary-service time A(t): grows at unit rate outside
-    the merged outage busy periods, is flat inside them."""
-
-    def __init__(self, busy_starts, busy_ends):
-        self.starts = busy_starts
-        self.ends = busy_ends
-        durations = busy_ends - busy_starts
-        self.blocked_before = np.concatenate([[0.0], np.cumsum(durations)])
-        self.avail_at_start = busy_starts - self.blocked_before[:-1]
-
-    def forward(self, t):
-        """A(t) for a sorted or unsorted array of times."""
-        idx = np.searchsorted(self.starts, t, side="right") - 1
-        safe = np.maximum(idx, 0)
-        blocked = np.where(idx >= 0, self.blocked_before[safe], 0.0)
-        # blocked time of the latest busy period starting at or before t
-        extra = np.where(
-            idx >= 0, np.minimum(t, self.ends[safe]) - self.starts[safe], 0.0
-        )
-        return t - blocked - extra
-
-    def inverse(self, a):
-        """Real time at which cumulative availability reaches ``a``.
-
-        A value landing exactly on a busy-period boundary resolves to the
-        earlier instant: a service completing there is done when the
-        outage hits.
-        """
-        idx = np.searchsorted(self.avail_at_start, a, side="left") - 1
-        return np.where(
-            idx >= 0,
-            self.ends[np.maximum(idx, 0)]
-            + (a - self.avail_at_start[np.maximum(idx, 0)]),
-            a,
-        )
-
-
 def _fcfs_departures(arrivals, work):
     """FCFS departures: job i leaves at cum_i + max_{j<=i}(arrival_j -
     cum_{j-1}), where cum is the running sum of ``work``."""
     cum = np.cumsum(work)
     offset = np.concatenate([[0.0], cum[:-1]])
     return cum + np.maximum.accumulate(arrivals - offset)
-
-
-def _merged_busy_periods(arrivals, durations):
-    """Busy periods of the FCFS single-class workload fed by ``arrivals``
-    with the given service ``durations``."""
-    return _busy_periods(arrivals, _fcfs_departures(arrivals, durations))
 
 
 def _busy_periods(arrivals, frees):
@@ -144,18 +101,31 @@ def _busy_periods(arrivals, frees):
     return starts, frees[period_last]
 
 
-def _session_sweep(arr_s, service, clock):
-    """FCFS completion recursion in availability coordinates."""
-    avail_at_arrival = clock.forward(arr_s)
+def _latest_start(starts, t):
+    """Index of the latest busy period starting at or before each t."""
+    return np.searchsorted(starts, t, side="right") - 1
+
+
+def _session_sweep(arr_s, service, starts, ends):
+    """Session completions and first service starts: the FCFS recursion in
+    the availability clock A(t), the secondary-service time up to t, which
+    grows at unit rate outside the outage busy periods [starts, ends] and
+    is flat inside them.  The first period starts at 0, so every t > 0 has
+    a busy period starting at or before it."""
+    blocked_before = np.concatenate([[0.0], np.cumsum(ends - starts)])
+    avail_at_start = starts - blocked_before[:-1]
+    k = _latest_start(starts, arr_s)
+    avail_at_arrival = (arr_s - blocked_before[k]
+                        - (np.minimum(arr_s, ends[k]) - starts[k]))
     completion_avail = _fcfs_departures(avail_at_arrival, service)
-    completions = clock.inverse(completion_avail)
+    # invert A: a completion landing exactly on a busy start resolves to the
+    # earlier instant, since the session is done when the outage hits
+    k = np.searchsorted(avail_at_start, completion_avail, side="left") - 1
+    completions = ends[k] + (completion_avail - avail_at_start[k])
     # service start in real time: the later of arrival and the previous
     # completion, pushed past any outage busy period covering that instant
     cand = np.maximum(arr_s, np.concatenate([[-math.inf], completions[:-1]]))
-    idx = np.searchsorted(clock.starts, cand, side="right") - 1
-    safe = np.maximum(idx, 0)
-    inside = (idx >= 0) & (cand < clock.ends[safe])
-    starts = np.where(inside, clock.ends[safe], cand)
+    first_service = np.maximum(cand, ends[_latest_start(starts, cand)])
     # preemptive-resume accounting: availability consumed by each session
     # must equal its service requirement exactly
     consumed = completion_avail - np.maximum(
@@ -163,7 +133,7 @@ def _session_sweep(arr_s, service, clock):
     )
     if not np.allclose(consumed, service, rtol=0.0, atol=_SERVICE_ACCOUNTING_TOL):
         raise AssertionError("service accounting violated in session sweep")
-    return completions, starts
+    return completions, first_service
 
 
 def _busy_time(starts, ends, window_start, window_end):
@@ -199,26 +169,20 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
             f"unstable load: rho_s + rho_o = {cfg.rho_s + cfg.rho_o:.3f} >= 1"
         )
 
-    # outage stream must cover the whole simulated span; extend on demand
+    # outage stream must cover the whole simulated span; extend on demand.
+    # It leads with an empty outage at 0, which starts the first busy period.
     horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
-    arr_o = np.array([])
-    dur_o = np.array([])
-    last = 0.0
+    arr_o = dur_o = np.zeros(1)
     while True:
-        need = horizon - last
-        m = max(int(need / cfg.outage_interarrival_mean * 1.2) + 100, 100)
-        arr_o = np.concatenate(
-            [arr_o, last + np.cumsum(rng.exponential(cfg.outage_interarrival_mean, m))]
-        )
-        dur_o = np.concatenate([dur_o, cfg.outage_duration.sample(rng, m)])
-        last = arr_o[-1]
-        if last < horizon:
-            continue
-        starts, ends = _merged_busy_periods(arr_o, dur_o)
-        clock = _AvailabilityClock(starts, ends)
-        completions, first_service = _session_sweep(arr_s, service, clock)
+        while arr_o[-1] < horizon:
+            m = int((horizon - arr_o[-1]) / cfg.outage_interarrival_mean * 1.2) + 100
+            arr_o = np.concatenate([arr_o, arr_o[-1] + np.cumsum(
+                rng.exponential(cfg.outage_interarrival_mean, m))])
+            dur_o = np.concatenate([dur_o, cfg.outage_duration.sample(rng, m)])
+        starts, ends = _busy_periods(arr_o, _fcfs_departures(arr_o, dur_o))
+        completions, first_service = _session_sweep(arr_s, service, starts, ends)
         # every completion must lie inside the simulated outage stream
-        if completions[-1] <= last:
+        if completions[-1] <= arr_o[-1]:
             break
         horizon = completions[-1] + 10.0 * cfg.outage_interarrival_mean
 

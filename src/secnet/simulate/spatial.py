@@ -35,6 +35,7 @@ from scipy.spatial import Voronoi, cKDTree
 from scipy.spatial.distance import cdist
 
 from .. import geometry
+from ..errors import _check_finite_positive
 from .report import Estimate, SimReport
 
 _CHUNK = 256  # user rows per kernel block, small enough for the cache
@@ -52,10 +53,8 @@ class SpatialSimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("window_side", "bs_density", "user_density"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _check_finite_positive(window_side=self.window_side, bs_density=self.bs_density,
+                               user_density=self.user_density)
         if not 0.0 < self.guard_fraction < 0.5:
             raise ValueError("guard fraction must be in (0, 0.5)")
         if self.replications < 1:
@@ -81,15 +80,10 @@ class SpatialSimConfig:
 
 
 def _draw_ppp(rng, density, side):
+    """Points of a Poisson process in the window.  The window holds at least
+    500 expected BSs, so a BS-free draw has probability below e^-500."""
     n = rng.poisson(density * side * side)
     return rng.uniform(0.0, side, size=(n, 2))
-
-
-def _draw_layers(rng, cfg):
-    """BS and user point sets.  The window holds at least 500 expected BSs,
-    so a BS-free draw has probability below e^-500."""
-    bss = _draw_ppp(rng, cfg.bs_density, cfg.window_side)
-    return bss, _draw_ppp(rng, cfg.user_density, cfg.window_side)
 
 
 def _interior_mask(points, cfg):
@@ -150,7 +144,8 @@ def spatial_coverage(cfg: SpatialSimConfig, threshold) -> SimReport:
     total_users = 0
     for rep in range(cfg.replications):
         rng = np.random.default_rng([cfg.seed, rep])
-        bss, users = _draw_layers(rng, cfg)
+        bss = _draw_ppp(rng, cfg.bs_density, cfg.window_side)
+        users = _draw_ppp(rng, cfg.user_density, cfg.window_side)
         users = users[_interior_mask(users, cfg)]
         if len(users) == 0:
             continue
@@ -187,7 +182,8 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
     counts = []
     for rep in range(cfg.replications):
         rng = np.random.default_rng([cfg.seed, rep])
-        bss, users = _draw_layers(rng, cfg)
+        bss = _draw_ppp(rng, cfg.bs_density, cfg.window_side)
+        users = _draw_ppp(rng, cfg.user_density, cfg.window_side)
         cell = _serving_cells(users, bss)
         interior_bs = _interior_mask(bss, cfg)
         interior_users = _interior_mask(users, cfg)
@@ -266,7 +262,7 @@ def sample_voronoi_cells(cfg: SpatialSimConfig) -> SimReport:
     rep_means = []
     for rep in range(cfg.replications):
         rng = np.random.default_rng([cfg.seed, rep])
-        bss, _ = _draw_layers(rng, cfg)
+        bss = _draw_ppp(rng, cfg.bs_density, cfg.window_side)
         areas = _bounded_interior_areas(bss, cfg) * cfg.bs_density
         if len(areas):
             all_areas.append(areas)

@@ -192,6 +192,18 @@ class TestSolveEquilibrium:
         with pytest.raises(InfeasibleError, match="residual nan"):
             solve_equilibrium(replace(default_scenario, thinning=math.nan))
 
+    @pytest.mark.parametrize("field, value", [
+        ("bandwidth", math.nan),  # was "no band covers a user at target rate 4"
+        ("bs_density", math.nan),  # was a solve stalled with residual nan
+        ("user_density", math.nan),  # was a solve stalled with residual nan
+        ("target_rate", math.inf),  # was accepted
+    ])
+    def test_non_finite_field_is_named(self, default_scenario, field, value):
+        owner = (default_scenario.bands[0] if field in ("bandwidth", "bs_density")
+                 else default_scenario)
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            replace(owner, **{field: value})
+
 
 def heterogeneous_scenario(bands, ratio, capacity):
     base = make_scenario(session_interarrival=10.0 / capacity)

@@ -147,9 +147,9 @@ class TestSizeDistribution:
             SizeDistribution("exponential", 0.0)
         with pytest.raises(ValueError):
             SizeDistribution("exponential", 1.0, shape=2.0)
-        with pytest.raises(ValueError, match="mean must be > 0, got nan"):
+        with pytest.raises(ValueError, match="mean must be finite and > 0, got nan"):
             SizeDistribution("exponential", math.nan)
-        with pytest.raises(ValueError, match="shape must be > 0, got nan"):
+        with pytest.raises(ValueError, match="shape must be finite and > 0, got nan"):
             SizeDistribution("gamma", 1.0, math.nan)
 
 
@@ -167,12 +167,18 @@ class TestTrafficAndOutageModels:
         (OutageModel, (10.0, math.nan), "duration_shape"),
         (TrafficModel, (math.nan, SizeDistribution("exponential", 10.0)),
          "session_interarrival_mean"),
+        (SizeDistribution, ("exponential", math.inf), "mean"),
+        (SizeDistribution, ("gamma", 10.0, math.inf), "shape"),
+        (DelayTransform, (*two_class_setup(), math.nan), "rate"),
     ])
     def test_non_finite_parameter_names_the_field(self, model, args, field):
         # each was accepted: an infinite outage interarrival mean gave a NaN
         # delay mean and CDF, an infinite duration shape a busy-root
-        # ConvergenceError, a NaN session interarrival mean a NaN delay mean;
-        # an infinite session interarrival mean stays valid, as no traffic
+        # ConvergenceError, a NaN session interarrival mean a NaN delay mean,
+        # an infinite file mean an equilibrium solve stalled with residual
+        # nan, an infinite Gamma shape the transform 1.0 at every s; a NaN
+        # rate raised "mean must be > 0" from the file law scaled by 1/rate.
+        # An infinite session interarrival mean stays valid, as no traffic
         with pytest.raises(ValueError, match=f"^{field} must be"):
             model(*args)
 

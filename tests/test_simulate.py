@@ -22,17 +22,15 @@ from secnet.simulate import (
     spatial_coverage,
 )
 from secnet.simulate.queue_sim import (
-    _AvailabilityClock,
     _busy_fractions,
     _busy_periods,
     _busy_time,
-    _merged_busy_periods,
+    _fcfs_departures,
     _session_sweep,
 )
 from secnet.simulate import spatial
 from secnet.simulate.spatial import (
     _bounded_interior_areas,
-    _draw_layers,
     _covered,
     _miss_load,
     _serving_cells,
@@ -414,6 +412,13 @@ def queue_config(rho_s=0.2, rho_o=0.3, alpha_o=0.5, n=100_000, seed=0,
     )
 
 
+def sweep(arr_s, service, arr_o, dur_o):
+    """Session completions and first service starts of the vectorized sweep
+    on an outage stream that leads with the empty outage at 0."""
+    starts, ends = _busy_periods(arr_o, _fcfs_departures(arr_o, dur_o))
+    return _session_sweep(arr_s, service, starts, ends)
+
+
 def small_queue_case():
     """Session and outage streams of a 2000-session run, drawn as
     ``run_priority_queue`` draws them, and the session completions and
@@ -425,13 +430,20 @@ def small_queue_case():
     service = cfg.file_size.sample(rng, n) / cfg.rate
     horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
     m = int(horizon / cfg.outage_interarrival_mean * 1.2) + 100
-    arr_o = np.cumsum(rng.exponential(cfg.outage_interarrival_mean, m))
-    dur_o = cfg.outage_duration.sample(rng, m)
-    starts, ends = _merged_busy_periods(arr_o, dur_o)
-    completions, first_starts = _session_sweep(
-        arr_s, service, _AvailabilityClock(starts, ends)
-    )
-    return arr_s, service, arr_o, dur_o, completions, first_starts
+    arr_o = np.concatenate(
+        [[0.0], np.cumsum(rng.exponential(cfg.outage_interarrival_mean, m))])
+    dur_o = np.concatenate([[0.0], cfg.outage_duration.sample(rng, m)])
+    return (arr_s, service, arr_o, dur_o) + sweep(arr_s, service, arr_o, dur_o)
+
+
+# (arrivals, services, outage arrivals, outage durations) on dyadic times,
+# so that every sum is exact; each outage stream leads with the empty outage
+BOUNDARY_STREAMS = {
+    "arrival-before-first-outage": ([0.5, 0.75], [0.25, 1.0], [0.0, 1.0], [0.0, 0.5]),
+    "arrival-inside-busy-period": ([1.5], [0.5], [0.0, 1.0], [0.0, 2.0]),
+    "arrival-at-busy-start": ([1.0], [0.5], [0.0, 1.0], [0.0, 1.0]),
+    "completion-at-busy-start": ([0.5, 0.75], [0.5, 0.25], [0.0, 1.0], [0.0, 1.0]),
+}
 
 
 def interval_union_length(starts, ends, lo, hi):
@@ -455,6 +467,23 @@ class TestQueueSim:
         ref_completions, ref_starts = _reference_delays(arr_s, service, arr_o, dur_o)
         assert np.allclose(completions, ref_completions, rtol=0, atol=1e-8)
         assert np.allclose(first_starts, ref_starts, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("streams", BOUNDARY_STREAMS.values(),
+                             ids=BOUNDARY_STREAMS.keys())
+    def test_matches_reference_at_busy_period_boundaries(self, streams):
+        streams = [np.array(x) for x in streams]
+        completions, first_starts = sweep(*streams)
+        ref_completions, ref_starts = _reference_delays(*streams)
+        assert np.array_equal(completions, ref_completions)
+        assert np.array_equal(first_starts, ref_starts)
+
+    def test_small_case_draws_as_run_priority_queue(self):
+        arr_s, _, _, _, completions, first_starts = small_queue_case()
+        rep = run_priority_queue(queue_config(n=2000))
+        k0 = 2000 - rep.config["n_kept"]
+        assert np.array_equal((completions - arr_s)[k0:], rep.arrays["delays"])
+        assert np.array_equal((completions - first_starts)[k0:],
+                              rep.arrays["spans"])
 
     def test_busy_time_is_interval_union_measure(self):
         arr_s, _, _, _, completions, _ = small_queue_case()
