@@ -8,7 +8,12 @@ every later instant follows a busy start, reads them as a piecewise-linear
 "available service time" clock, and then runs the session FCFS recursion
 in that clock (``_session_sweep``).  This is event-for-event equivalent to
 a naive event-driven loop (the tests pin exact agreement with such a
-reference loop) but runs as a handful of vectorized scans.
+reference loop) but runs as vectorized scans over blocks of ``_BLOCK``
+outages, then sessions, each going on from the state the block before left
+(the FCFS running sum and maximum, the open busy period, the previous
+completion) and searching only the busy periods its keys span.  Outage
+chunks are folded in place into their busy periods and dropped, so a run
+holds its sessions, the busy periods, its outputs and one block.
 
 Ties are deterministic by construction: an outage arriving exactly at a
 session completion instant does not delay it (the session has already
@@ -27,6 +32,7 @@ from ..queueing import SizeDistribution
 from .report import SimReport
 
 _SERVICE_ACCOUNTING_TOL = 1e-9
+_BLOCK = 1 << 14  # outages or sessions per block of the sweeps
 
 
 @dataclass(frozen=True)
@@ -80,30 +86,60 @@ class QueueSimConfig:
         }
 
 
-def _fcfs_departures(arrivals, work):
+def _after(first, x):
+    """Each element's predecessor in ``x``; ``first`` for its first one."""
+    out = np.empty_like(x)
+    out[0] = first
+    out[1:] = x[:-1]
+    return out
+
+
+def _fcfs_departures(arrivals, work, carry=(0.0, -math.inf)):
     """FCFS departures: job i leaves at cum_i + max_{j<=i}(arrival_j -
-    cum_{j-1}), where cum is the running sum of ``work``."""
-    cum = np.cumsum(work)
-    offset = np.concatenate([[0.0], cum[:-1]])
-    return cum + np.maximum.accumulate(arrivals - offset)
+    cum_{j-1}), where cum is the running sum of ``work``.  Goes on from the
+    (cum, running maximum) ``carry`` of the jobs before; returns its own."""
+    done, lead = carry
+    cum = work.copy()
+    cum[0] += done  # the running sum goes on from the carry, bit for bit
+    np.cumsum(cum, out=cum)
+    lag = arrivals - _after(done, cum)
+    lag[0] = np.maximum(lead, lag[0])
+    np.maximum.accumulate(lag, out=lag)
+    return cum + lag, (cum[-1], lag[-1])
 
 
 def _busy_periods(arrivals, frees):
     """(starts, ends) of the busy periods of an FCFS queue whose jobs arrive
     at ``arrivals`` and leave at the nondecreasing ``frees``."""
-    new_period = np.empty(len(arrivals), dtype=bool)
-    new_period[0] = True
-    new_period[1:] = arrivals[1:] >= frees[:-1]
-    starts = arrivals[new_period]
-    # each period ends at the free time of the last job before the next period
-    period_last = np.concatenate([np.nonzero(new_period)[0][1:] - 1,
-                                  [len(arrivals) - 1]])
-    return starts, frees[period_last]
+    before = _after(-math.inf, frees)  # a job opens a period if it finds it free
+    opens = arrivals >= before
+    return arrivals[opens], np.append(before[opens][1:], frees[-1])
 
 
-def _latest_start(starts, t):
-    """Index of the latest busy period starting at or before each t."""
-    return np.searchsorted(starts, t, side="right") - 1
+def _outage_periods(arrivals, durations, carry):
+    """Outage busy periods of a chunk, blockwise from the ``carry`` (FCFS
+    carry, free time) of the outages before.  Writes the starts of the
+    periods it opens over ``arrivals`` and the ends of those they close over
+    ``durations``, never past the block read; returns their count, carry."""
+    fcfs, free = carry
+    count = 0
+    for lo in range(0, len(arrivals), _BLOCK):
+        block = arrivals[lo:lo + _BLOCK]
+        frees, fcfs = _fcfs_departures(block, durations[lo:lo + _BLOCK], fcfs)
+        before = _after(free, frees)
+        opens = block >= before
+        free, opened = frees[-1], np.count_nonzero(opens)
+        arrivals[count:count + opened] = block[opens]
+        durations[count:count + opened] = before[opens]
+        count += opened
+    return count, (fcfs, free)
+
+
+def _place(sorted_keys, keys, side):
+    """``np.searchsorted(sorted_keys, keys, side)`` for nondecreasing
+    ``keys``, searching only the window their first and last keys span."""
+    lo, hi = np.searchsorted(sorted_keys, keys[[0, -1]], side)
+    return np.searchsorted(sorted_keys[lo:hi], keys, side) + lo
 
 
 def _session_sweep(arr_s, service, starts, ends):
@@ -112,27 +148,35 @@ def _session_sweep(arr_s, service, starts, ends):
     grows at unit rate outside the outage busy periods [starts, ends] and
     is flat inside them.  The first period starts at 0, so every t > 0 has
     a busy period starting at or before it."""
-    blocked_before = np.concatenate([[0.0], np.cumsum(ends - starts)])
-    avail_at_start = starts - blocked_before[:-1]
-    k = _latest_start(starts, arr_s)
-    avail_at_arrival = (arr_s - blocked_before[k]
-                        - (np.minimum(arr_s, ends[k]) - starts[k]))
-    completion_avail = _fcfs_departures(avail_at_arrival, service)
-    # invert A: a completion landing exactly on a busy start resolves to the
-    # earlier instant, since the session is done when the outage hits
-    k = np.searchsorted(avail_at_start, completion_avail, side="left") - 1
-    completions = ends[k] + (completion_avail - avail_at_start[k])
-    # service start in real time: the later of arrival and the previous
-    # completion, pushed past any outage busy period covering that instant
-    cand = np.maximum(arr_s, np.concatenate([[-math.inf], completions[:-1]]))
-    first_service = np.maximum(cand, ends[_latest_start(starts, cand)])
-    # preemptive-resume accounting: availability consumed by each session
-    # must equal its service requirement exactly
-    consumed = completion_avail - np.maximum(
-        avail_at_arrival, np.concatenate([[0.0], completion_avail[:-1]])
-    )
-    if not np.allclose(consumed, service, rtol=0.0, atol=_SERVICE_ACCOUNTING_TOL):
-        raise AssertionError("service accounting violated in session sweep")
+    blocked_before = _after(0.0, ends - starts)
+    np.cumsum(blocked_before, out=blocked_before)
+    avail_at_start = starts - blocked_before
+    completions, first_service = np.empty_like(arr_s), np.empty_like(arr_s)
+    carry, done, done_avail = (0.0, -math.inf), -math.inf, 0.0
+    for lo in range(0, len(arr_s), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        arr, work = arr_s[block], service[block]
+        k = _place(starts, arr, "right") - 1
+        avail_at_arrival = (arr - blocked_before[k]
+                            - (np.minimum(arr, ends[k]) - starts[k]))
+        completion_avail, carry = _fcfs_departures(avail_at_arrival, work, carry)
+        # invert A: a completion landing exactly on a busy start resolves to
+        # the earlier instant, since the session is done when the outage hits
+        k = _place(avail_at_start, completion_avail, "left") - 1
+        completed = np.add(ends[k], completion_avail - avail_at_start[k],
+                           out=completions[block])
+        # service start in real time: the later of arrival and the previous
+        # completion, pushed past any outage busy period covering that instant
+        cand = np.maximum(arr, _after(done, completed))
+        np.maximum(cand, ends[_place(starts, cand, "right") - 1],
+                   out=first_service[block])
+        # preemptive-resume accounting: availability consumed by each session
+        # must equal its service requirement exactly
+        consumed = completion_avail - np.maximum(
+            avail_at_arrival, _after(done_avail, completion_avail))
+        if not np.allclose(consumed, work, rtol=0.0, atol=_SERVICE_ACCOUNTING_TOL):
+            raise AssertionError("service accounting violated in session sweep")
+        done, done_avail = completed[-1], completion_avail[-1]
     return completions, first_service
 
 
@@ -169,28 +213,34 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
             f"unstable load: rho_s + rho_o = {cfg.rho_s + cfg.rho_o:.3f} >= 1"
         )
 
-    # outage stream must cover the whole simulated span; extend on demand.
-    # It leads with an empty outage at 0, which starts the first busy period.
+    # the outage stream must cover the whole simulated span; it leads with an
+    # empty outage at 0, which starts the first busy period
     horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
-    arr_o = dur_o = np.zeros(1)
+    starts = ends = np.zeros(1)  # ends[-1] is the end of the open period
+    last, carry = 0.0, ((0.0, 0.0), 0.0)
     while True:
-        while arr_o[-1] < horizon:
-            m = int((horizon - arr_o[-1]) / cfg.outage_interarrival_mean * 1.2) + 100
-            arr_o = np.concatenate([arr_o, arr_o[-1] + np.cumsum(
-                rng.exponential(cfg.outage_interarrival_mean, m))])
-            dur_o = np.concatenate([dur_o, cfg.outage_duration.sample(rng, m)])
-        starts, ends = _busy_periods(arr_o, _fcfs_departures(arr_o, dur_o))
+        while last < horizon:
+            m = int((horizon - last) / cfg.outage_interarrival_mean * 1.2) + 100
+            arr_o = np.cumsum(rng.exponential(cfg.outage_interarrival_mean, m)) + last
+            dur_o = cfg.outage_duration.sample(rng, m)
+            last = arr_o[-1]
+            count, carry = _outage_periods(arr_o, dur_o, carry)
+            starts = np.concatenate([starts, arr_o[:count]])
+            del arr_o
+            ends = np.concatenate([ends[:-1], dur_o[:count], [carry[1]]])
+            del dur_o
         completions, first_service = _session_sweep(arr_s, service, starts, ends)
         # every completion must lie inside the simulated outage stream
-        if completions[-1] <= arr_o[-1]:
+        if completions[-1] <= last:
             break
         horizon = completions[-1] + 10.0 * cfg.outage_interarrival_mean
+    del starts, ends
 
     if np.any(np.diff(completions) < 0):
         raise AssertionError("FCFS completions not monotone")
 
     delays = completions - arr_s
-    spans = completions - first_service
+    spans = np.subtract(completions, first_service, out=first_service)
 
     k0 = int(cfg.warmup_fraction * n)
     kept = slice(k0, n)

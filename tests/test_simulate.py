@@ -28,7 +28,7 @@ from secnet.simulate.queue_sim import (
     _fcfs_departures,
     _session_sweep,
 )
-from secnet.simulate import spatial
+from secnet.simulate import queue_sim, spatial
 from secnet.simulate.spatial import (
     _bounded_interior_areas,
     _covered,
@@ -415,25 +415,52 @@ def queue_config(rho_s=0.2, rho_o=0.3, alpha_o=0.5, n=100_000, seed=0,
 def sweep(arr_s, service, arr_o, dur_o):
     """Session completions and first service starts of the vectorized sweep
     on an outage stream that leads with the empty outage at 0."""
-    starts, ends = _busy_periods(arr_o, _fcfs_departures(arr_o, dur_o))
-    return _session_sweep(arr_s, service, starts, ends)
+    frees, _ = _fcfs_departures(arr_o, dur_o)
+    return _session_sweep(arr_s, service, *_busy_periods(arr_o, frees))
 
 
-def small_queue_case():
-    """Session and outage streams of a 2000-session run, drawn as
-    ``run_priority_queue`` draws them, and the session completions and
-    first service starts of the vectorized sweep."""
-    cfg = queue_config(n=2000)
+def queue_case(cfg):
+    """Session and outage streams of a run, drawn as ``run_priority_queue``
+    draws them, the session completions and first service starts of the
+    vectorized sweep, and the number of sweeps: while a completion lies
+    past the last outage, the whole outage stream is drawn longer and its
+    busy periods and the sweep are computed afresh."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.horizon_sessions
     arr_s = np.cumsum(rng.exponential(cfg.session_interarrival_mean, n))
     service = cfg.file_size.sample(rng, n) / cfg.rate
     horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
-    m = int(horizon / cfg.outage_interarrival_mean * 1.2) + 100
-    arr_o = np.concatenate(
-        [[0.0], np.cumsum(rng.exponential(cfg.outage_interarrival_mean, m))])
-    dur_o = np.concatenate([[0.0], cfg.outage_duration.sample(rng, m)])
-    return (arr_s, service, arr_o, dur_o) + sweep(arr_s, service, arr_o, dur_o)
+    arr_o = dur_o = np.zeros(1)
+    sweeps = 0
+    while True:
+        while arr_o[-1] < horizon:
+            m = int((horizon - arr_o[-1]) / cfg.outage_interarrival_mean * 1.2) + 100
+            arr_o = np.concatenate([arr_o, arr_o[-1] + np.cumsum(
+                rng.exponential(cfg.outage_interarrival_mean, m))])
+            dur_o = np.concatenate([dur_o, cfg.outage_duration.sample(rng, m)])
+        completions, first_starts = sweep(arr_s, service, arr_o, dur_o)
+        sweeps += 1
+        if completions[-1] <= arr_o[-1]:
+            return arr_s, service, arr_o, dur_o, completions, first_starts, sweeps
+        horizon = completions[-1] + 10.0 * cfg.outage_interarrival_mean
+
+
+def small_queue_case():
+    """``queue_case`` of a 2000-session run, which one outage chunk covers,
+    without its sweep count."""
+    return queue_case(queue_config(n=2000))[:6]
+
+
+def assert_draws_as_run_priority_queue(cfg, arr_s, completions, first_starts):
+    rep = run_priority_queue(cfg)
+    k0 = cfg.horizon_sessions - rep.config["n_kept"]
+    assert np.array_equal((completions - arr_s)[k0:], rep.arrays["delays"])
+    assert np.array_equal((completions - first_starts)[k0:], rep.arrays["spans"])
+
+
+# rho_s + rho_o = 1.2: the last completion outruns the first outage chunk, so
+# the run extends its outage stream
+EXTENDED = queue_config(rho_s=0.9, rho_o=0.3, n=5000, seed=0)
 
 
 # (arrivals, services, outage arrivals, outage durations) on dyadic times,
@@ -479,11 +506,56 @@ class TestQueueSim:
 
     def test_small_case_draws_as_run_priority_queue(self):
         arr_s, _, _, _, completions, first_starts = small_queue_case()
-        rep = run_priority_queue(queue_config(n=2000))
-        k0 = 2000 - rep.config["n_kept"]
-        assert np.array_equal((completions - arr_s)[k0:], rep.arrays["delays"])
-        assert np.array_equal((completions - first_starts)[k0:],
-                              rep.arrays["spans"])
+        assert_draws_as_run_priority_queue(
+            queue_config(n=2000), arr_s, completions, first_starts)
+
+    def test_extended_outage_stream_matches_whole_stream_recompute(self):
+        # the run goes on from the carried outage state (last arrival, work
+        # sum, running maximum, open busy period); sweeping the whole longer
+        # stream afresh must give the same bits
+        arr_s, _, _, _, completions, first_starts, sweeps = queue_case(EXTENDED)
+        assert sweeps > 1
+        assert_draws_as_run_priority_queue(EXTENDED, arr_s, completions, first_starts)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_block_invariance(self, monkeypatch, block):
+        cfgs = [queue_config(n=2000), EXTENDED]
+        base = [run_priority_queue(cfg) for cfg in cfgs]
+        monkeypatch.setattr(queue_sim, "_BLOCK", block)
+        for a, b in zip(base, map(run_priority_queue, cfgs)):
+            assert a.estimates == b.estimates
+            assert a.config == b.config
+            assert a.warnings == b.warnings
+            for key in ("delays", "spans"):
+                assert np.array_equal(a.arrays[key], b.arrays[key])
+        if block == 1:  # one session a block still sweeps as the event loop
+            for streams in BOUNDARY_STREAMS.values():
+                streams = [np.array(x) for x in streams]
+                for got, ref in zip(sweep(*streams), _reference_delays(*streams)):
+                    assert np.array_equal(got, ref)
+            arr_s, service, arr_o, dur_o, *got = small_queue_case()
+            ref = _reference_delays(arr_s, service, arr_o, dur_o)
+            for x, y in zip(got, ref):
+                assert np.allclose(x, y, rtol=0, atol=1e-8)
+
+    def test_working_set_is_blocked(self):
+        # frequent outages: m, about 1.6e6 outages, outnumber the n = 2e5
+        # sessions.  The run holds its inputs (arrival and service times),
+        # its outputs (completions, spans, delays), the outage chunk beside
+        # its busy periods or four arrays over at most m busy periods
+        # (starts, ends and the availability clock's two), and one block of
+        # scratch.  Whole-stream temporaries of the outage FCFS recursion
+        # and busy periods took about 6 m floats here
+        cfg = queue_config(rho_s=0.3, rho_o=0.3, alpha_o=0.5, n=200_000, seed=2)
+        n = cfg.horizon_sessions
+        m = 1.25 * n * cfg.session_interarrival_mean / cfg.outage_interarrival_mean
+        tracemalloc.start()
+        try:
+            run_priority_queue(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (5 * n + 4 * m + 16 * queue_sim._BLOCK)
 
     def test_busy_time_is_interval_union_measure(self):
         arr_s, _, _, _, completions, _ = small_queue_case()

@@ -3,12 +3,13 @@ each op's outcome, for a byte-identity check between two trees.
 
     python3 tools/pool_outputs.py SRC OUT
 
-runs every op of the ``planning``, ``delay`` and ``montecarlo`` pools
-except ``queue_long`` (the long queue runs) with the ``secnet`` in
+runs every op of the ``planning``, ``delay`` and ``montecarlo`` pools,
+the 1e6-session ``queue_long`` runs included, with the ``secnet`` in
 ``SRC/src`` and writes ``OUT`` as sorted JSON: for each op its status
 against the recorded reference and its canonical output, which is the exit
 code and stdout of a CLI op, the digest of a simulator op's arrays, or the
-exception it raised.  A simulator op also writes its ``estimates`` as
+exception it raised (the ``AssertionError`` every ``queue_long`` run
+records, say).  A simulator op also writes its ``estimates`` as
 (value, 99 % CI half-width, n), which its array digest does not cover (a
 PMF op's ``access_probability``, say).  A PMF op adds ``per_cell_mean``,
 the mean covered count per cell that the benchmark's pooled PMF check
@@ -53,8 +54,6 @@ def main(argv):
     with tempfile.TemporaryDirectory() as workdir:
         for workload in ops.WORKLOADS:
             for op in ops.load_pool(workload):
-                if op["kind"] == "queue_long":
-                    continue
                 prepared = ops.Prepared(op, workdir)
                 _, result, exc = ops.run_op(prepared)
                 status, _, canonical, _ = ops.check_op(prepared, result, exc)
