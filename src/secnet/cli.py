@@ -10,6 +10,7 @@ byte; a run that fails writes nothing.
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -118,35 +119,38 @@ def _rows(section):
 
 
 def load_config(path):
+    """The UTF-8 INI file ``path`` as ``{section: {key: text}}`` in file order,
+    keys lower-cased and values stripped; a ``ConfigError`` if it is not valid."""
     # no default section: a header needs a character, so [DEFAULT] is an
     # ordinary (unknown) section, not keys copied into every section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc))
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
+    config = {s: dict(parser.items(s, raw=True)) for s in parser.sections()}
+    for section, items in config.items():
         rows = _rows(section)
         if rows is None:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        for key in items:
             if key not in rows:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    return parser
+    return config
 
 
-def _read(parser, section, key):
+def _read(config, section, key):
     """Checked value of ``[section] key`` by its ``_KEYS`` row: the row's default
     when the key or the whole section is absent, and a ``ConfigError`` naming
     ``[section] key`` when it is required, malformed or out of its bound."""
     kind, default, bound = _rows(section)[key]
-    if not parser.has_option(section, key):
+    text = config.get(section, {}).get(key)
+    if text is None:
         if default is _REQUIRED:
             raise ConfigError(f"[{section}] {key} is required")
         return default
-    text = parser.get(section, key)
     if kind is str:
         return text
     if not isinstance(kind, type):
@@ -170,27 +174,27 @@ def _read(parser, section, key):
     return values if kind is list else kind(values[0])
 
 
-def _read_section(parser, section):
+def _read_section(config, section):
     """``_read`` of every key of ``section``, by key."""
-    return {key: _read(parser, section, key) for key in _rows(section)}
+    return {key: _read(config, section, key) for key in _rows(section)}
 
 
-def build_scenario(parser):
+def build_scenario(config):
     try:
-        bands = [BandConfig(**_read_section(parser, s)) for s in sorted(
-            (s for s in parser.sections() if s.startswith("band.")),
+        bands = [BandConfig(**_read_section(config, s)) for s in sorted(
+            (s for s in config if s.startswith("band.")),
             key=lambda s: int(s.split(".", 1)[1]),
         )]
         if not bands:
             raise ConfigError("no [band.N] sections found")
-        t = _read_section(parser, "traffic")
+        t = _read_section(config, "traffic")
         file_size = SizeDistribution(
             t["file_size_family"], t["file_size_mean"], t["file_size_shape"])
         traffic = TrafficModel(t["session_interarrival_mean"], file_size)
-        o = _read_section(parser, "outage")
+        o = _read_section(config, "outage")
         outage = OutageModel(o["interarrival_mean"], o["duration_shape"])
         return Scenario(bands=bands, traffic=traffic, outage=outage,
-                        **_read_section(parser, "scenario"))
+                        **_read_section(config, "scenario"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -220,14 +224,14 @@ def _write(out, fmt, columns, echo, rows, failed):
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc.strerror}")
 
 
-def cmd_tradeoff(parser, scenario, args):
-    sweep = _read_section(parser, "sweep")
+def cmd_tradeoff(config, scenario, args):
+    sweep = _read_section(config, "sweep")
     parameter, fixed_rate = sweep["parameter"], sweep["fixed_rate"]
     if parameter == "target_rate" and fixed_rate is not None:
         raise ConfigError("[sweep] fixed_rate would override a target_rate sweep")
@@ -263,8 +267,8 @@ def cmd_tradeoff(parser, scenario, args):
     return columns, {}, rows, []
 
 
-def cmd_capacity(parser, scenario, args):
-    capacity = _read_section(parser, "capacity")
+def cmd_capacity(config, scenario, args):
+    capacity = _read_section(config, "capacity")
     n_min, n_max = capacity["n_min"], capacity["n_max"]
     if n_min > n_max:
         raise ConfigError(
@@ -318,13 +322,13 @@ def _queue_sim_config(scenario, epsilon, sessions, seed):
         raise ConfigError(f"[validate] sessions: {exc}")
 
 
-def cmd_delay_cdf(parser, scenario, args):
+def cmd_delay_cdf(config, scenario, args):
     sol = solve_equilibrium(scenario)
     handle = delay_transform(
         scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
     )
-    if "grid" in parser:
-        spec = _read_section(parser, "grid")
+    if "grid" in config:
+        spec = _read_section(config, "grid")
         lo, hi = spec["t_min"], spec["t_max"]
         if lo >= hi:
             raise ConfigError(
@@ -339,7 +343,7 @@ def cmd_delay_cdf(parser, scenario, args):
     rows = [[float(t), float(v)] for t, v in zip(grid, result.values)]
     failed = []
     if args.validate:
-        sessions = _read(parser, "validate", "sessions")
+        sessions = _read(config, "validate", "sessions")
         rep = run_priority_queue(_queue_sim_config(
             scenario, sol.epsilon, 200000 if sessions is None else sessions, args.seed))
         empirical = empirical_cdf(rep.arrays["delays"], grid)
@@ -352,7 +356,7 @@ def cmd_delay_cdf(parser, scenario, args):
     return columns, extra, rows, failed
 
 
-def cmd_equilibrium(parser, scenario, args):
+def cmd_equilibrium(config, scenario, args):
     sol = solve_equilibrium(scenario)
     extra = {key: _fmt(getattr(sol, key))
              for key in ("epsilon", "rho_o", "rho_s", "p_active", "residual")}
@@ -362,8 +366,8 @@ def cmd_equilibrium(parser, scenario, args):
     return ["band", "service", "coverage", "access", "load"], extra, rows, []
 
 
-def cmd_validate(parser, scenario, args):
-    spec = _read_section(parser, "validate")
+def cmd_validate(config, scenario, args):
+    spec = _read_section(config, "validate")
     users, cells, ratio = spec["users"], spec["cells"], spec["ratio"]
     thinning = spec["thinning"] or scenario.thinning
     sessions = 100000 if spec["sessions"] is None else spec["sessions"]
@@ -468,14 +472,20 @@ def make_parser():
     return ap
 
 
+# built on first use, not at import; parse_args keeps no state between calls
+_shared_parser = functools.cache(make_parser)
+
+
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    """Run one subcommand on ``argv`` (``sys.argv[1:]`` when None) and return
+    its exit code; a usage error raises ``SystemExit(EXIT_CONFIG)``."""
+    args = _shared_parser().parse_args(argv)
     try:
-        parser = load_config(args.config)
+        config = load_config(args.config)
         command = _COMMANDS[args.subcommand]
-        columns, extra, rows, failed = command(parser, build_scenario(parser), args)
-        echo = {f"{section}.{key}": value for section in parser.sections()
-                for key, value in parser[section].items()}
+        columns, extra, rows, failed = command(config, build_scenario(config), args)
+        echo = {f"{section}.{key}": value for section, items in config.items()
+                for key, value in items.items()}
         echo.update(extra, seed=args.seed, subcommand=args.subcommand)
         _write(args.out, args.format, columns, echo, rows, failed)
     except ConfigError as exc:

@@ -60,13 +60,13 @@ def run(args):
     return cli.main(args)
 
 
-def run_process(args):
-    """``secnet`` run as its own process, so that stderr holds whatever numpy
-    would warn."""
+def run_process(args, flags=()):
+    """``secnet`` run as its own process, with interpreter ``flags``, so that
+    stderr holds whatever numpy would warn."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "secnet.cli", *args],
+    return subprocess.run([sys.executable, *flags, "-m", "secnet.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -249,6 +249,19 @@ class TestConfigHandling:
         cfg.write_bytes(FIVE_BANDS.encode() + b"# \xff\n")
         assert run(["equilibrium", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_load_config_is_plain_text(self, tmp_path):
+        # configparser's grammar: keys folded to lower case, values stripped
+        cfg = write(tmp_path, "c.ini",
+                    ONE_BAND.replace("file_size_mean = 10", "File_Size_Mean = 10 "))
+        config = cli.load_config(cfg)
+        assert type(config) is dict and list(config) == [
+            "scenario", "traffic", "outage", "band.1"]
+        assert config["traffic"] == {"session_interarrival_mean": "10",
+                                     "file_size_mean": "10"}
+        assert all(type(items) is dict and all(type(v) is str for v in items.values())
+                   for items in config.values())
+        assert cli.build_scenario(config) == make_scenario(n_bands=1)
 
     def test_band_name_not_a_number_is_named(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", FIVE_BANDS + "\n[band.x]\nbandwidth = 1\n"
@@ -730,6 +743,38 @@ class TestOutput:
         assert capsys.readouterr().out == ""
         assert out.read_text() == stdout
         assert len(stdout.splitlines()) > 1
+
+    def test_utf8_config_and_out_whatever_the_locale(self, tmp_path, capsys):
+        # the interpreter flags turn every open() in the locale's encoding
+        # into an error
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(("# ε ≥ C/R\n" + self.ALL).encode("utf-8"))
+        argv = ["equilibrium", "--config", str(cfg)]
+        out = tmp_path / "out.csv"
+        proc = run_process(argv + ["--out", str(out)], flags=[
+            "-X", "warn_default_encoding", "-W", "error::EncodingWarning"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+        assert run(argv) == EXIT_OK
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    def test_repeated_calls_share_no_parser_state(self, tmp_path, capsys):
+        # main's argument parser is built once per process: a seed, a usage
+        # error or a format given to one call must not reach the next
+        cfg = write(tmp_path, "c.ini", self.ALL)
+        assert run(["equilibrium", "--config", cfg, "--seed", "7"]) == EXIT_OK
+        assert "# seed = 7\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            run(["equilibrium", "--config", cfg, "--bogus"])
+        assert exit_info.value.code == EXIT_CONFIG
+        capsys.readouterr()
+        assert run(["tradeoff", "--config", cfg, "--format", "json-lines"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith('{"config": ')
+        assert run(["equilibrium", "--config", cfg]) == EXIT_OK
+        last = capsys.readouterr().out
+        fresh = run_process(["equilibrium", "--config", cfg])
+        assert (fresh.returncode, fresh.stderr) == (EXIT_OK, "")
+        assert last == fresh.stdout
+        assert "# seed = 0\n" in last
 
     @pytest.mark.parametrize("text, code", [
         pytest.param(FIVE_BANDS.replace("target_rate = 4", "target_rate = 2"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secnet import (BandConfig, InfeasibleError, Scenario, SizeDistribution,
-                    TrafficModel, solve_equilibrium)
+from secnet import (BandConfig, InfeasibleError, OutageModel, Scenario,
+                    SizeDistribution, TrafficModel, solve_equilibrium)
 from secnet import equilibrium
 from secnet.capacity import capacity_limit_fixed_band
 from secnet.equilibrium import OVERLOADED, SOLVED, STALLED, UNCOVERED, solve_epsilons
+from secnet.queueing import delay_cdf, delay_transform
 
 from conftest import make_scenario
 
@@ -486,3 +488,54 @@ class TestSingleBandExplicit:
         assert 2.0 / 3.0 * 200.0 * rho_s(scn) >= 1.0
         with pytest.raises(InfeasibleError):
             single_band_explicit(scn)
+
+
+# (bandwidth, vacancy, BS density) of three unlike bands
+MIXED_BANDS = ((1.0, 0.9, 1.0), (2.0, 0.6, 0.5), (0.5, 1.0, 3.0))
+
+
+def mixed_scenario(density=1.0, size=1.0, bands=MIXED_BANDS):
+    """Three unlike bands, Gamma files and outages; ``density`` scales the user
+    and BS densities, ``size`` the bandwidths, the rate and the file sizes."""
+    return Scenario(
+        user_density=20.0 * density,
+        bands=tuple(BandConfig(w * size, v, d * density) for w, v, d in bands),
+        target_rate=4.0 * size,
+        traffic=TrafficModel(40.0, SizeDistribution("gamma", 10.0 * size, 2.5)),
+        outage=OutageModel(10.0, 0.7),
+    )
+
+
+class TestExactInvariances:
+    """Changes of unit the model cannot see.  A power-of-two factor scales
+    every input exactly, so each result must come out bit for bit the same."""
+
+    FACTORS = [2.0 ** k for k in range(-20, 27)]
+
+    def test_density_scale(self):
+        # only the user/BS ratio of each band enters the coverage and the loads
+        reference = solve_equilibrium(mixed_scenario()).epsilon
+        for f in self.FACTORS:
+            assert solve_equilibrium(mixed_scenario(density=f)).epsilon == reference, f
+
+    def test_size_scale(self):
+        # bandwidths, rate and file sizes in another unit of data: R/W, C/R and
+        # every transmission time stay the same
+        def chain(scenario):
+            eps = solve_equilibrium(scenario).epsilon
+            handle = delay_transform(scenario.traffic, scenario.outage, eps,
+                                     scenario.target_rate)
+            return eps, handle.mean, delay_cdf(handle, np.geomspace(0.1, 100.0, 20))
+
+        eps, mean, cdf = chain(mixed_scenario())
+        for f in self.FACTORS:
+            eps_f, mean_f, cdf_f = chain(mixed_scenario(size=f))
+            assert (eps_f, mean_f) == (eps, mean), f
+            assert np.array_equal(cdf_f.values, cdf.values), f
+
+    def test_band_order(self):
+        # the product over bands and the sums of the weights only reorder
+        reference = solve_equilibrium(mixed_scenario()).epsilon
+        for bands in itertools.permutations(MIXED_BANDS):
+            epsilon = solve_equilibrium(mixed_scenario(bands=bands)).epsilon
+            assert epsilon == pytest.approx(reference, rel=1e-15, abs=0.0), bands

@@ -1,10 +1,11 @@
 """Run the benchmark's pool ops against a ``secnet`` source tree and write
 each op's outcome, for a byte-identity check between two trees.
 
-    python3 tools/pool_outputs.py SRC OUT
+    python3 tools/pool_outputs.py SRC OUT [--workload NAME ...]
 
 runs every op of the ``planning``, ``delay`` and ``montecarlo`` pools,
-the 1e6-session ``queue_long`` runs included, with the ``secnet`` in
+the 1e6-session ``queue_long`` runs included, or only those of each pool
+named by a ``--workload`` (repeatable), with the ``secnet`` in
 ``SRC/src`` and writes ``OUT`` as sorted JSON: for each op its status
 against the recorded reference and its canonical output, which is the exit
 code and stdout of a CLI op, the digest of a simulator op's arrays, or the
@@ -23,8 +24,13 @@ only in the ``secnet`` they load:
     python3 tools/pool_outputs.py OLD_TREE old.json
     python3 tools/pool_outputs.py . new.json
     cmp old.json new.json
+
+A change that touches only the CLI can be checked on the CLI pools alone,
+without the ``queue_long`` runs of ``montecarlo``:
+``--workload planning --workload delay`` on both trees.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -38,10 +44,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def main(argv):
-    if len(argv) != 2:
-        print("usage: python3 tools/pool_outputs.py SRC OUT", file=sys.stderr)
-        return 2
-    src = Path(argv[0]).resolve() / "src"
+    ap = argparse.ArgumentParser(prog="pool_outputs.py",
+                                 description=__doc__.splitlines()[0])
+    ap.add_argument("src", type=Path)
+    ap.add_argument("out")
+    ap.add_argument("--workload", action="append", metavar="NAME",
+                    help="run only this pool (repeatable); default: every pool")
+    args = ap.parse_args(argv)
+    src = args.src.resolve() / "src"
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import secnet.cli
     import ops
@@ -50,9 +60,15 @@ def main(argv):
     if src not in loaded.parents:
         print(f"secnet loaded from {loaded}, not from {src}", file=sys.stderr)
         return 2
+    unknown = set(args.workload or ()) - set(ops.WORKLOADS)
+    if unknown:
+        ap.error(f"unknown workload {', '.join(sorted(unknown))} "
+                 f"(choose from {', '.join(ops.WORKLOADS)})")
     outcomes = {}
     with tempfile.TemporaryDirectory() as workdir:
         for workload in ops.WORKLOADS:
+            if args.workload and workload not in args.workload:
+                continue
             for op in ops.load_pool(workload):
                 prepared = ops.Prepared(op, workdir)
                 _, result, exc = ops.run_op(prepared)
@@ -75,10 +91,10 @@ def main(argv):
                             float(pmf @ np.arange(len(pmf))), 0.0,
                             result.config["n_samples"]]
                 outcomes[op["id"]] = outcome
-    with open(argv[1], "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(outcomes, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    print(f"{len(outcomes)} ops written to {argv[1]}")
+    print(f"{len(outcomes)} ops written to {args.out}")
     return 0
 
 
