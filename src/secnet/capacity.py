@@ -10,11 +10,10 @@ mode-I limit at R*N over N, and its maximum is the mode-I maximum over N.
 
 The optimal rate of a list of scenarios is one batch: one array scan of the
 limit's derivative per span for every row still without a sign change, and
-one lockstep port of scipy's ``brentq`` (Brent's method, R. P. Brent,
-*Algorithms for Minimization without Derivatives*, 1973, ch. 4) on every
-bracket, which gives each row the root scipy gives it alone.  The delay
-optimizer solves the equilibrium and the mean delay of all its rows as
-arrays (``equilibrium.solve_epsilons``, ``queueing.mean_delays``).
+one lockstep regula falsi with the Illinois rule (``_polish``) on every
+bracket, which gives each row the bits it gets alone.  The delay optimizer
+solves the equilibrium and the mean delay of all its rows as arrays
+(``equilibrium.solve_epsilons``, ``queueing.mean_delays``).
 """
 
 import math
@@ -32,8 +31,8 @@ from .queueing import mean_delays
 
 _LOG_RATE_TOL = 1e-8  # the delay polish's tolerance in log R: 1e-8 relative in R
 _BRACKET_POINTS = 256
-# scipy brentq's tolerances and step cap, which the lockstep port keeps
-_XTOL, _RTOL, _BRENT_MAX_ITER = 1e-14, 1e-15, 100
+# the polish's tolerance, scipy brentq's on the same bracket, and its step cap
+_XTOL, _RTOL, _MAX_STEPS = 1e-14, 1e-15, 100
 # Edges of the derivative scan's spans, in band widths: the first span, then
 # doublings up to R/W = 1000, past which 2^(R/W) nears float64 overflow.
 _SCAN_EDGES = (1e-3, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1000.0)
@@ -129,71 +128,40 @@ class RateOptimum:
     capacity: float
 
 
-def _brentq(slope, xpre, xcur, fpre, fcur):
-    """The roots of ``slope(rows, x)`` on the brackets [xpre, xcur] of a batch,
-    whose ends' values fpre and fcur differ in sign, all rows in lockstep.
+def _polish(slope, a, b, fa, fb):
+    """The roots of ``slope(rows, x)`` on the brackets [a, b] of a batch, whose
+    ends' values fa and fb differ in sign, all rows in lockstep: regula falsi
+    with the Illinois rule (M. Dowell and P. Jarratt, BIT 11, 1971, 168-174).
 
-    A port of scipy's ``brentq`` (scipy/optimize/Zeros/brentq.c, Brent's
-    method after R. P. Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4): each row takes the steps, the stop rule and
-    the tolerances ``_XTOL`` and ``_RTOL`` that scipy takes on it alone, with
-    the same arithmetic in the same order, and a row still open after
-    ``_BRENT_MAX_ITER`` steps raises ``ConvergenceError``.  ``rows`` indexes
-    the batch rows whose trial points ``x`` are.
+    Each step moves one end of every live row's bracket to its secant point;
+    where the sign did not change, the end that stays has its value halved,
+    so the steps do not stall on one side.  A row stops on a value of 0 or a
+    bracket shorter than ``_XTOL + _RTOL * |x|``, and one still open after
+    ``_MAX_STEPS`` steps raises ``ConvergenceError``.  ``rows`` indexes the
+    batch rows whose trial points ``x`` are.
     """
-    root = np.empty_like(xcur)
-    live = np.arange(len(xcur))
-    xblk = fblk = spre = scur = np.zeros_like(xcur)
-    # the interpolation divides by zero in lanes that bisect, which np.where drops
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_BRENT_MAX_ITER):
-            # a sign change from pre to cur makes pre the block end
-            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-            step = xcur - xpre
-            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
-            # cur is the end of the smaller value
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
-            delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            if done.any():
-                root[live[done]] = xcur[done]
-                keep = ~done
-                live, delta, sbis = live[keep], delta[keep], sbis[keep]
-                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
-                    a[keep] for a in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur))
-            if not live.size:
-                return root
-            # inverse quadratic interpolation, or the secant where pre is the
-            # block end, if it is short enough; else bisection
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
-                            -fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                    & (2 * np.abs(stry) < np.minimum(np.abs(spre),
-                                                     3 * np.abs(sbis) - delta)))
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                                   np.where(sbis > 0, delta, -delta))
-            fcur = slope(live, xcur)
-    raise ConvergenceError(
-        f"capacity optimum not found in {_BRENT_MAX_ITER} Brent steps")
+    root = np.empty_like(a)
+    live = np.arange(len(a))
+    for _ in range(_MAX_STEPS):
+        x = b - fb * (b - a) / (fb - fa)
+        fx = slope(live, x)
+        same = np.signbit(fx) == np.signbit(fb)
+        a, fa = np.where(same, a, b), np.where(same, fa / 2, fb)
+        b, fb = x, fx
+        done = (fx == 0) | (np.abs(b - a) < _XTOL + _RTOL * np.abs(x))
+        root[live[done]] = x[done]
+        live, a, b, fa, fb = (v[~done] for v in (live, a, b, fa, fb))
+        if not live.size:
+            return root
+    raise ConvergenceError(f"capacity optimum not found in {_MAX_STEPS} steps")
 
 
 def _optimal_rates(law):
     """The optimal rate of each row of ``_laws``' arrays ``law``: the limit
     derivative's root at its first + -> - sign change, scanned span by span
     (``_SCAN_EDGES``) on ``_BRACKET_POINTS`` log-spaced rates, in one array
-    per span of the rows still without a turn; then one lockstep Brent
-    (``_brentq``) polishes every bracket."""
+    per span of the rows still without a turn; then one lockstep ``_polish``
+    of every bracket."""
     width = law[0]
     todo = np.arange(len(width))
     a, b, fa, fb = (np.empty(len(width)) for _ in range(4))
@@ -210,7 +178,7 @@ def _optimal_rates(law):
             break
     else:
         raise InfeasibleError(f"no capacity optimum below rate {hi:g} x band width")
-    return _brentq(lambda rows, x: _service_and_slope(x, *law[:, rows])[1], a, b, fa, fb)
+    return _polish(lambda rows, x: _service_and_slope(x, *law[:, rows])[1], a, b, fa, fb)
 
 
 def optimal_rates_fixed_band(scenarios):
