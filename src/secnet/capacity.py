@@ -8,12 +8,13 @@ system bandwidth W split into N bands of W/N, is mode I rescaled: coverage
 depends on the rate per unit width, so its limit at per-band rate R is the
 mode-I limit at R*N over N, and its maximum is the mode-I maximum over N.
 
-The optimal rate of a list of scenarios is one batch: one array scan of the
-limit's derivative per span for every row still without a sign change, and
+The optimal rate of a batch of rows (one band, a user/BS ratio and N per
+row) is one array scan of the limit's derivative over [1e-3, 1000] W and
 one lockstep regula falsi with the Illinois rule (``_polish``) on every
 bracket, which gives each row the bits it gets alone.  The delay optimizer
-solves the equilibrium and the mean delay of all its rows as arrays
-(``equilibrium.solve_epsilons``, ``queueing.mean_delays``).
+solves the equilibrium and the mean delay of all its rows, one session
+interarrival mean each, as arrays (``equilibrium.solve_epsilons``,
+``queueing.mean_delays``).
 """
 
 import math
@@ -30,14 +31,14 @@ from .errors import ConvergenceError, InfeasibleError
 from .queueing import mean_delays
 
 _LOG_RATE_TOL = 1e-8  # the delay polish's tolerance in log R: 1e-8 relative in R
+# The optimal rate's scan span, in band widths, and its points: past R/W = 1000
+# 2^(R/W) nears float64 overflow.
+_SCAN_SPAN = (1e-3, 1000.0)
 _BRACKET_POINTS = 256
 # the polish's tolerance, scipy brentq's on the same bracket, and its step cap
 _XTOL, _RTOL, _MAX_STEPS = 1e-14, 1e-15, 100
-# Edges of the derivative scan's spans, in band widths: the first span, then
-# doublings up to R/W = 1000, past which 2^(R/W) nears float64 overflow.
-_SCAN_EDGES = (1e-3, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1000.0)
 # The delay optimizer's scan span, in widths of the narrowest band, its points,
-# and the traffics whose scans one batched solve takes, which bounds memory.
+# and the rows whose scans one batched solve takes, which bounds memory.
 _DELAY_SPAN = (1e-2, 50.0)
 _DELAY_POINTS = 96
 _SCAN_BATCH = 16
@@ -52,29 +53,33 @@ def _identical_bands(scenario: Scenario):
     return band, n
 
 
-def _laws(scenarios):
-    """Per scenario its band's width and vacancy, the per-band load (the
-    user/BS ratio / N), N and the thinning: five arrays, one row each."""
-    rows = []
-    for scenario in scenarios:
-        band, n = _identical_bands(scenario)
-        rows.append((band.bandwidth, band.vacancy,
-                     scenario.user_density / (band.bs_density * n), n,
-                     scenario.thinning))
-    return np.array(rows, dtype=float).reshape(-1, 5).T
+def _law(band, thinning, load, n):
+    """The band's width and vacancy, the per-band load, N and the thinning
+    of each row: five arrays, one entry a row."""
+    return np.array(np.broadcast_arrays(
+        band.bandwidth, band.vacancy, load, n, thinning), dtype=float).reshape(5, -1)
 
 
-def _service_and_slope(rate, width, vacancy, load, n, thinning):
-    """eps_n, the probability that a band serves a user at the stability
-    boundary, and the analytic d/dR of the mode-I capacity limit, elementwise
-    over arrays that broadcast together.
+def _scenario_law(scenario: Scenario):
+    """``_law`` of the one row of an identical-band scenario, whose per-band
+    load is user_density / (bs_density N)."""
+    band, n = _identical_bands(scenario)
+    return _law(band, scenario.thinning, scenario.user_density / (band.bs_density * n), n)
+
+
+def _limit_and_slope(rate, width, vacancy, load, n, thinning):
+    """The mode-I capacity limit R (1 - (1 - eps_n)^N), with eps_n the
+    probability that a band serves a user at the stability boundary, and its
+    analytic d/dR, elementwise over arrays that broadcast together.  numpy's
+    log1p and expm1 give a row the same bits whatever the batch; where every
+    band always serves (eps_n = 1) the limit is R itself.
 
     The derivative follows the chain rule through the coverage probability;
     the thinning stays inside the per-band service factor, so it is the
     derivative of the limit as computed.  Where 2^(R/W) rounds to 1 (R/W
-    below about 1e-16) or overflows (past 1024), eps_n is still right and the
-    derivative is NaN, so numpy's warnings are off: the limit laws call this
-    at any rate, the optimizer only inside the scan spans.
+    below about 1e-16) or overflows (past 1024), the limit is still right and
+    the derivative is NaN, so numpy's warnings are off: the limit laws call
+    this at any rate, the optimizer only inside the scan span.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         two = np.power(2.0, rate / width)
@@ -93,15 +98,7 @@ def _service_and_slope(rate, width, vacancy, load, n, thinning):
         vacant = 1.0 - eps_n
         power = np.where(n == 3.0, vacant * vacant, np.power(vacant, n - 1))
         df0_dr = n * power * deps_dp * dp_dchi * dchi_dr
-        return eps_n, f0 + rate * df0_dr
-
-
-def _limits(rate, eps_n, n):
-    """The mode-I limit R (1 - (1 - eps_n)^N) of each row of the arrays, in
-    ``math``'s log1p and expm1, whose last bits numpy's array loops do not
-    always keep; R itself where every band always serves (eps_n = 1)."""
-    return [r if e == 1.0 else r * -math.expm1(k * math.log1p(-e))
-            for r, e, k in zip(rate.tolist(), eps_n.tolist(), n.tolist())]
+        return rate * f0, f0 + rate * df0_dr
 
 
 def capacity_limit_fixed_band(scenario: Scenario, rate):
@@ -110,15 +107,14 @@ def capacity_limit_fixed_band(scenario: Scenario, rate):
     boundary (every user active, a per-band load of the user/BS ratio / N)."""
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    law = _laws([scenario])
-    rate = np.array([rate], dtype=float)
-    return _limits(rate, _service_and_slope(rate, *law)[0], law[3])[0]
+    return float(_limit_and_slope(np.array([rate], dtype=float),
+                                  *_scenario_law(scenario))[0][0])
 
 
 def capacity_limit_derivative(scenario: Scenario, rate):
     """Analytic d/dR of the mode-I capacity limit; accepts a scalar or an
     array of rates."""
-    out = _service_and_slope(rate, *_laws([scenario]))[1]
+    out = _limit_and_slope(rate, *_scenario_law(scenario))[1]
     return float(out[0]) if np.ndim(rate) == 0 else out
 
 
@@ -157,44 +153,36 @@ def _polish(slope, a, b, fa, fb):
 
 
 def _optimal_rates(law):
-    """The optimal rate of each row of ``_laws``' arrays ``law``: the limit
-    derivative's root at its first + -> - sign change, scanned span by span
-    (``_SCAN_EDGES``) on ``_BRACKET_POINTS`` log-spaced rates, in one array
-    per span of the rows still without a turn; then one lockstep ``_polish``
-    of every bracket."""
-    width = law[0]
-    todo = np.arange(len(width))
-    a, b, fa, fb = (np.empty(len(width)) for _ in range(4))
-    for lo, hi in zip(_SCAN_EDGES, _SCAN_EDGES[1:]):
-        grid = np.geomspace(lo * width[todo], hi * width[todo], _BRACKET_POINTS, axis=1)
-        dv = _service_and_slope(grid, *law[:, todo, None])[1]
-        turns = (dv[:, :-1] > 0) & (dv[:, 1:] < 0)
-        found = turns.any(axis=1)
-        i, rows = turns[found].argmax(axis=1), todo[found]
-        a[rows], b[rows] = grid[found, i], grid[found, i + 1]
-        fa[rows], fb[rows] = dv[found, i], dv[found, i + 1]
-        todo = todo[~found]
-        if not todo.size:
-            break
-    else:
-        raise InfeasibleError(f"no capacity optimum below rate {hi:g} x band width")
-    return _polish(lambda rows, x: _service_and_slope(x, *law[:, rows])[1], a, b, fa, fb)
+    """The optimal rate of each row of ``_law``'s arrays ``law``: the limit
+    derivative's root at its first + -> - sign change on ``_BRACKET_POINTS``
+    log-spaced rates over ``_SCAN_SPAN``, one array for every row, then one
+    lockstep ``_polish`` of every bracket."""
+    grid = np.geomspace(_SCAN_SPAN[0] * law[0], _SCAN_SPAN[1] * law[0],
+                        _BRACKET_POINTS, axis=1)
+    dv = _limit_and_slope(grid, *law[:, :, None])[1]
+    turns = (dv[:, :-1] > 0) & (dv[:, 1:] < 0)
+    if not turns.any(axis=1).all():
+        raise InfeasibleError(
+            f"no capacity optimum below rate {_SCAN_SPAN[1]:g} x band width")
+    rows, i = np.arange(len(grid)), turns.argmax(axis=1)
+    return _polish(lambda live, x: _limit_and_slope(x, *law[:, live])[1],
+                   grid[rows, i], grid[rows, i + 1], dv[rows, i], dv[rows, i + 1])
 
 
-def optimal_rates_fixed_band(scenarios):
-    """``optimal_rate_fixed_band`` of each scenario of the list ``scenarios``,
-    in one batch: a ``RateOptimum`` per scenario, the same bits as each alone.
-    Raises ``InfeasibleError`` if a scenario has no optimum."""
-    law = _laws(scenarios)
-    rate = _optimal_rates(law)
-    capacity = _limits(rate, _service_and_slope(rate, *law)[0], law[3])
-    return list(map(RateOptimum, rate.tolist(), capacity))
+def optimal_rates_fixed_band(band, thinning, ratios, counts):
+    """The optimal rate and the capacity limit there of ``counts[i]`` copies
+    of ``band`` at the user/BS ratio ``ratios[i]`` (a per-band load of
+    ratios / counts), for every row in one batch: two arrays, each row the
+    bits it gets alone.  Raises ``InfeasibleError`` if a row has no optimum."""
+    law = _law(band, thinning, np.divide(ratios, counts), counts)
+    rates = _optimal_rates(law)
+    return rates, _limit_and_slope(rates, *law)[0]
 
 
 def optimal_rate_fixed_band(scenario: Scenario) -> RateOptimum:
-    """Rate maximizing the mode-I capacity limit, and the limit there: the
-    batch of one of ``optimal_rates_fixed_band``."""
-    rate = float(_optimal_rates(_laws([scenario]))[0])
+    """Rate maximizing the mode-I capacity limit, and the limit there: a batch
+    of one row."""
+    rate = float(_optimal_rates(_scenario_law(scenario))[0])
     return RateOptimum(rate, capacity_limit_fixed_band(scenario, rate))
 
 
@@ -233,55 +221,49 @@ def scaling_approximation(user_bs_ratio):
     return 0.6359 - 0.052 * math.log2(user_bs_ratio)
 
 
-@dataclass(frozen=True)
-class DelayOptimum:
-    rate: float
-    delay: float
-
-
-def operating_points(scenario: Scenario, rates, traffics):
-    """The equilibrium eps and the mean delay at each row's rate and traffic
-    (one per row of the list ``traffics``), as two arrays: NaN and inf where
-    no equilibrium exists (one that does has eps > C/R, a stable queue).
-    Each batch of rows is one array solve and one array mean."""
+def operating_points(scenario: Scenario, rates, interarrival):
+    """The equilibrium eps and the mean delay at each row's rate and session
+    interarrival mean (the arrays ``rates`` and ``interarrival``), with the
+    scenario's file law, as two arrays: NaN and inf where no equilibrium
+    exists (one that does has eps > C/R, a stable queue).  Each batch of rows
+    is one array solve and one array mean."""
     size = _SCAN_BATCH * _DELAY_POINTS
     if len(rates) > size:  # a batch at a time, whose arrays go before the next
-        parts = [operating_points(scenario, rates[i:i + size], traffics[i:i + size])
+        parts = [operating_points(scenario, rates[i:i + size], interarrival[i:i + size])
                  for i in range(0, len(rates), size)]
         return tuple(np.concatenate(column) for column in zip(*parts))
-    interarrival, file_mean, file_shape = np.array(
-        [(t.session_interarrival_mean, t.file_size.mean, t.file_size.shape)
-         for t in traffics], dtype=float).reshape(-1, 3).T
-    sol = solve_epsilons(scenario, rates, file_mean / interarrival)
+    file_size = scenario.traffic.file_size
+    sol = solve_epsilons(scenario, rates, file_size.mean / interarrival)
     ok = sol.status == SOLVED
     delay = np.full(len(rates), math.inf)
-    delay[ok] = mean_delays(sol.epsilon[ok], rates[ok], interarrival[ok], file_mean[ok],
-                            file_shape[ok], scenario.outage)
+    delay[ok] = mean_delays(sol.epsilon[ok], rates[ok], interarrival[ok], file_size.mean,
+                            file_size.shape, scenario.outage)
     return sol.epsilon, delay
 
 
-def min_delay_over_rate(scenario: Scenario, traffics):
-    """Minimize the mean delay over the target rate for each of the list
-    ``traffics``, in place of the scenario's own: per traffic a
-    ``DelayOptimum``, or the ``InfeasibleError`` of a traffic no rate serves.
+def min_delay_over_rate(scenario: Scenario, interarrival):
+    """Minimize the mean delay over the target rate for each session
+    interarrival mean of the array ``interarrival``, in place of the
+    scenario's own: two arrays, the optimal rates and their delays, NaN in a
+    row no rate serves.
 
-    The delay is U-shaped in the rate.  A log-spaced scan of traffics x rates
+    The delay is U-shaped in the rate.  A log-spaced scan of rows x rates
     brackets each minimum, going on upward in the same steps while a minimum
     is its scan's last point (past R/W = 1024 of the widest band nothing
     covers).  One ``find_minimum`` then polishes all brackets in log R, on
     -1/delay, which is finite where a bracket's end is infeasible; a row at
     its iteration cap raises ``ConvergenceError``.
     """
-    n = len(traffics)
+    n = len(interarrival)
     w_min = min(b.bandwidth for b in scenario.bands)
     span = np.geomspace(_DELAY_SPAN[0] * w_min, _DELAY_SPAN[1] * w_min, _DELAY_POINTS)
     steps = span[1:] / span[0]
     grid, delays = np.empty(0), np.empty((n, 0))
     k, up = np.zeros(n, dtype=int), np.arange(n)
-    while up.size:  # the first span for every traffic, then one up per step
+    while up.size:  # the first span for every row, then one up per step
         more = np.full((n, len(span)), math.inf)
-        more[up] = operating_points(scenario, np.tile(span, len(up)), [
-            traffics[i] for i in up for _ in span])[1].reshape(len(up), -1)
+        more[up] = operating_points(scenario, np.tile(span, len(up)), np.repeat(
+            interarrival[up], len(span)))[1].reshape(len(up), -1)
         grid = np.concatenate((grid, span))
         delays = np.concatenate((delays, more), axis=1)
         k[up] = np.argmin(delays[up], axis=1)
@@ -290,17 +272,14 @@ def min_delay_over_rate(scenario: Scenario, traffics):
     rows = np.flatnonzero(np.isfinite(delays).any(axis=1))
     k = np.maximum(k[rows], 1)  # a minimum on the first point has no valid bracket
     res = find_minimum(
-        lambda x, i: -1.0 / operating_points(
-            scenario, np.exp(x), [traffics[j] for j in i])[1],
+        lambda x, i: -1.0 / operating_points(scenario, np.exp(x), interarrival[i])[1],
         tuple(np.log(grid[k + j]) for j in (-1, 0, 1)), args=(rows,),
         tolerances={"xatol": _LOG_RATE_TOL, "xrtol": 0.0},
     )
     if np.any(res.status == -2):
         raise ConvergenceError("delay minimization reached its iteration cap")
-    results = [InfeasibleError("no feasible rate in the search span") for _ in traffics]
-    for i, status, rate, f in zip(rows.tolist(), res.status.tolist(),
-                                  np.exp(res.x).tolist(), res.f_x.tolist()):
-        ok = status == 0 and f < 0.0
-        results[i] = DelayOptimum(rate, -1.0 / f) if ok else InfeasibleError(
-            "delay minimization landed on an infeasible rate")
-    return results
+    # a polish that lands on an infeasible rate serves no row either
+    ok = (res.status == 0) & (res.f_x < 0.0)
+    rates, delay = np.full(n, math.nan), np.full(n, math.nan)
+    rates[rows[ok]], delay[rows[ok]] = np.exp(res.x[ok]), -1.0 / res.f_x[ok]
+    return rates, delay

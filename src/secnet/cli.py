@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -241,27 +240,24 @@ def cmd_tradeoff(config, scenario, args):
     values = _SPACING[scale](lo, hi, sweep["points"])
     if not np.all(values >= 0) or parameter == "target_rate" and 0 in values:
         raise ConfigError(f"[sweep] {parameter} values must be >= 0 (rates > 0)")
-    if parameter == "target_rate":
-        traffics, rates = [scenario.traffic] * len(values), values
-    else:  # the traffic, its interarrival retuned to each demand
-        mean = scenario.traffic.file_size.mean
-        traffics = [replace(scenario.traffic, session_interarrival_mean=mean / c if c
-                            else math.inf) for c in values.tolist()]
-        proxy = replace(scenario.traffic, session_interarrival_mean=mean / 1e-9)
-        rates = np.full(len(values), math.nan if fixed_rate is None else fixed_rate)
-        if fixed_rate is None:  # with no traffic a vanishing-load proxy picks the rate
-            optima = cap.min_delay_over_rate(
-                scenario, [t if t.capacity > 0.0 else proxy for t in traffics])
-            rates = np.array([o.rate if isinstance(o, cap.DelayOptimum) else math.nan
-                              for o in optima])
+    mean, rates = scenario.traffic.file_size.mean, values
+    interarrival = np.full(len(values), scenario.traffic.session_interarrival_mean)
+    if parameter == "capacity":  # each demand's interarrival mean, infinite at C = 0
+        with np.errstate(divide="ignore"):
+            interarrival = mean / values
+        if fixed_rate is not None:
+            rates = np.full(len(values), fixed_rate)
+        else:  # with no traffic a vanishing-load proxy picks the rate
+            rates = cap.min_delay_over_rate(scenario, np.where(
+                mean / interarrival > 0.0, interarrival, mean / 1e-9))[0]
+    capacity = mean / interarrival
     ok = np.flatnonzero(~np.isnan(rates))
     epsilon, delay = np.full(len(values), math.nan), np.full(len(values), math.nan)
-    epsilon[ok], delay[ok] = cap.operating_points(
-        scenario, rates[ok], [traffics[i] for i in ok])
+    epsilon[ok], delay[ok] = cap.operating_points(scenario, rates[ok], interarrival[ok])
     feasible = ~np.isnan(epsilon)  # its eps > C/R: a stable queue
     rates = np.where(feasible, rates, math.nan)
     delay = np.where(feasible, delay, math.nan)
-    rows = list(zip(values.tolist(), [t.capacity for t in traffics], rates.tolist(),
+    rows = list(zip(values.tolist(), capacity.tolist(), rates.tolist(),
                     epsilon.tolist(), delay.tolist(), feasible.astype(int).tolist()))
     columns = ["sweep_value", "capacity", "rate", "epsilon", "mean_delay", "feasible"]
     return columns, {}, rows, []
@@ -276,15 +272,13 @@ def cmd_capacity(config, scenario, args):
         )
     band = scenario.bands[0]
     ratios = capacity["ratios"] or [scenario.user_density / band.bs_density]
-    unit = replace(band, bs_density=1.0)  # so that the user density is the ratio
-    cells = [(ratio, n) for ratio in ratios for n in range(n_min, n_max + 1)]
-    optima = cap.optimal_rates_fixed_band(
-        [replace(scenario, user_density=ratio, bands=(unit,) * n) for ratio, n in cells])
-    approx = {ratio: cap.scaling_approximation(ratio) for ratio in ratios}
-    rows = []
-    for (ratio, n), opt in zip(cells, optima):
-        c2 = opt.capacity / n
-        rows.append((ratio, n, opt.rate, opt.capacity, c2, n * c2, approx[ratio]))
+    counts = np.arange(n_min, n_max + 1)
+    ratio, n = np.repeat(ratios, len(counts)), np.tile(counts, len(ratios))
+    rates, limits = cap.optimal_rates_fixed_band(band, scenario.thinning, ratio, n)
+    fixed_system = limits / n
+    approx = np.repeat([cap.scaling_approximation(r) for r in ratios], len(counts))
+    rows = list(zip(ratio.tolist(), n.tolist(), rates.tolist(), limits.tolist(),
+                    fixed_system.tolist(), (n * fixed_system).tolist(), approx.tolist()))
     columns = [
         "ratio", "n_bands", "optimal_rate", "c_max_fixed_band",
         "c_max_fixed_system", "n_times_c_max_fixed_system", "scaling_approx",

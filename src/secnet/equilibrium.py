@@ -65,11 +65,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "bands", tuple(self.bands))
         _check_finite_positive(user_density=self.user_density,
-                               target_rate=self.target_rate)
+                               target_rate=self.target_rate, thinning=self.thinning)
         if not self.bands:
             raise ValueError("at least one band is required")
-        if self.thinning <= 0:
-            raise ValueError(f"thinning must be > 0, got {self.thinning}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -170,6 +170,9 @@ def _session_sweep(arr_s, service, starts, ends):
         cand = np.maximum(arr, _after(done, completed))
         np.maximum(cand, ends[_place(starts, cand, "right") - 1],
                    out=first_service[block])
+        # a service that rounds away in the clock (1e-12 at A = 4e4) completes
+        # at its first service start, not at the start of the period it waited in
+        np.maximum(completed, first_service[block], out=completed)
         # preemptive-resume accounting: availability consumed by each session
         # must equal its service requirement exactly
         consumed = completion_avail - np.maximum(

@@ -271,12 +271,12 @@ def _capacity_at_fixed_delay(n_bands, target_delay, ratio=50.0):
     delay equal to ``target_delay``."""
 
     def delay_of(c):
-        scn = make_scenario(n_bands=n_bands, ratio=ratio,
-                            session_interarrival=10.0 / c)
+        scn = make_scenario(n_bands=n_bands, ratio=ratio)
         try:
-            return min_delay_over_rate(scn, [scn.traffic])[0].delay
+            delay = min_delay_over_rate(scn, np.array([10.0 / c]))[1][0]
         except Exception:
             return math.inf
+        return math.inf if math.isnan(delay) else float(delay)
 
     lo, hi = 1e-3, 0.5
     while delay_of(hi) < target_delay:
@@ -311,7 +311,8 @@ def test_criterion_7_qualitative_shapes():
     # (a') the mean delay is U-shaped in the rate at C = 1
     scn = make_scenario()
     rgrid = np.geomspace(2.8, 12.0, 60)
-    delays = cap.operating_points(scn, rgrid, [scn.traffic] * len(rgrid))[1]
+    delays = cap.operating_points(
+        scn, rgrid, np.full(len(rgrid), scn.traffic.session_interarrival_mean))[1]
     finite = np.isfinite(delays)
     dk = int(np.argmin(np.where(finite, delays, np.inf)))
     if not 0 < dk < len(rgrid) - 1:

@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 from secnet import BandConfig
 from secnet import capacity as cap
 from secnet.capacity import (
-    DelayOptimum,
     capacity_limit_derivative,
     capacity_limit_fixed_band,
     min_delay_over_rate,
@@ -94,42 +93,46 @@ class TestCapacityLimit:
     @staticmethod
     def scipy_optimum(scenario):
         """The optimal rate as one scipy ``brentq`` on the first + -> - turn of
-        the derivative over the scan spans, row by row: the batch's oracle to
-        within the polish's tolerance, which both methods meet."""
+        the derivative over the scan span: the batch's oracle to within the
+        polish's tolerance, which both methods meet."""
         w = scenario.bands[0].bandwidth
-        for lo, hi in zip(cap._SCAN_EDGES, cap._SCAN_EDGES[1:]):
-            grid = np.geomspace(lo * w, hi * w, cap._BRACKET_POINTS)
-            dv = capacity_limit_derivative(scenario, grid)
-            turns = np.flatnonzero((dv[:-1] > 0) & (dv[1:] < 0))
-            if turns.size:
-                i = turns[0]
-                return brentq(lambda r: capacity_limit_derivative(scenario, r),
-                              grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15)
-        raise AssertionError("no turn")
+        lo, hi = cap._SCAN_SPAN
+        grid = np.geomspace(lo * w, hi * w, cap._BRACKET_POINTS)
+        dv = capacity_limit_derivative(scenario, grid)
+        i = np.flatnonzero((dv[:-1] > 0) & (dv[1:] < 0))[0]
+        return brentq(lambda r: capacity_limit_derivative(scenario, r),
+                      grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15)
 
     @settings(deadline=None, max_examples=40)
-    @given(st.lists(st.tuples(st.floats(min_value=-300.0, max_value=5.0),
-                              st.integers(min_value=1, max_value=40),
-                              st.floats(min_value=0.01, max_value=1.0),
-                              st.floats(min_value=-2.0, max_value=2.0)),
+    @given(st.floats(min_value=0.01, max_value=1.0),
+           st.floats(min_value=-2.0, max_value=2.0),
+           st.lists(st.tuples(st.floats(min_value=-300.0, max_value=5.0),
+                              st.integers(min_value=1, max_value=40)),
                     min_size=1, max_size=8))
-    def test_batch_is_its_batch_of_one_and_near_scipy_brentq(self, rows):
-        # bit for bit against each row alone, and within twice the polish's
+    def test_batch_is_its_batch_of_one_and_near_scipy_brentq(self, vacancy, log_width,
+                                                             rows):
+        # one band, rows of (ratio, N): bit for bit against each row alone as
+        # a scenario of N copies of the band, and within twice the polish's
         # tolerance of scipy on the same bracket, since each ends within one
-        # of the root; ratios up to 1e5 put optima past the first span
-        scenarios = [make_scenario(n_bands=n, ratio=10.0 ** log_ratio, vacancy=vacancy,
+        # of the root; ratios up to 1e5 put optima past R/W = 20
+        ratios = [10.0 ** log_ratio for log_ratio, _ in rows]
+        counts = [n for _, n in rows]
+        scenarios = [make_scenario(n_bands=n, ratio=ratio, vacancy=vacancy,
                                    bandwidth=10.0 ** log_width)
-                     for log_ratio, n, vacancy, log_width in rows]
-        batch = optimal_rates_fixed_band(scenarios)
-        for scenario, batched in zip(scenarios, batch):
-            assert batched == optimal_rate_fixed_band(scenario)
+                     for ratio, n in zip(ratios, counts)]
+        band, thinning = scenarios[0].bands[0], scenarios[0].thinning
+        rates, limits = optimal_rates_fixed_band(band, thinning, ratios, counts)
+        for scenario, rate, limit in zip(scenarios, rates, limits):
+            opt = optimal_rate_fixed_band(scenario)
+            assert (rate, limit) == (opt.rate, opt.capacity)
             root = self.scipy_optimum(scenario)
-            assert abs(batched.rate - root) <= 2 * (cap._XTOL + cap._RTOL * root)
+            assert abs(rate - root) <= 2 * (cap._XTOL + cap._RTOL * root)
 
     def test_infeasible_row_fails_the_batch(self):
-        scenarios = [make_scenario(), make_scenario(n_bands=1, ratio=1e200)]
+        scenario = make_scenario()
         with pytest.raises(InfeasibleError) as exc:
-            optimal_rates_fixed_band(scenarios)
+            optimal_rates_fixed_band(scenario.bands[0], scenario.thinning,
+                                     [50.0, 1e200], [5, 1])
         assert str(exc.value) == "no capacity optimum below rate 1000 x band width"
 
     def test_optimum_is_grid_maximum(self):
@@ -139,10 +142,10 @@ class TestCapacityLimit:
         vals = [capacity_limit_fixed_band(scenario, r) for r in grid]
         assert opt.capacity >= max(vals) - 1e-6
         # random scenarios against the mode-I limit, as N x the direct mode-II
-        # limit at R/N, on a log grid over the first scan span
+        # limit at R/N, on a log grid over the scan span
         for scenario in random_identical_band_scenarios(10, seed=7):
             n, w = len(scenario.bands), scenario.bands[0].bandwidth
-            grid = np.geomspace(cap._SCAN_EDGES[0] * w, cap._SCAN_EDGES[1] * w, 2000)
+            grid = np.geomspace(cap._SCAN_SPAN[0] * w, cap._SCAN_SPAN[1] * w, 2000)
             vals = n * capacity_limit_fixed_system(scenario, grid / n)
             assert optimal_rate_fixed_band(scenario).capacity >= (1 - 1e-12) * vals.max()
 
@@ -267,11 +270,11 @@ class TestJointOptimization:
 
     @pytest.mark.parametrize("ratio, expected", [
         (2.0, (1, 3.1697741536407067, 0.5905318332010405)),
-        (5.0, (2, 1.79338702738058, 0.5202050429566041)),
-        (10.0, (3, 1.3277064530518128, 0.46050514052836017)),
-        (50.0, (6, 0.8455957506370951, 0.32654362315935376)),
+        (5.0, (2, 1.7933870273805796, 0.5202050429566041)),
+        (10.0, (3, 1.3277064530518126, 0.46050514052836006)),
+        (50.0, (6, 0.8455957506370956, 0.32654362315935365)),
         (100.0, (9, 0.6244035306239483, 0.2748363778261167)),
-        (500.0, (20, 0.3520887673511989, 0.17453721056102817)),
+        (500.0, (20, 0.352088767351199, 0.17453721056102814)),
         (1e3, (28, 0.2754565304366256, 0.1407329189271568)),
     ])
     def test_matches_full_scan(self, ratio, expected):
@@ -312,23 +315,31 @@ class TestJointOptimization:
             scaling_approximation(0.0)
 
 
+def interarrivals(scenario, count=1):
+    """The scenario's session interarrival mean, ``count`` times: the rows
+    of the delay optimizer at its own traffic."""
+    return np.full(count, scenario.traffic.session_interarrival_mean)
+
+
 class TestMinDelay:
     def test_default_scenario_minimum(self, default_scenario):
-        opt = min_delay_over_rate(default_scenario, [default_scenario.traffic])[0]
-        assert opt.rate == pytest.approx(3.38397, rel=1e-4)
-        assert opt.delay == pytest.approx(36.38487, rel=1e-4)
+        [rate], [delay] = min_delay_over_rate(default_scenario,
+                                              interarrivals(default_scenario))
+        assert rate == pytest.approx(3.38397, rel=1e-4)
+        assert delay == pytest.approx(36.38487, rel=1e-4)
 
     def test_minimum_beats_neighbors(self, default_scenario):
-        traffic = default_scenario.traffic
-        opt = min_delay_over_rate(default_scenario, [traffic])[0]
-        rates = np.array([opt.rate * 0.9, opt.rate * 1.1])
-        for d in cap.operating_points(default_scenario, rates, [traffic] * 2)[1]:
-            assert d >= opt.delay
+        [rate], [delay] = min_delay_over_rate(default_scenario,
+                                              interarrivals(default_scenario))
+        rates = np.array([rate * 0.9, rate * 1.1])
+        for d in cap.operating_points(default_scenario, rates,
+                                      interarrivals(default_scenario, 2))[1]:
+            assert d >= delay
 
-    def test_infeasible_scenario_returns_error(self):
+    def test_infeasible_scenario_returns_nan(self):
         scn = make_scenario(n_bands=1, ratio=500.0, session_interarrival=10.0)
-        [opt] = min_delay_over_rate(scn, [scn.traffic])
-        assert type(opt) is InfeasibleError
+        rates, delays = min_delay_over_rate(scn, interarrivals(scn))
+        assert np.isnan(rates[0]) and np.isnan(delays[0])
 
     @settings(deadline=None, max_examples=15)
     @given(st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=4),
@@ -337,31 +348,31 @@ class TestMinDelay:
         # every row bit for bit, with a C = 1e-9 proxy row and a C = 50 row
         # that no rate serves
         scn = make_scenario(n_bands=n_bands, ratio=ratio)
-        traffics = [replace(scn.traffic, session_interarrival_mean=10.0 / c)
-                    for c in (*demands, 1e-9, 50.0) if c > 0.0]
-        batch = min_delay_over_rate(scn, traffics)
-        assert type(batch[-1]) is InfeasibleError
-        assert isinstance(batch[-2], DelayOptimum)
-        for traffic, batched in zip(traffics, batch):
-            [single] = min_delay_over_rate(scn, [traffic])
-            assert type(batched) is type(single)
-            if isinstance(single, DelayOptimum):
-                assert batched == single
+        interarrival = np.array([10.0 / c for c in (*demands, 1e-9, 50.0) if c > 0.0])
+        rates, delays = min_delay_over_rate(scn, interarrival)
+        assert np.isnan(rates[-1]) and np.isnan(delays[-1])
+        assert np.isfinite(rates[-2]) and np.isfinite(delays[-2])
+        for i in range(len(interarrival)):
+            single = min_delay_over_rate(scn, interarrival[i:i + 1])
+            assert np.array_equal([rates[i:i + 1], delays[i:i + 1]], single,
+                                  equal_nan=True)
 
     def test_minimum_at_the_capacity_limit_edge(self, default_scenario):
         # 0.2 % below the capacity limit the delay is finite on one scan
         # point only: the bracket's ends are infeasible, and the polish still
         # finds the minimum
         c = optimal_rate_fixed_band(default_scenario).capacity * (1.0 - 2e-3)
-        traffic = replace(default_scenario.traffic, session_interarrival_mean=10.0 / c)
+        interarrival = np.array([10.0 / c])
         grid = np.geomspace(1e-2, 50.0, 96)
-        scan = cap.operating_points(default_scenario, grid, [traffic] * len(grid))[1]
+        scan = cap.operating_points(default_scenario, grid,
+                                    np.repeat(interarrival, len(grid)))[1]
         assert np.count_nonzero(np.isfinite(scan)) == 1
-        [opt] = min_delay_over_rate(default_scenario, [traffic])
-        assert np.isfinite(opt.delay)
-        rates = opt.rate * np.array([1.0 - 1e-6, 1.0 + 1e-6])
-        delays = cap.operating_points(default_scenario, rates, [traffic] * 2)[1]
-        assert np.all(delays >= opt.delay)
+        [rate], [delay] = min_delay_over_rate(default_scenario, interarrival)
+        assert np.isfinite(delay)
+        rates = rate * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+        delays = cap.operating_points(default_scenario, rates,
+                                      np.repeat(interarrival, 2))[1]
+        assert np.all(delays >= delay)
 
     def test_minimum_past_the_narrow_band_span(self):
         # the scan starts from the narrowest band's width, here a width-0.1
@@ -370,8 +381,9 @@ class TestMinDelay:
         scn = make_scenario(ratio=0.5, file_mean=100.0, session_interarrival=1000.0)
         narrow = BandConfig(bandwidth=0.1, vacancy=1e-6, bs_density=1.0)
         wide = BandConfig(bandwidth=10.0, vacancy=1.0, bs_density=1.0)
-        [opt] = min_delay_over_rate(replace(scn, bands=(narrow, wide)), [scn.traffic])
-        [alone] = min_delay_over_rate(replace(scn, bands=(wide,)), [scn.traffic])
-        assert opt.rate == pytest.approx(8.90204, rel=1e-5)
-        assert opt.delay == pytest.approx(24.2844, rel=1e-5)
-        assert opt.rate == pytest.approx(alone.rate, rel=1e-5)
+        [rate], [delay] = min_delay_over_rate(replace(scn, bands=(narrow, wide)),
+                                              interarrivals(scn))
+        [alone], _ = min_delay_over_rate(replace(scn, bands=(wide,)), interarrivals(scn))
+        assert rate == pytest.approx(8.90204, rel=1e-5)
+        assert delay == pytest.approx(24.2844, rel=1e-5)
+        assert rate == pytest.approx(alone, rel=1e-5)

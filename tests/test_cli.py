@@ -523,6 +523,28 @@ class TestCapacityCommand:
         caps = [float(r["c_max_fixed_band"]) for r in rows]
         assert caps == sorted(caps)  # aggregation helps monotonically
 
+    def test_rows_are_copies_of_the_first_band(self, tmp_path):
+        # README: N copies of [band.1] with BS density 1 and the ratio as the
+        # user density, whatever the other bands are
+        text = BASE + ("\n[band.1]\nbandwidth = 2\nvacancy = 0.5\nbs_density = 2\n"
+                       "\n[band.2]\nbandwidth = 1\nvacancy = 1\nbs_density = 1\n"
+                       "\n[capacity]\nn_min = 1\nn_max = 16\nratios = 5,190.872\n")
+        cfg = write(tmp_path, "c.ini", text)
+        out = str(tmp_path / "cap.csv")
+        assert run(["capacity", "--config", cfg, "--out", out]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        scenario = cli.build_scenario(cli.load_config(cfg))
+        unit = replace(scenario.bands[0], bs_density=1.0)
+        cells = [(ratio, n) for ratio in (5.0, 190.872) for n in range(1, 17)]
+        assert len(rows) == len(cells)
+        for row, (ratio, n) in zip(rows, cells):
+            opt = cap.optimal_rate_fixed_band(
+                replace(scenario, user_density=ratio, bands=(unit,) * n))
+            assert (row["ratio"], row["n_bands"]) == (cli._fmt(ratio), str(n))
+            assert row["optimal_rate"] == cli._fmt(opt.rate)
+            assert row["c_max_fixed_band"] == cli._fmt(opt.capacity)
+            assert row["c_max_fixed_system"] == cli._fmt(opt.capacity / n)
+
     def test_infeasible_ratio_prints_no_table(self, tmp_path, capsys):
         # ratio 1e200 has no optimum below R/W = 1000; the feasible 1e4 row
         # before it must not be left behind as a truncated table

@@ -470,6 +470,9 @@ BOUNDARY_STREAMS = {
     "arrival-inside-busy-period": ([1.5], [0.5], [0.0, 1.0], [0.0, 2.0]),
     "arrival-at-busy-start": ([1.0], [0.5], [0.0, 1.0], [0.0, 1.0]),
     "completion-at-busy-start": ([0.5, 0.75], [0.5, 0.25], [0.0, 1.0], [0.0, 1.0]),
+    # the service rounds away next to the availability 5e4 at arrival, so the
+    # clock's inverse alone would complete the session at the busy start 5e4
+    "service-below-clock-ulp": ([5e4 + 1], [2.0 ** -40], [0.0, 5e4], [0.0, 2.0]),
 }
 
 
