@@ -18,8 +18,7 @@ interarrival mean each, as arrays (``equilibrium.solve_epsilons``,
 """
 
 import math
-from dataclasses import dataclass, replace
-from functools import cache
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize.elementwise import find_minimum
@@ -44,15 +43,6 @@ _DELAY_POINTS = 96
 _SCAN_BATCH = 16
 
 
-def _identical_bands(scenario: Scenario):
-    """The band of ``scenario`` and N, its number of bands, which must all be
-    equal: the mode-I laws model N copies of one band."""
-    band, n = scenario.bands[0], len(scenario.bands)
-    if scenario.bands.count(band) != n:
-        raise ValueError("the capacity laws need N identical bands")
-    return band, n
-
-
 def _law(band, thinning, load, n):
     """The band's width and vacancy, the per-band load, N and the thinning
     of each row: five arrays, one entry a row."""
@@ -60,10 +50,15 @@ def _law(band, thinning, load, n):
         band.bandwidth, band.vacancy, load, n, thinning), dtype=float).reshape(5, -1)
 
 
-def _scenario_law(scenario: Scenario):
-    """``_law`` of the one row of an identical-band scenario, whose per-band
-    load is user_density / (bs_density N)."""
-    band, n = _identical_bands(scenario)
+def _scenario_law(scenario: Scenario, n=None):
+    """``_law`` of N copies of the band of a scenario whose bands must all be
+    equal (the mode-I laws model N copies of one band), at a per-band load of
+    user_density / (bs_density N): one row at the scenario's own N, or a row
+    for each N of the array ``n``."""
+    band = scenario.bands[0]
+    if scenario.bands.count(band) != len(scenario.bands):
+        raise ValueError("the capacity laws need N identical bands")
+    n = len(scenario.bands) if n is None else n
     return _law(band, scenario.thinning, scenario.user_density / (band.bs_density * n), n)
 
 
@@ -192,26 +187,22 @@ def optimize_fixed_system(scenario: Scenario):
     best per-band rate, capacity).  The scenario's own band count is ignored.
 
     C(N), the mode-II maximum, must rise and then fall in N: N doubles while
-    C(N+1) > C(N), then bisection finds the first N where it does not.  An
-    ``InfeasibleError`` of ``optimal_rate_fixed_band`` propagates.
+    C(N+1) > C(N), then bisection finds the first N where it does not.  Each
+    step is one two-row batch of the optimal rate, at N and N + 1, so memory
+    does not grow with N.  An ``InfeasibleError`` of a row propagates.
     """
-    band = _identical_bands(scenario)[0]
-
-    @cache
-    def best(n):
-        opt = optimal_rate_fixed_band(replace(scenario, bands=(band,) * n))
-        return opt.rate / n, opt.capacity / n
-
-    def grows(n):
-        return best(n + 1)[1] > best(n)[1]
-
-    lo, hi = 0, 1  # C grows at lo (if lo >= 1) and not at hi
-    while grows(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if grows(mid) else (lo, mid)
-    return (hi, *best(hi))
+    lo, hi = 0, math.inf  # C grows at lo (if lo >= 1) and not at hi
+    while hi - lo > 1:  # doubling until C stops growing, then bisection
+        n = max(2 * lo, 1) if hi == math.inf else (lo + hi) // 2
+        counts = np.array([n, n + 1])
+        law = _scenario_law(scenario, counts)
+        rates = _optimal_rates(law)
+        limits = _limit_and_slope(rates, *law)[0] / counts
+        if limits[1] > limits[0]:
+            lo = n
+        else:
+            hi, best = n, (rates[0] / n, limits[0])
+    return hi, float(best[0]), float(best[1])
 
 
 def scaling_approximation(user_bs_ratio):

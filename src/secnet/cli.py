@@ -272,6 +272,9 @@ def cmd_capacity(config, scenario, args):
         )
     band = scenario.bands[0]
     ratios = capacity["ratios"] or [scenario.user_density / band.bs_density]
+    if not 0.0 < ratios[0] < math.inf:  # a default ratio that under- or overflowed
+        raise ConfigError(f"[scenario] user_density / [band.1] bs_density is "
+                          f"{ratios[0]:g}, out of float range: set [capacity] ratios")
     counts = np.arange(n_min, n_max + 1)
     ratio, n = np.repeat(ratios, len(counts)), np.tile(counts, len(ratios))
     rates, limits = cap.optimal_rates_fixed_band(band, scenario.thinning, ratio, n)

@@ -107,14 +107,13 @@ def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
     C = 0 in closed form; a demand past the capacity limit raises
     ``InfeasibleError``.  This is ``solve_epsilons`` for one rate."""
     rate = float(scenario.target_rate)
-    sol, (rho_s, coverage, vc, share, k) = _solve(scenario, [rate], None)
+    sol, (rho_s, coverage, vc, k) = _solve(scenario, [rate], None)
     status, residual = sol.status[0], float(sol.residual[0])
+    ck = scenario.thinning * coverage * k
     if status == UNCOVERED:
         raise InfeasibleError(f"no band covers a user at target rate {rate:g}")
-    if status == OVERLOADED:  # the limit R g(1): contention at full activity, p = 1
-        bs_density = np.array([b.bs_density for b in scenario.bands])
-        full = (scenario.thinning * scenario.user_density / bs_density) * coverage * share
-        limit = rate * _epsilon_map(-vc, full, np.ones(1))[0][0]
+    if status == OVERLOADED:  # the limit R g(1), as map(rho_s) = rho_s - h(rho_s) = g(1)
+        limit = rate * _epsilon_map(-vc, ck, rho_s)[0][0]
         raise InfeasibleError(
             f"no service equilibrium above eps = {rho_s[0] + 1e-9:g} at R = "
             f"{rate:g}: demand C = {scenario.traffic.capacity:g}, capacity limit "
@@ -122,7 +121,7 @@ def solve_equilibrium(scenario: Scenario) -> EquilibriumSolution:
     if status == STALLED:
         raise InfeasibleError(f"equilibrium solver stalled with residual {residual:.3e}")
     eps = sol.epsilon
-    access = _epsilon_map(-vc, scenario.thinning * coverage * k, eps)[1]
+    access = _epsilon_map(-vc, ck, eps)[1]
     columns = (c[0].tolist() for c in (vc * access, coverage, access, k / eps[:, None]))
     return EquilibriumSolution(
         epsilon=float(eps[0]), bands=tuple(map(BandEquilibrium, *columns)),
@@ -157,9 +156,9 @@ def solve_epsilons(scenario: Scenario, rates, demands=None) -> Epsilons:
 
 
 def _solve(scenario, rates, demands):
-    """``solve_epsilons``, and what ``solve_equilibrium`` builds its row from:
-    rho_s, and the (rates x bands) coverage, vacancy x coverage, each band's
-    share of it and load x eps."""
+    """``solve_epsilons``, and what ``solve_equilibrium`` builds its row and
+    its capacity limit from: rho_s, and the (rates x bands) coverage, vacancy
+    x coverage and load x eps."""
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or not np.all(rates > 0):
         raise ValueError(f"rates must be a 1-D array of values > 0, got {rates}")
@@ -230,8 +229,7 @@ def _solve(scenario, rates, demands):
     # written so that a NaN residual fails
     status[ok[~(residual[ok] <= _RESIDUAL_TOL)]] = STALLED
     eps[status != SOLVED] = np.nan
-    return Epsilons(eps, residual, status, iterations, stalled), (
-        rho_s, coverage, vc, share, k)
+    return Epsilons(eps, residual, status, iterations, stalled), (rho_s, coverage, vc, k)
 
 
 def _bisect(rows, lo, h, eps, iterations):

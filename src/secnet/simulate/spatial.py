@@ -243,10 +243,11 @@ def _bounded_interior_areas(bss, cfg):
     return 0.5 * np.abs(np.add.reduceat(cross, starts))
 
 
-def _weighted_ks(samples, weights, cdf):
+def _weighted_ks(samples, cdf):
+    """KS distance from ``cdf`` of ``samples`` each weighted by its own value."""
     order = np.argsort(samples)
     s = samples[order]
-    w = weights[order] / weights.sum()
+    w = s / samples.sum()
     cum = np.cumsum(w)
     theo = cdf(s)
     upper = np.max(np.abs(cum - theo))
@@ -278,7 +279,7 @@ def sample_voronoi_cells(cfg: SpatialSimConfig) -> SimReport:
     typical_law = stats.gamma(a=a, scale=1.0 / a)
     user_law = stats.gamma(a=a + 1.0, scale=1.0 / a)
     ks_typical = stats.kstest(areas, typical_law.cdf).statistic
-    ks_user = _weighted_ks(areas, areas, user_law.cdf)
+    ks_user = _weighted_ks(areas, user_law.cdf)
     report.arrays["normalized_areas"] = areas
     report.add_mean_estimate("mean_normalized_area", rep_means)
     report.config["n_cells"] = int(len(areas))

@@ -288,6 +288,30 @@ class TestJointOptimization:
         assert c_star == pytest.approx(0.06431769636523889, rel=1e-12)
         assert c_star > max(mode_two_max(n, 1e4) for n in (80, 88, 90))
 
+    FACTORS = [2.0 ** k for k in range(-20, 27)]
+
+    @pytest.mark.parametrize("ratio", [2.0, 1e3])
+    def test_density_scale_is_exact(self, ratio):
+        # a power-of-two factor on both densities leaves every load's bits
+        reference = optimize_fixed_system(make_scenario(ratio=ratio))
+        for f in self.FACTORS:
+            scaled = make_scenario(ratio=ratio, bs_density=f)
+            assert optimize_fixed_system(scaled) == reference, f
+
+    @pytest.mark.parametrize("ratio", [2.0, 1e3])
+    def test_bandwidth_scale(self, ratio):
+        # rates and capacity scale with the band; the scan's log-spaced grid
+        # does not scale bit for bit, so the rate moves within the polish's
+        # tolerance on the mode-I rate N r, and the capacity by a few ulp
+        n_star, rate, capacity = optimize_fixed_system(make_scenario(ratio=ratio))
+        ulp = np.finfo(float).eps
+        for f in self.FACTORS:
+            n, rate_f, capacity_f = optimize_fixed_system(
+                make_scenario(ratio=ratio, bandwidth=f))
+            assert n == n_star, f
+            assert abs(rate_f - f * rate) <= cap._XTOL + cap._RTOL * n * rate_f, f
+            assert abs(capacity_f - f * capacity) <= 4 * ulp * f * capacity, f
+
     def test_infeasible_optimum_propagates(self):
         with pytest.raises(InfeasibleError):
             optimize_fixed_system(make_scenario(ratio=1e200))
@@ -304,8 +328,11 @@ class TestJointOptimization:
         ratio = 10.0 ** log_ratio
         band = dict(vacancy=vacancy, bandwidth=band_width, thinning=thinning)
         n_star, _, _ = optimize_fixed_system(make_scenario(ratio=ratio, **band))
-        c = [mode_two_max(n, ratio, **band) for n in range(1, 2 * n_star + 4)]
-        grows = np.diff(c) > 0
+        # one batch of C(N), the bits of make_scenario's: its BS density is 1
+        counts = np.arange(1, 2 * n_star + 4)
+        limits = optimal_rates_fixed_band(BandConfig(band_width, vacancy, 1.0), thinning,
+                                          np.full(len(counts), ratio), counts)[1]
+        grows = np.diff(limits / counts) > 0
         assert list(grows) == [True] * (n_star - 1) + [False] * (n_star + 3)
 
     def test_scaling_approximation_values(self):

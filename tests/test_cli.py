@@ -225,11 +225,24 @@ class TestConfigHandling:
         pytest.param("equilibrium", "\n[band.x]\nbandwidth = 1\nvacancy = 1\n"
                      "bs_density = 1\n", id="band-name-not-a-number"),
         pytest.param("equilibrium", "\n[DEFAULT]\n", id="default-section"),
+        # capacity's default ratio user_density / [band.1] bs_density leaves
+        # float range: it underflows to 0 or overflows to inf
+        pytest.param("capacity", (("user_density = 50", "user_density = 1e-300"),
+                                  ("bs_density = 1", "bs_density = 1e300")),
+                     id="capacity-default-ratio-underflow"),
+        pytest.param("capacity", (("user_density = 50", "user_density = 1e300"),
+                                  ("bs_density = 1", "bs_density = 1e-300")),
+                     id="capacity-default-ratio-overflow"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys,
                                              subcommand, extra):
-        # a row that starts with [scenario] adds its keys to that section
-        if extra.startswith("[scenario]"):
+        # a row of (old, new) pairs edits the first match of each old text, a
+        # row that starts with [scenario] adds its keys to that section
+        if isinstance(extra, tuple):
+            text = FIVE_BANDS
+            for old, new in extra:
+                text = text.replace(old, new, 1)
+        elif extra.startswith("[scenario]"):
             text = FIVE_BANDS.replace("[scenario]\n", extra, 1)
         else:
             text = FIVE_BANDS + extra

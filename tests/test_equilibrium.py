@@ -426,6 +426,32 @@ class TestUniqueRoot:
         named = float(re.search(r"R\*g\(1\) = (\S+)", str(info.value)).group(1))
         assert named == pytest.approx(limit, rel=1e-5)  # printed to 6 digits
 
+    def test_named_limit_is_the_feasibility_edge_of_mixed_bands(self):
+        # unlike bands, with L read from the message at C = R (rho_s = 1, so
+        # always past the limit); L is printed to 6 digits, hence delta >= 1e-5
+        rng = np.random.default_rng(11)
+        files = SizeDistribution("exponential", 10.0)
+        for _ in range(40):
+            bands = tuple(
+                BandConfig(float(rng.uniform(0.25, 4.0)), float(rng.uniform(0.1, 1.0)),
+                           float(10.0 ** rng.uniform(-1.0, 1.0)))
+                for _ in range(rng.integers(2, 6)))
+            rate = float(10.0 ** rng.uniform(-0.5, 1.0))
+            users = float(10.0 ** rng.uniform(0.0, 2.5))
+
+            def at_demand(c):  # files of mean 10 every 10 / c
+                return Scenario(user_density=users, bands=bands, target_rate=rate,
+                                traffic=TrafficModel(10.0 / c, files),
+                                outage=OutageModel(10.0))
+
+            with pytest.raises(InfeasibleError) as info:
+                solve_equilibrium(at_demand(rate))
+            limit = float(re.search(r"R\*g\(1\) = (\S+)", str(info.value)).group(1))
+            delta = max(1e-5, 1e-8 * rate / limit)
+            assert solve_equilibrium(at_demand(limit * (1 - delta))).residual <= 1e-10
+            with pytest.raises(InfeasibleError, match=r"R\*g\(1\)"):
+                solve_equilibrium(at_demand(limit * (1 + delta)))
+
 
 class TestThirtyDigitRoot:
     @pytest.mark.parametrize("scenario, method", [
