@@ -2,18 +2,18 @@
 
 Outage events have absolute priority over session traffic and are served
 FCFS among themselves, so their workload process is independent of the
-sessions.  The engine exploits that: it first builds the outage busy
-periods of a stream that leads with an empty outage at time 0, so that
-every later instant follows a busy start, reads them as a piecewise-linear
-"available service time" clock, and then runs the session FCFS recursion
-in that clock (``_session_sweep``).  This is event-for-event equivalent to
-a naive event-driven loop (the tests pin exact agreement with such a
-reference loop) but runs as vectorized scans over blocks of ``_BLOCK``
-outages, then sessions, each going on from the state the block before left
-(the FCFS running sum and maximum, the open busy period, the previous
-completion) and searching only the busy periods its keys span.  Outage
-chunks are folded in place into their busy periods and dropped, so a run
-holds its sessions, the busy periods, its outputs and one block.
+sessions.  The engine exploits that: it builds the outage busy periods of
+a stream that leads with an empty outage at time 0, so that every later
+instant follows a busy start, reads them as a piecewise-linear "available
+service time" clock, and runs the session FCFS recursion in that clock
+(``_session_sweep``).  This is event-for-event equivalent to a naive
+event-driven loop (the tests pin exact agreement with such a reference
+loop) but runs as vectorized scans over blocks of ``_BLOCK`` outages or
+sessions, each going on from the state the block before left (the FCFS
+running sum and maximum, the open busy period, the previous completion).
+The sweep takes in each block's busy periods as it is drawn and drops them
+once no session reads them: a run holds its sessions, its outputs and a
+few blocks, however many outages it draws.
 
 Ties are deterministic by construction: an outage arriving exactly at a
 session completion instant does not delay it (the session has already
@@ -21,13 +21,15 @@ received its full service), while a session arrival at the same instant
 queues behind the outage.
 """
 
+import itertools
 import math
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from ..errors import _check_finite_positive
+from ..errors import _check_finite_positive, _check_integer
 from ..queueing import SizeDistribution
 from .report import SimReport
 
@@ -53,6 +55,7 @@ class QueueSimConfig:
         _check_finite_positive(
             session_interarrival_mean=self.session_interarrival_mean,
             outage_interarrival_mean=self.outage_interarrival_mean, rate=self.rate)
+        _check_integer(horizon_sessions=self.horizon_sessions, seed=self.seed)
         if self.rho_o >= 1.0:  # the outage class alone would never empty
             raise ValueError(f"outage load rho_o = {self.rho_o:g} must be < 1")
         n = self.horizon_sessions
@@ -116,70 +119,116 @@ def _busy_periods(arrivals, frees):
     return arrivals[opens], np.append(before[opens][1:], frees[-1])
 
 
-def _outage_periods(arrivals, durations, carry):
-    """Outage busy periods of a chunk, blockwise from the ``carry`` (FCFS
-    carry, free time) of the outages before.  Writes the starts of the
-    periods it opens over ``arrivals`` and the ends of those they close over
-    ``durations``, never past the block read; returns their count, carry."""
-    fcfs, free = carry
-    count = 0
-    for lo in range(0, len(arrivals), _BLOCK):
-        block = arrivals[lo:lo + _BLOCK]
-        frees, fcfs = _fcfs_departures(block, durations[lo:lo + _BLOCK], fcfs)
-        before = _after(free, frees)
-        opens = block >= before
-        free, opened = frees[-1], np.count_nonzero(opens)
-        arrivals[count:count + opened] = block[opens]
-        durations[count:count + opened] = before[opens]
-        count += opened
-    return count, (fcfs, free)
+def _outage_draws(rng, cfg, m):
+    """The m arrival gaps, then the m durations, of an outage chunk as one
+    call each draws them from ``rng`` (numpy's draws do not depend on how a
+    run of them is split), in pieces of ``_BLOCK``: the gaps from a copy of
+    ``rng``, the durations from ``rng`` once it has skipped the gaps."""
+    gaps, sizes = deepcopy(rng), [min(_BLOCK, m - lo) for lo in range(0, m, _BLOCK)]
+    for size in sizes:
+        rng.standard_exponential(size)
+    for size in sizes:
+        yield (gaps.exponential(cfg.outage_interarrival_mean, size),
+               cfg.outage_duration.sample(rng, size))
 
 
-def _place(sorted_keys, keys, side):
-    """``np.searchsorted(sorted_keys, keys, side)`` for nondecreasing
-    ``keys``, searching only the window their first and last keys span."""
-    lo, hi = np.searchsorted(sorted_keys, keys[[0, -1]], side)
-    return np.searchsorted(sorted_keys[lo:hi], keys, side) + lo
+def _outage_stream(rng, cfg, horizon, chunks):
+    """The busy periods of an outage stream that leads with an empty outage
+    at 0, as ``_session_sweep`` takes them, drawn from ``rng`` a block at a
+    time: first the chunks listed as [outage count, last arrival] in
+    ``chunks``, then chunks sized to pass ``horizon``, listed there with the
+    last arrival inf until drawn."""
+    last, fcfs, start, free = 0.0, (0.0, 0.0), 0.0, 0.0
+    i = 0
+    while i < len(chunks) or last < horizon:
+        if i == len(chunks):
+            m = int((horizon - last) / cfg.outage_interarrival_mean * 1.2) + 100
+            chunks.append([m, math.inf])
+        gaps = 0.0  # the chunk's running sum of gaps, bit for bit as one cumsum
+        for arrivals, durations in _outage_draws(rng, cfg, chunks[i][0]):
+            arrivals[0] += gaps
+            np.cumsum(arrivals, out=arrivals)
+            gaps = arrivals[-1]
+            arrivals += last
+            frees, fcfs = _fcfs_departures(arrivals, durations, fcfs)
+            # the open period goes first, as the job it has been so far
+            piece = _busy_periods(np.append(start, arrivals), np.append(free, frees))
+            yield piece
+            start, free = piece[0][-1], frees[-1]
+        chunks[i][1] = last = arrivals[-1]
+        i += 1
 
 
-def _session_sweep(arr_s, service, starts, ends):
+def _blocks(lo, hi):
+    """Slices that split [lo, hi) at the multiples of ``_BLOCK``."""
+    while lo < hi:
+        top = min(hi, lo - lo % _BLOCK + _BLOCK)
+        yield slice(lo, top)
+        lo = top
+
+
+def _session_sweep(arr_s, service, periods):
     """Session completions and first service starts: the FCFS recursion in
     the availability clock A(t), the secondary-service time up to t, which
-    grows at unit rate outside the outage busy periods [starts, ends] and
-    is flat inside them.  The first period starts at 0, so every t > 0 has
-    a busy period starting at or before it."""
-    blocked_before = _after(0.0, ends - starts)
-    np.cumsum(blocked_before, out=blocked_before)
-    avail_at_start = starts - blocked_before
+    grows at unit rate outside the outage busy periods and is flat inside
+    them.  ``periods`` yields pieces (starts, ends) of the busy periods, the
+    first at 0, each opening with the last period of the one before, whose
+    end may still grow.  A session enters the clock once it arrives before
+    that last period, and returns to real time once its completion does."""
+    n = len(arr_s)
+    kept = np.zeros((3, 1))  # starts, ends and blocked time before, of the periods kept
     completions, first_service = np.empty_like(arr_s), np.empty_like(arr_s)
-    carry, done, done_avail = (0.0, -math.inf), -math.inf, 0.0
-    for lo in range(0, len(arr_s), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        arr, work = arr_s[block], service[block]
-        k = _place(starts, arr, "right") - 1
-        avail_at_arrival = (arr - blocked_before[k]
-                            - (np.minimum(arr, ends[k]) - starts[k]))
-        completion_avail, carry = _fcfs_departures(avail_at_arrival, work, carry)
-        # invert A: a completion landing exactly on a busy start resolves to
-        # the earlier instant, since the session is done when the outage hits
-        k = _place(avail_at_start, completion_avail, "left") - 1
-        completed = np.add(ends[k], completion_avail - avail_at_start[k],
-                           out=completions[block])
-        # service start in real time: the later of arrival and the previous
-        # completion, pushed past any outage busy period covering that instant
-        cand = np.maximum(arr, _after(done, completed))
-        np.maximum(cand, ends[_place(starts, cand, "right") - 1],
-                   out=first_service[block])
-        # a service that rounds away in the clock (1e-12 at A = 4e4) completes
-        # at its first service start, not at the start of the period it waited in
-        np.maximum(completed, first_service[block], out=completed)
-        # preemptive-resume accounting: availability consumed by each session
-        # must equal its service requirement exactly
-        consumed = completion_avail - np.maximum(
-            avail_at_arrival, _after(done_avail, completion_avail))
-        if not np.allclose(consumed, work, rtol=0.0, atol=_SERVICE_ACCOUNTING_TOL):
-            raise AssertionError("service accounting violated in session sweep")
-        done, done_avail = completed[-1], completion_avail[-1]
+    a, carry, a_avail = 0, (0.0, -math.inf), 0.0  # the sessions in the clock
+    b, b_avail, done, raw = 0, 0.0, -math.inf, -math.inf  # those back in real time
+    for piece in itertools.chain(periods, [None]):
+        final = piece is None  # the last period known ends where it has so far
+        if not final:
+            # blocked time before each period: the running sum goes on, bit for bit
+            blocked = np.cumsum(np.append(kept[2, -1], piece[1] - piece[0]))[:-1]
+            kept = np.concatenate([kept[:, :-1], [*piece, blocked]], axis=1)
+            starts, ends, blocked = kept
+            avail = starts - blocked  # A at each start
+        for blk in _blocks(a, n if final else np.searchsorted(arr_s, starts[-1])):
+            arr, work = arr_s[blk], service[blk]
+            k = np.searchsorted(starts, arr, "right") - 1
+            avail_at_arrival = arr - blocked[k] - (np.minimum(arr, ends[k]) - starts[k])
+            completion_avail, carry = _fcfs_departures(avail_at_arrival, work, carry)
+            # preemptive-resume accounting: availability consumed by each session
+            # must equal its service requirement exactly
+            consumed = completion_avail - np.maximum(
+                avail_at_arrival, _after(a_avail, completion_avail))
+            if not np.all(np.abs(consumed - work) <= _SERVICE_ACCOUNTING_TOL):
+                raise AssertionError("service accounting violated in session sweep")
+            completions[blk] = completion_avail
+            a, a_avail = blk.stop, completion_avail[-1]
+        stop = a if final else b + np.searchsorted(completions[b:a], avail[-1], "right")
+        for blk in _blocks(b, stop):
+            completion_avail = completions[blk]
+            # invert A: a completion landing exactly on a busy start resolves to
+            # the earlier instant, since the session is done when the outage hits
+            k = np.searchsorted(avail, completion_avail) - 1
+            completed = ends[k] + (completion_avail - avail[k])
+            # service start in real time: the later of arrival and the previous
+            # completion, pushed past any outage busy period covering that instant
+            # (the first of a block reads the completion after the fix below)
+            cand = np.maximum(arr_s[blk], _after(
+                done if blk.start % _BLOCK == 0 else raw, completed))
+            # a service start at or past the last period known waits for its end
+            cut = len(cand) if final else np.searchsorted(cand, starts[-1])
+            if cut:
+                b, raw = blk.start + cut, completed[cut - 1]
+                b_avail = completion_avail[cut - 1]
+                cand, fs = cand[:cut], first_service[blk.start:b]
+                np.maximum(cand, ends[np.searchsorted(starts, cand, "right") - 1], out=fs)
+                # a service that rounds away in the clock (1e-12 at A = 4e4) completes
+                # at its first service start, not at the start of the period it waited in
+                done = np.maximum(completed[:cut], fs, out=completions[blk.start:b])[-1]
+            if cut < len(completed):
+                break
+        if b == n:  # no session reads the outages still to come
+            break
+        # keep the period the next session's completion can resolve to first
+        kept = kept[:, max(np.searchsorted(avail, b_avail) - 1, 0):]
     return completions, first_service
 
 
@@ -206,62 +255,44 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
     """Simulate the queue for ``horizon_sessions`` completed sessions."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.horizon_sessions
-    arr_s = np.cumsum(rng.exponential(cfg.session_interarrival_mean, n))
-    service = cfg.file_size.sample(rng, n) / cfg.rate
+    arr_s = rng.exponential(cfg.session_interarrival_mean, n)
+    np.cumsum(arr_s, out=arr_s)
+    service = cfg.file_size.sample(rng, n)
+    service /= cfg.rate
 
     report = SimReport(seed=cfg.seed, config=cfg.echo())
-    unstable = cfg.rho_s + cfg.rho_o >= 1.0
-    if unstable:
+    if cfg.rho_s + cfg.rho_o >= 1.0:
         report.warnings.append(
             f"unstable load: rho_s + rho_o = {cfg.rho_s + cfg.rho_o:.3f} >= 1"
         )
 
-    # the outage stream must cover the whole simulated span; it leads with an
-    # empty outage at 0, which starts the first busy period
+    # the outage stream must cover the whole simulated span
     horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
-    starts = ends = np.zeros(1)  # ends[-1] is the end of the open period
-    last, carry = 0.0, ((0.0, 0.0), 0.0)
-    while True:
-        while last < horizon:
-            m = int((horizon - last) / cfg.outage_interarrival_mean * 1.2) + 100
-            arr_o = np.cumsum(rng.exponential(cfg.outage_interarrival_mean, m)) + last
-            dur_o = cfg.outage_duration.sample(rng, m)
-            last = arr_o[-1]
-            count, carry = _outage_periods(arr_o, dur_o, carry)
-            starts = np.concatenate([starts, arr_o[:count]])
-            del arr_o
-            ends = np.concatenate([ends[:-1], dur_o[:count], [carry[1]]])
-            del dur_o
-        completions, first_service = _session_sweep(arr_s, service, starts, ends)
+    chunks = []
+    while True:  # each pass draws the outages from the state after the sessions
+        completions, first_service = _session_sweep(
+            arr_s, service, _outage_stream(deepcopy(rng), cfg, horizon, chunks))
         # every completion must lie inside the simulated outage stream
-        if completions[-1] <= last:
+        if completions[-1] <= chunks[-1][1]:
             break
         horizon = completions[-1] + 10.0 * cfg.outage_interarrival_mean
-    del starts, ends
+    del service
 
-    if np.any(np.diff(completions) < 0):
+    if np.any(completions[1:] < completions[:-1]):
         raise AssertionError("FCFS completions not monotone")
 
-    delays = completions - arr_s
-    spans = np.subtract(completions, first_service, out=first_service)
-
     k0 = int(cfg.warmup_fraction * n)
-    kept = slice(k0, n)
-    d = delays[kept]
-    sp = spans[kept]
+    # busy fraction and its CI from windowed sub-estimates
+    edges = np.linspace(arr_s[k0] if k0 > 0 else 0.0, completions[-1], cfg.n_batches + 1)
+    busy = _busy_fractions(*_busy_periods(arr_s, completions), edges)
 
+    d = np.subtract(completions, arr_s, out=arr_s)[k0:]
+    sp = np.subtract(completions, first_service, out=first_service)[k0:]
     for name, x in (("mean_delay", d), ("mean_span", sp)):
         report.add_mean_estimate(
             name, [b.mean() for b in np.array_split(x, cfg.n_batches)]
         )
-
-    t_lo = arr_s[k0] if k0 > 0 else 0.0
-    t_hi = completions[-1]
-    # busy fraction and its CI from windowed sub-estimates
-    edges = np.linspace(t_lo, t_hi, cfg.n_batches + 1)
-    report.add_mean_estimate(
-        "busy_fraction", _busy_fractions(*_busy_periods(arr_s, completions), edges)
-    )
+    report.add_mean_estimate("busy_fraction", busy)
 
     report.arrays["delays"] = d
     report.arrays["spans"] = sp

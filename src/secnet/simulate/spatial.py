@@ -35,7 +35,7 @@ from scipy.spatial import Voronoi, cKDTree
 from scipy.spatial.distance import cdist
 
 from .. import geometry
-from ..errors import _check_finite_positive
+from ..errors import _check_finite_positive, _check_integer
 from .report import Estimate, SimReport
 
 _CHUNK = 256  # user rows per kernel block, small enough for the cache
@@ -55,6 +55,7 @@ class SpatialSimConfig:
     def __post_init__(self):
         _check_finite_positive(window_side=self.window_side, bs_density=self.bs_density,
                                user_density=self.user_density)
+        _check_integer(replications=self.replications, seed=self.seed)
         if not 0.0 < self.guard_fraction < 0.5:
             raise ValueError("guard fraction must be in (0, 0.5)")
         if self.replications < 1:

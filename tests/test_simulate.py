@@ -26,6 +26,7 @@ from secnet.simulate.queue_sim import (
     _busy_periods,
     _busy_time,
     _fcfs_departures,
+    _outage_draws,
     _session_sweep,
 )
 from secnet.simulate import queue_sim, spatial
@@ -416,7 +417,7 @@ def sweep(arr_s, service, arr_o, dur_o):
     """Session completions and first service starts of the vectorized sweep
     on an outage stream that leads with the empty outage at 0."""
     frees, _ = _fcfs_departures(arr_o, dur_o)
-    return _session_sweep(arr_s, service, *_busy_periods(arr_o, frees))
+    return _session_sweep(arr_s, service, [_busy_periods(arr_o, frees)])
 
 
 def queue_case(cfg):
@@ -542,23 +543,45 @@ class TestQueueSim:
                 assert np.allclose(x, y, rtol=0, atol=1e-8)
 
     def test_working_set_is_blocked(self):
-        # frequent outages: m, about 1.6e6 outages, outnumber the n = 2e5
-        # sessions.  The run holds its inputs (arrival and service times),
-        # its outputs (completions, spans, delays), the outage chunk beside
-        # its busy periods or four arrays over at most m busy periods
-        # (starts, ends and the availability clock's two), and one block of
-        # scratch.  Whole-stream temporaries of the outage FCFS recursion
-        # and busy periods took about 6 m floats here
-        cfg = queue_config(rho_s=0.3, rho_o=0.3, alpha_o=0.5, n=200_000, seed=2)
-        n = cfg.horizon_sessions
-        m = 1.25 * n * cfg.session_interarrival_mean / cfg.outage_interarrival_mean
-        tracemalloc.start()
-        try:
-            run_priority_queue(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * (5 * n + 4 * m + 16 * queue_sim._BLOCK)
+        # the run holds its inputs (arrival and service times), its outputs
+        # (completions, spans, delays) and a few blocks of outages, busy
+        # periods and sessions.  First case: m, about 1.6e6 outages,
+        # outnumber the n = 2e5 sessions 8 to 1; whole-stream temporaries of
+        # the outage FCFS recursion and busy periods took about 6 m floats.
+        # Second case, 12 to 1, bounded with no term in m: a run holding its
+        # outage chunk or all its busy periods took 5 n + 400 blocks of floats
+        frequent = QueueSimConfig(
+            session_interarrival_mean=0.2, outage_interarrival_mean=0.02,
+            file_size=SizeDistribution("exponential", 0.06),
+            outage_duration=SizeDistribution("exponential", 0.006),
+            rate=1.0, horizon_sessions=200_000, seed=2)
+        for cfg, floats_per_outage in [
+            (queue_config(rho_s=0.3, rho_o=0.3, alpha_o=0.5, n=200_000, seed=2), 4),
+            (frequent, 0),
+        ]:
+            n = cfg.horizon_sessions
+            m = 1.25 * n * cfg.session_interarrival_mean / cfg.outage_interarrival_mean
+            tracemalloc.start()
+            try:
+                run_priority_queue(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * (5 * n + floats_per_outage * m + 16 * queue_sim._BLOCK)
+
+    @pytest.mark.parametrize("outage_shape", [1.0, 0.5, 3.0])
+    def test_two_cursor_draw_is_the_one_call_draw(self, outage_shape):
+        # 1e5 outages, seven blocks, the last a part one
+        cfg = queue_config(outage_shape=outage_shape)
+        m = 100_000
+        one_call, two_cursor = np.random.default_rng(4), np.random.default_rng(4)
+        gaps = one_call.exponential(cfg.outage_interarrival_mean, m)
+        durations = cfg.outage_duration.sample(one_call, m)
+        pieces = list(_outage_draws(two_cursor, cfg, m))
+        assert len(pieces) == -(-m // queue_sim._BLOCK)
+        assert np.array_equal(np.concatenate([g for g, _ in pieces]), gaps)
+        assert np.array_equal(np.concatenate([d for _, d in pieces]), durations)
+        assert two_cursor.bit_generator.state == one_call.bit_generator.state
 
     def test_busy_time_is_interval_union_measure(self):
         arr_s, _, _, _, completions, _ = small_queue_case()
@@ -706,3 +729,25 @@ def test_non_finite_input_names_the_field(sim, field, value):
             run(small_spatial(reps=1), value)
         else:
             spatial_coverage(replace(small_spatial(reps=1), **{field: value}), 1.0)
+
+
+@pytest.mark.parametrize("sim, field, value", [
+    ("queue", "horizon_sessions", 2000.0),
+    ("queue", "horizon_sessions", True),
+    ("queue", "seed", 1.5),
+    ("queue", "seed", -1),
+    ("queue", "seed", np.int64(-1)),
+    ("coverage", "replications", 2.0),
+    ("coverage", "seed", -1),
+])
+def test_non_integer_input_names_the_field(sim, field, value):
+    # a count or seed that is no integer >= 0 is a ValueError naming its
+    # field, not an error from numpy or range, or a bool taken as 1
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0"):
+        if sim == "queue":
+            run_priority_queue(replace(queue_config(n=2_000), **{field: value}))
+        else:
+            spatial_coverage(replace(small_spatial(reps=1), **{field: value}), 1.0)
+    if sim == "queue":  # numpy's integers are integers
+        cfg = replace(queue_config(n=2_000), **{field: np.int64(2_000)})
+        assert cfg.echo()[field] == 2_000
