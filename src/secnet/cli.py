@@ -28,16 +28,7 @@ from .queueing import (
     delay_cdf,
     delay_transform,
 )
-from .simulate import (
-    QueueSimConfig,
-    SpatialSimConfig,
-    empirical_cdf,
-    empirical_user_count_pmf,
-    refit_thinning_const,
-    run_priority_queue,
-    sample_voronoi_cells,
-    spatial_coverage,
-)
+from .simulate import QueueSimConfig, empirical_cdf, run_priority_queue
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -45,6 +36,7 @@ EXIT_VALIDATION = 3
 EXIT_CONFIG = 4  # also a usage error: an unknown flag or a missing --config
 EXIT_NUMERICAL = 5
 _GRID_POINTS = 200  # delay-cdf's auto grid, and its [grid] points default
+_KS_TOLERANCE = 0.02  # simulated against analytic delay CDF, sup distance
 
 
 class ConfigError(Exception):
@@ -99,11 +91,7 @@ _KEYS = {
         "scale": (_SPACING, "log", None),
     },
     "validate": {
-        "users": (int, 20000, "> 0"),
-        "cells": (int, 20000, "> 0"),
         "sessions": (int, None, None),
-        "thinning": (float, None, "> 0"),
-        "ratio": (float, 5.0, "> 0"),
     },
 }
 
@@ -319,6 +307,17 @@ def _queue_sim_config(scenario, epsilon, sessions, seed):
         raise ConfigError(f"[validate] sessions: {exc}")
 
 
+def _simulated_cdf(config, scenario, epsilon, seed, sessions, grid, analytic):
+    """The queue simulator's run at ``epsilon`` over ``[validate] sessions``
+    sessions (``sessions`` when the key is unset), its empirical delay CDF on
+    ``grid``, and that CDF's KS distance from the ``analytic`` one."""
+    count = _read(config, "validate", "sessions")
+    rep = run_priority_queue(_queue_sim_config(
+        scenario, epsilon, sessions if count is None else count, seed))
+    empirical = empirical_cdf(rep.arrays["delays"], grid)
+    return rep, empirical, float(np.abs(empirical - analytic).max())
+
+
 def cmd_delay_cdf(config, scenario, args):
     sol = solve_equilibrium(scenario)
     handle = delay_transform(
@@ -340,15 +339,12 @@ def cmd_delay_cdf(config, scenario, args):
     rows = [[float(t), float(v)] for t, v in zip(grid, result.values)]
     failed = []
     if args.validate:
-        sessions = _read(config, "validate", "sessions")
-        rep = run_priority_queue(_queue_sim_config(
-            scenario, sol.epsilon, 200000 if sessions is None else sessions, args.seed))
-        empirical = empirical_cdf(rep.arrays["delays"], grid)
-        ks = float(np.abs(empirical - result.values).max())
+        _, empirical, ks = _simulated_cdf(config, scenario, sol.epsilon, args.seed,
+                                          200000, grid, result.values)
         extra["validate.ks"] = _fmt(ks)
         columns.append("empirical_cdf")
         rows = [row + [float(e)] for row, e in zip(rows, empirical)]
-        if ks > 0.02:
+        if ks > _KS_TOLERANCE:
             failed.append("validate.ks")
     return columns, extra, rows, failed
 
@@ -364,73 +360,19 @@ def cmd_equilibrium(config, scenario, args):
 
 
 def cmd_validate(config, scenario, args):
-    spec = _read_section(config, "validate")
-    users, cells, ratio = spec["users"], spec["cells"], spec["ratio"]
-    thinning = spec["thinning"] or scenario.thinning
-    sessions = 100000 if spec["sessions"] is None else spec["sessions"]
-    seed = args.seed
     sol = solve_equilibrium(scenario)
-    queue_cfg = _queue_sim_config(scenario, sol.epsilon, sessions, seed)
-    checks = []
-
-    # 1. interference-limited coverage against the closed form
-    side, bs_density = 40.0, 1.0
-    user_density = users / (0.36 * side * side * 25)
-    cfg = SpatialSimConfig(side, bs_density, max(user_density, 0.2), 0.2, 25, seed)
-    for x in (0.5, 1.0, 3.0):
-        rep = spatial_coverage(cfg, x)
-        est = rep.estimates["coverage"]
-        target = geometry.sinr_ccdf_lim(x)
-        checks.append(
-            (f"coverage_x_{x:g}", abs(est.value - target), est.ci99_half_width,
-             est.contains(target))
-        )
-
-    # 2. contender-count PMF against the mixture approximation
-    reps = max(int(cells / (0.36 * 500)), 1)
-    cfg2 = SpatialSimConfig(
-        math.sqrt(500 / 1e-6), 1e-6, ratio * 1e-6, 0.2, reps, seed
-    )
-    rep2 = empirical_user_count_pmf(cfg2, 1.0)
-    if rep2.warnings:  # no covered user to count: the refit would be meaningless
-        raise ConfigError(f"[validate] ratio {ratio:g}: {rep2.warnings[0]}")
-    p = geometry.sinr_ccdf_lim(1.0)
-    k = np.arange(len(rep2.arrays["pmf"]))
-    model = geometry.in_coverage_count_pmf(thinning * p * ratio, k)
-    # both checks compare the model with the per-cell count, not with the
-    # contender law of an in-coverage user that the model describes, so
-    # their gap is no intrinsic bias of the model: at ratio 5 the default
-    # 2/3 is TV 0.07 from the per-cell count (refit 0.76) but TV 0.21 from
-    # the contender law, which refits to 1.005 (see geometry.DEFAULT_THINNING)
-    tv = 0.5 * float(np.abs(model - rep2.arrays["pmf"]).sum())
-    checks.append(("contender_pmf_tv", tv, 0.10, tv <= 0.10))
-    refit = refit_thinning_const(rep2.arrays["pmf"], ratio, p)
-    checks.append(("thinning_refit", refit, 0.80, 0.55 <= refit <= 0.80))
-
-    # 3. Voronoi cell-size laws
-    cfg3 = SpatialSimConfig(math.sqrt(500.0), 1.0, 1.0, 0.2, reps, seed)
-    rep3 = sample_voronoi_cells(cfg3)
-    ks_t = rep3.estimates["ks_typical"].value
-    ks_u = rep3.estimates["ks_user_weighted"].value
-    checks.append(("voronoi_ks_typical", ks_t, 0.02, ks_t <= 0.02))
-    checks.append(("voronoi_ks_user", ks_u, 0.02, ks_u <= 0.02))
-
-    # 4. queue: DES against the analytic mean delay and delay CDF
-    qrep = run_priority_queue(queue_cfg)
     handle = delay_transform(
         scenario.traffic, scenario.outage, sol.epsilon, scenario.target_rate
     )
-    analytic = handle.mean
-    rel = abs(qrep.estimates["mean_delay"].value - analytic) / analytic
-    checks.append(("queue_mean_delay_rel", rel, 0.03, rel <= 0.03))
-    grid = np.geomspace(analytic / 100, analytic * 20, 120)
-    ana = delay_cdf(handle, grid).values
-    emp = empirical_cdf(qrep.arrays["delays"], grid)
-    ksq = float(np.abs(ana - emp).max())
-    checks.append(("queue_delay_cdf_ks", ksq, 0.02, ksq <= 0.02))
-
-    rows = [(name, float(stat), float(tol), int(ok)) for name, stat, tol, ok in checks]
-    failed = [name for name, _, _, ok in checks if not ok]
+    mean = handle.mean
+    grid = np.geomspace(mean / 100, mean * 20, 120)
+    rep, _, ks = _simulated_cdf(config, scenario, sol.epsilon, args.seed, 100000,
+                                grid, delay_cdf(handle, grid).values)
+    rel = abs(rep.estimates["mean_delay"].value - mean) / mean
+    checks = [("queue_mean_delay_rel", rel, 0.03),
+              ("queue_delay_cdf_ks", ks, _KS_TOLERANCE)]
+    rows = [(name, stat, tol, int(stat <= tol)) for name, stat, tol in checks]
+    failed = [name for name, _, _, ok in rows if not ok]
     return ["check", "statistic", "tolerance", "passed"], {}, rows, failed
 
 
@@ -476,7 +418,10 @@ _shared_parser = functools.cache(make_parser)
 def main(argv=None):
     """Run one subcommand on ``argv`` (``sys.argv[1:]`` when None) and return
     its exit code; a usage error raises ``SystemExit(EXIT_CONFIG)``."""
-    args = _shared_parser().parse_args(argv)
+    parser = _shared_parser()
+    args = parser.parse_args(argv)
+    if args.validate and args.subcommand != "delay-cdf":
+        parser.error(f"argument --validate: not allowed with {args.subcommand}")
     try:
         config = load_config(args.config)
         command = _COMMANDS[args.subcommand]

@@ -7,17 +7,14 @@ exponent is fixed at 4, which is what makes the SIR tail and the
 cell-count mixture come out in closed form.
 """
 
-import math
-
 import numpy as np
-from scipy.special import gammaln
 
 #: Thinning constant for the in-coverage user-count approximation.
-#: Known to be wrong: ``simulate.refit_thinning_const`` against the
-#: contender law of an in-coverage user (the law ``access_probability``
-#: averages over) gives 1.005 at ratio 5 and 1.010 at ratio 50 (BS density
-#: 1e-6, SIR threshold 1, 1e5 cells), and 0.76/0.77 against per-cell
-#: counts; 2/3 fits neither.  At 2/3 the access probability is 0.4157 and
+#: Known to be wrong: the test oracle ``refit_thinning_const`` (in
+#: ``tests/conftest.py``) against the contender law of an in-coverage user
+#: (the law ``access_probability`` averages over) gives 1.005 at ratio 5
+#: and 1.010 at ratio 50 (BS density 1e-6, SIR threshold 1, 1e5 cells), and
+#: 0.76/0.77 against per-cell counts; 2/3 fits neither.  At 2/3 the access probability is 0.4157 and
 #: 0.0535 against Monte Carlo 0.3117 and 0.0357, 33 % and 50 % too high,
 #: and the service probability is overstated with it.  Thinning 1 gives
 #: 0.3115 and 0.0357.  The value stays until the pinned CLI and benchmark
@@ -52,34 +49,6 @@ def coverage_probability(rate, bandwidth):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     with np.errstate(over="ignore"):  # past R/W = 1024, 2^(R/W) is inf: coverage 0
         return sinr_ccdf_lim(np.power(2.0, rate / bandwidth) - 1.0)
-
-
-def in_coverage_count_pmf(contention, k):
-    """PMF of the number of in-coverage contenders in the cell of a random
-    user, mixing a Poisson count over the size-biased cell law.
-
-    ``contention`` is the mixture's mean-measure parameter c, thinning times
-    coverage times the user/BS load of the band.  Vectorized over ``k``.
-    """
-    if contention < 0:
-        raise ValueError(f"contention must be >= 0, got {contention}")
-    k = np.asarray(k)
-    if np.any(k < 0) or not np.issubdtype(k.dtype, np.integer):
-        raise ValueError("k must be a nonnegative integer")
-    if contention == 0.0:
-        out = np.where(k == 0, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
-    kf = k.astype(float)
-    log_pmf = (
-        (_A + 1.0) * math.log(_A)
-        + gammaln(_A + 1.0 + kf)
-        - gammaln(_A + 1.0)
-        - gammaln(kf + 1.0)
-        + kf * math.log(contention)
-        - (_A + 1.0 + kf) * math.log(_A + contention)
-    )
-    out = np.exp(log_pmf)
-    return float(out) if out.ndim == 0 else out
 
 
 def access_probability(contention):

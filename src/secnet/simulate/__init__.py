@@ -5,7 +5,6 @@ from .report import Estimate, SimReport
 from .spatial import (
     SpatialSimConfig,
     empirical_user_count_pmf,
-    refit_thinning_const,
     sample_voronoi_cells,
     spatial_coverage,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "SpatialSimConfig",
     "empirical_cdf",
     "empirical_user_count_pmf",
-    "refit_thinning_const",
     "run_priority_queue",
     "sample_voronoi_cells",
     "spatial_coverage",

@@ -13,9 +13,6 @@ class Estimate:
     ci99_half_width: float
     n: int
 
-    def contains(self, truth):
-        return abs(self.value - truth) <= self.ci99_half_width
-
 
 @dataclass
 class SimReport:

@@ -170,9 +170,10 @@ def empirical_user_count_pmf(cfg: SpatialSimConfig, threshold) -> SimReport:
 
     ``arrays["pmf"]`` is this per-cell law h(j), the typical-cell count,
     for j from 0 to the largest count seen.
-    It is not the law of ``geometry.in_coverage_count_pmf``, which counts
-    the contenders of a random in-coverage user: that user's cell is size
-    biased, so its contender PMF is q(k) = (k+1) h(k+1) / sum_j j h(j).
+    It is not the law of the test oracle ``in_coverage_count_pmf`` (in
+    ``tests/conftest.py``), which counts the contenders of a random
+    in-coverage user: that user's cell is size biased, so its contender PMF
+    is q(k) = (k+1) h(k+1) / sum_j j h(j).
 
     Also estimates the fair-access probability E[1/K] over in-coverage users
     (K >= 1 counts the user itself), or warns when there is none.
@@ -288,15 +289,3 @@ def sample_voronoi_cells(cfg: SpatialSimConfig) -> SimReport:
     report.estimates["ks_user_weighted"] = Estimate(float(ks_user), 0.0, len(areas))
     return report
 
-
-def refit_thinning_const(empirical_pmf, load, coverage):
-    """Least-squares refit of the thinning constant against an empirical
-    contender-count PMF, on a 261-point grid over [0.2, 1.5]."""
-    k = np.arange(len(empirical_pmf))
-    best = None
-    for lam in np.linspace(0.2, 1.5, 261):
-        model = geometry.in_coverage_count_pmf(lam * coverage * load, k)
-        sse = float(np.sum((model - empirical_pmf) ** 2))
-        if best is None or sse < best[1]:
-            best = (float(lam), sse)
-    return best[0]

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from secnet import BandConfig, OutageModel, Scenario, SizeDistribution, TrafficModel
 from secnet import geometry
@@ -45,6 +48,50 @@ def capacity_limit_fixed_system(scenario, rate):
         scenario.thinning,
     )
     return rate * (1.0 - (1.0 - eps_n) ** n)
+
+
+def in_coverage_count_pmf(contention, k):
+    """PMF of the number of in-coverage contenders in the cell of a random
+    user, mixing a Poisson count over the size-biased cell law: the law
+    ``geometry.access_probability`` averages 1/(K+1) over, and the model the
+    spatial oracle's contender counts are checked against.
+
+    ``contention`` is the mixture's mean-measure parameter c, thinning times
+    coverage times the user/BS load of the band.  Vectorized over ``k``.
+    """
+    if contention < 0:
+        raise ValueError(f"contention must be >= 0, got {contention}")
+    k = np.asarray(k)
+    if np.any(k < 0) or not np.issubdtype(k.dtype, np.integer):
+        raise ValueError("k must be a nonnegative integer")
+    if contention == 0.0:
+        out = np.where(k == 0, 1.0, 0.0)
+        return float(out) if out.ndim == 0 else out
+    a, kf = geometry._A, k.astype(float)
+    log_pmf = (
+        (a + 1.0) * math.log(a)
+        + gammaln(a + 1.0 + kf)
+        - gammaln(a + 1.0)
+        - gammaln(kf + 1.0)
+        + kf * math.log(contention)
+        - (a + 1.0 + kf) * math.log(a + contention)
+    )
+    out = np.exp(log_pmf)
+    return float(out) if out.ndim == 0 else out
+
+
+def refit_thinning_const(empirical_pmf, load, coverage):
+    """Least-squares refit of the thinning constant of
+    ``in_coverage_count_pmf`` against an empirical contender-count PMF, on a
+    261-point grid over [0.2, 1.5]."""
+    k = np.arange(len(empirical_pmf))
+    best = None
+    for lam in np.linspace(0.2, 1.5, 261):
+        model = in_coverage_count_pmf(lam * coverage * load, k)
+        sse = float(np.sum((model - empirical_pmf) ** 2))
+        if best is None or sse < best[1]:
+            best = (float(lam), sse)
+    return best[0]
 
 
 def make_scenario(

@@ -51,6 +51,7 @@ from secnet.simulate import (
 
 from conftest import (
     capacity_limit_fixed_system,
+    in_coverage_count_pmf,
     make_scenario,
     transmission_time_mean,
     transmission_transform,
@@ -149,7 +150,7 @@ def test_criterion_3_contender_pmf_approximation():
     for ratio in (5.0, 50.0):
         contenders, rep = _contender_pmf(ratio, threshold)
         contention = geometry.DEFAULT_THINNING * p * ratio
-        model = geometry.in_coverage_count_pmf(contention, np.arange(len(contenders)))
+        model = in_coverage_count_pmf(contention, np.arange(len(contenders)))
         tv = 0.5 * float(np.abs(model - contenders).sum())
         results[ratio] = (
             tv, rep.config["n_samples"], rep.estimates["access_probability"],
@@ -200,7 +201,7 @@ def test_criterion_4_exponential_span_approximation():
         expo = float(np.abs(exact - stats.expon(scale=span_mean).cdf(grid)).max())
         results[rho_s] = (ks, expo, rep.estimates["mean_span"], span_mean)
     ok = all(
-        ks <= 0.02 and est.contains(mean)
+        ks <= 0.02 and abs(est.value - mean) <= est.ci99_half_width
         for ks, _, est, mean in results.values()
     )
     detail = "; ".join(
@@ -257,7 +258,7 @@ def test_criterion_6_coverage_closed_loop():
         rep = spatial_coverage(cfg, x)
         est = rep.estimates["coverage"]
         truth = geometry.sinr_ccdf_lim(x)
-        hit = est.contains(truth)
+        hit = abs(est.value - truth) <= est.ci99_half_width
         ok = ok and hit
         lines.append(
             f"x={x:g}: {est.value:.5f} vs {truth:.5f} "

@@ -130,7 +130,7 @@ class TestConfigHandling:
         assert run(["equilibrium", "--config", cfg]) == EXIT_CONFIG
 
     GRID = "\n[grid]\nt_min = {lo}\nt_max = {hi}\npoints = {n}\nscale = {scale}\n"
-    VALIDATE = "\n[validate]\nusers = {users}\ncells = {cells}\nsessions = {sessions}\n"
+    VALIDATE = "\n[validate]\nsessions = {sessions}\n"
 
     @pytest.mark.parametrize("subcommand, extra", [
         pytest.param("capacity", "\n[capacity]\nratios = 5,abc\n",
@@ -157,8 +157,6 @@ class TestConfigHandling:
                      id="grid-t_max-below-t_min"),
         pytest.param("delay-cdf", GRID.format(lo=1, hi=10, n=20, scale="lgo"),
                      id="grid-unknown-scale"),
-        pytest.param("validate", "\n[validate]\nusers = abc\n",
-                     id="validate-users-not-a-number"),
         pytest.param("delay-cdf --validate", "\n[validate]\nsessions = 0\n",
                      id="validate-no-sessions"),
         pytest.param("equilibrium", "[scenario]\nthinning = 0\n", id="thinning-zero"),
@@ -172,11 +170,7 @@ class TestConfigHandling:
                      id="n_min-fraction"),
         pytest.param("capacity", "\n[capacity]\nn_min = 1\nn_max = 2.5\n",
                      id="n_max-fraction"),
-        pytest.param("validate", VALIDATE.format(users=100.5, cells=200, sessions=1000),
-                     id="validate-users-fraction"),
-        pytest.param("validate", VALIDATE.format(users=100, cells=200.5, sessions=1000),
-                     id="validate-cells-fraction"),
-        pytest.param("validate", VALIDATE.format(users=100, cells=200, sessions=1000.5),
+        pytest.param("validate", VALIDATE.format(sessions=1000.5),
                      id="validate-sessions-fraction"),
         pytest.param("equilibrium", "\n[band.1]\nbandwidth = 1\nvacancy = 1\n"
                      "bs_density = 1\n", id="duplicate-section"),
@@ -188,19 +182,6 @@ class TestConfigHandling:
                      id="delay-cdf-sessions-below-batches"),
         pytest.param("validate", "\n[validate]\nsessions = 21\n",
                      id="validate-sessions-below-batches"),
-        pytest.param("validate", "\n[validate]\nthinning = 0\n",
-                     id="validate-thinning-zero"),
-        pytest.param("validate", "\n[validate]\nthinning = -1\n",
-                     id="validate-thinning-negative"),
-        pytest.param("validate", "\n[validate]\nratio = 0\n",
-                     id="validate-ratio-zero"),
-        pytest.param("validate", "\n[validate]\nusers = 0\n",
-                     id="validate-users-zero"),
-        pytest.param("validate", "\n[validate]\ncells = -1\n",
-                     id="validate-cells-negative"),
-        # no interior user is covered, so there is no contender count to refit
-        pytest.param("validate", "\n[validate]\nusers = 100\ncells = 400\n"
-                     "sessions = 1000\nratio = 1e-6\n", id="validate-ratio-no-user"),
         pytest.param("equilibrium", "[scenario]\nthinning = nan\n", id="thinning-nan"),
         pytest.param("capacity", "\n[band.6]\nbandwidth = nan\nvacancy = 1\n"
                      "bs_density = 1\n", id="bandwidth-nan"),
@@ -218,10 +199,6 @@ class TestConfigHandling:
                      id="sweep-target-rate-with-fixed-rate"),
         pytest.param("delay-cdf", GRID.format(lo=1, hi="inf", n=20, scale="log"),
                      id="grid-t_max-infinite"),
-        pytest.param("validate", "\n[validate]\nthinning = nan\n",
-                     id="validate-thinning-nan"),
-        pytest.param("validate", "\n[validate]\nratio = inf\n",
-                     id="validate-ratio-infinite"),
         pytest.param("equilibrium", "\n[band.x]\nbandwidth = 1\nvacancy = 1\n"
                      "bs_density = 1\n", id="band-name-not-a-number"),
         pytest.param("equilibrium", "\n[DEFAULT]\n", id="default-section"),
@@ -233,6 +210,23 @@ class TestConfigHandling:
         pytest.param("capacity", (("user_density = 50", "user_density = 1e300"),
                                   ("bs_density = 1", "bs_density = 1e-300")),
                      id="capacity-default-ratio-overflow"),
+        # [validate] users, cells, thinning and ratio were read only by the
+        # fixed-config spatial checks that left validate: a value once out
+        # of their bounds is now an unknown key, as any value is
+        *(pytest.param("validate", f"\n[validate]\n{text}\n", id=f"validate-{name}")
+          for name, text in [
+              ("users-not-a-number", "users = abc"),
+              ("users-fraction", "users = 100.5"),
+              ("users-zero", "users = 0"),
+              ("cells-fraction", "cells = 200.5"),
+              ("cells-negative", "cells = -1"),
+              ("thinning-zero", "thinning = 0"),
+              ("thinning-negative", "thinning = -1"),
+              ("thinning-nan", "thinning = nan"),
+              ("ratio-zero", "ratio = 0"),
+              ("ratio-infinite", "ratio = inf"),
+              ("ratio-no-user", "ratio = 1e-6"),
+          ]),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys,
                                              subcommand, extra):
@@ -251,6 +245,13 @@ class TestConfigHandling:
         out, err = capsys.readouterr()
         assert out == ""  # rejected before any output is written
         assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("key", ["users", "cells", "thinning", "ratio"])
+    def test_removed_validate_key_is_unknown(self, tmp_path, capsys, key):
+        cfg = write(tmp_path, "c.ini", FIVE_BANDS + f"\n[validate]\n{key} = 1\n")
+        assert run(["validate", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: unknown key {key!r} in section [validate]\n")
 
     def test_key_before_any_section_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", "target_rate = 4\n" + FIVE_BANDS)
@@ -324,6 +325,11 @@ class TestConfigHandling:
         # numpy's generators raise ValueError on a negative seed
         pytest.param(["delay-cdf", "--config", "c.ini", "--validate", "--seed", "-1"],
                      id="negative-seed"),
+        # only delay-cdf overlays a simulation; validate always runs its own
+        pytest.param(["equilibrium", "--config", "c.ini", "--validate"],
+                     id="validate-flag-on-equilibrium"),
+        pytest.param(["validate", "--config", "c.ini", "--validate"],
+                     id="validate-flag-on-validate"),
     ])
     def test_usage_error_exits_config(self, capsys, argv):
         # argparse's own exit code 2 would read as "infeasible"
@@ -731,28 +737,39 @@ vacancy = 1
 bs_density = 10
 
 [validate]
-users = 20000
-cells = 15000
 sessions = 100000
-ratio = 5
 """
+    CHECKS = ["queue_mean_delay_rel", "queue_delay_cdf_ks"]
 
     def test_suite_passes_on_default_config(self, tmp_path):
+        # at the default thinning 2/3 and at 1.0, the value the contender law
+        # refits to: validate checks the scenario's own operating point
+        for thinning in ("", "thinning = 1.0\n"):
+            cfg = write(tmp_path, "v.ini",
+                        self.VAL.replace("[scenario]\n", "[scenario]\n" + thinning))
+            out = str(tmp_path / "v.csv")
+            assert run(["validate", "--config", cfg, "--out", out]) == EXIT_OK
+            comments, header, rows = read_rows(out)
+            assert header == ["check", "statistic", "tolerance", "passed"]
+            assert [r["check"] for r in rows] == self.CHECKS
+            assert all(r["passed"] == "1" for r in rows)
+            assert any(c.startswith("# seed = ") for c in comments)
+
+    def test_negative_control_corrupted_epsilon(self, tmp_path, monkeypatch):
+        # the simulated queue runs at a service probability 10 % below the
+        # analytic model's, and both checks must catch it (at seed 0 they read
+        # 0.304 and 0.060 corrupted, 0.0067 and 0.0033 as they are)
+        sim_config = cli._queue_sim_config
         cfg = write(tmp_path, "v.ini", self.VAL)
         out = str(tmp_path / "v.csv")
-        assert run(["validate", "--config", cfg, "--out", out]) == EXIT_OK
-        comments, header, rows = read_rows(out)
-        assert header == ["check", "statistic", "tolerance", "passed"]
-        assert all(r["passed"] == "1" for r in rows)
-        assert any(c.startswith("# seed = ") for c in comments)
-
-    def test_negative_control_corrupted_thinning(self, tmp_path):
-        cfg = write(tmp_path, "v.ini", self.VAL + "thinning = 1.5\n")
-        out = str(tmp_path / "v.csv")
-        assert run(["validate", "--config", cfg, "--out", out]) == EXIT_VALIDATION
-        _, _, rows = read_rows(out)
-        failed = [r["check"] for r in rows if r["passed"] == "0"]
-        assert "contender_pmf_tv" in failed
+        for scale, code, failed in [(0.9, EXIT_VALIDATION, self.CHECKS),
+                                    (1.0, EXIT_OK, [])]:
+            monkeypatch.setattr(cli, "_queue_sim_config",
+                                lambda scenario, eps, *rest, scale=scale:
+                                sim_config(scenario, eps * scale, *rest))
+            assert run(["validate", "--config", cfg, "--out", out]) == code
+            _, _, rows = read_rows(out)
+            assert [r["check"] for r in rows if r["passed"] == "0"] == failed
 
 
 class TestOutput:

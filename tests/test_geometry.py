@@ -12,10 +12,11 @@ from secnet.geometry import (
     DEFAULT_THINNING,
     access_probability,
     coverage_probability,
-    in_coverage_count_pmf,
     service_probability,
     sinr_ccdf_lim,
 )
+
+from conftest import in_coverage_count_pmf
 
 # Normalized Poisson-Voronoi cell-size laws, the oracle of the count PMF's
 # mixture: Gamma(3.5, 1/3.5) for a typical cell, and Gamma(4.5, 1/3.5) for
