@@ -14,14 +14,13 @@ one lockstep regula falsi with the Illinois rule (``_polish``) on every
 bracket, which gives each row the bits it gets alone.  The delay optimizer
 solves the equilibrium and the mean delay of all its rows, one session
 interarrival mean each, as arrays (``equilibrium.solve_epsilons``,
-``queueing.mean_delays``).
+``queueing.mean_delays``), in a scan and a lockstep polish (``_min_polish``).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize.elementwise import find_minimum
 
 from . import geometry
 # unused solve_equilibrium: perfbench's tracer test checks cli binds this one
@@ -29,12 +28,12 @@ from .equilibrium import SOLVED, Scenario, solve_epsilons, solve_equilibrium  # 
 from .errors import ConvergenceError, InfeasibleError
 from .queueing import mean_delays
 
-_LOG_RATE_TOL = 1e-8  # the delay polish's tolerance in log R: 1e-8 relative in R
+_LOG_RATE_TOL = 1e-8  # the delay polish's least stencil half-width in log R
 # The optimal rate's scan span, in band widths, and its points: past R/W = 1000
 # 2^(R/W) nears float64 overflow.
 _SCAN_SPAN = (1e-3, 1000.0)
 _BRACKET_POINTS = 256
-# the polish's tolerance, scipy brentq's on the same bracket, and its step cap
+# the polish's tolerance, scipy brentq's on the same bracket, and both polishes' step cap
 _XTOL, _RTOL, _MAX_STEPS = 1e-14, 1e-15, 100
 # The delay optimizer's scan span, in widths of the narrowest band, its points,
 # and the rows whose scans one batched solve takes, which bounds memory.
@@ -232,6 +231,42 @@ def operating_points(scenario: Scenario, rates, interarrival):
     return sol.epsilon, delay
 
 
+def _min_polish(objective, br, fbr):
+    """The minimum of ``objective(rows, x)``, unimodal on each row's bracket
+    (a, p, b) of ``br`` and lowest at p (``fbr``), all rows in lockstep: its
+    abscissa and value.  Each step solves a stencil u - h, u, u + h per row:
+    where the last one is convex, below 0 (past the feasible window its 0 is
+    no slope) and its parabola's vertex is in the bracket, u is that vertex
+    and h a 32nd of its move, at least ``_LOG_RATE_TOL``; else the stencil
+    quarters the bracket's larger half.  The lowest point so far is p, and its
+    neighbours bound the minimum.  A row stops on a vertex within twice that
+    of p or after a stencil with h as small; ``_MAX_STEPS`` steps is the cap."""
+    x_min, f_min, h = np.empty(len(br)), np.empty(len(br)), (br[:, 2] - br[:, 0]) / 2
+    live, s, fs = np.arange(len(br)), br, fbr
+    for _ in range(_MAX_STEPS):
+        a, p, b = br.T
+        curv = fs[:, 2] - 2.0 * fs[:, 1] + fs[:, 0]
+        v = s[:, 1] - h * (fs[:, 2] - fs[:, 0]) / np.where(curv > 0, 2.0 * curv, np.inf)
+        vertex = (curv > 0) & (fs.max(axis=1) < 0) & (a < v) & (v < b)
+        done = (h <= 2 * _LOG_RATE_TOL) | (vertex & (np.abs(v - p) <= 2 * _LOG_RATE_TOL))
+        x_min[live[done]], f_min[live[done]] = p[done], fbr[done, 1]
+        u = np.where(vertex, v, np.where(b - p > p - a, p + b, a + p) / 2)
+        h = np.where(vertex, np.abs(v - s[:, 1]) / 32, np.maximum(b - p, p - a) / 4)
+        h = np.minimum(np.maximum(h, _LOG_RATE_TOL), np.minimum(u - a, b - u) / 2)
+        live, br, fbr, u, h = (w[~done] for w in (live, br, fbr, u, h))
+        if not live.size:
+            return x_min, f_min
+        s = u[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0])
+        fs = objective(live, s)
+        # the lowest point inside the bracket's ends and its two neighbours
+        x, f = np.hstack((br, s)), np.hstack((fbr, fs))
+        o = np.argsort(x, axis=1)
+        x, f = np.take_along_axis(x, o, axis=1), np.take_along_axis(f, o, axis=1)
+        i = np.argmin(f[:, 1:-1], axis=1)[:, None] + np.arange(3)
+        br, fbr = np.take_along_axis(x, i, axis=1), np.take_along_axis(f, i, axis=1)
+    raise ConvergenceError("delay minimization reached its iteration cap")
+
+
 def min_delay_over_rate(scenario: Scenario, interarrival):
     """Minimize the mean delay over the target rate for each session
     interarrival mean of the array ``interarrival``, in place of the
@@ -241,9 +276,9 @@ def min_delay_over_rate(scenario: Scenario, interarrival):
     The delay is U-shaped in the rate.  A log-spaced scan of rows x rates
     brackets each minimum, going on upward in the same steps while a minimum
     is its scan's last point (past R/W = 1024 of the widest band nothing
-    covers).  One ``find_minimum`` then polishes all brackets in log R, on
-    -1/delay, which is finite where a bracket's end is infeasible; a row at
-    its iteration cap raises ``ConvergenceError``.
+    covers).  ``_min_polish`` then refines every bracket from the scan's own
+    values, in log R on -1/delay (0 at an infeasible rate); it never leaves a
+    feasible lowest point, and a row at its step cap raises ``ConvergenceError``.
     """
     n = len(interarrival)
     w_min = min(b.bandwidth for b in scenario.bands)
@@ -260,17 +295,12 @@ def min_delay_over_rate(scenario: Scenario, interarrival):
         k[up] = np.argmin(delays[up], axis=1)
         up = np.flatnonzero(np.isfinite(delays).any(axis=1) & (k == len(grid) - 1))
         span = grid[-1] * steps
-    rows = np.flatnonzero(np.isfinite(delays).any(axis=1))
-    k = np.maximum(k[rows], 1)  # a minimum on the first point has no valid bracket
-    res = find_minimum(
-        lambda x, i: -1.0 / operating_points(scenario, np.exp(x), interarrival[i])[1],
-        tuple(np.log(grid[k + j]) for j in (-1, 0, 1)), args=(rows,),
-        tolerances={"xatol": _LOG_RATE_TOL, "xrtol": 0.0},
-    )
-    if np.any(res.status == -2):
-        raise ConvergenceError("delay minimization reached its iteration cap")
-    # a polish that lands on an infeasible rate serves no row either
-    ok = (res.status == 0) & (res.f_x < 0.0)
+    # a minimum on the first point has no bracket, and serves no row
+    rows = np.flatnonzero(np.isfinite(delays).any(axis=1) & (k > 0))
+    j = k[rows, None] + np.arange(-1, 2)  # each row's scan bracket
+    x, f = _min_polish(lambda live, x: -1.0 / operating_points(
+        scenario, np.exp(x).ravel(), np.repeat(interarrival[rows[live]], 3))[1].reshape(-1, 3),
+        np.log(grid[j]), -1.0 / delays[rows[:, None], j])
     rates, delay = np.full(n, math.nan), np.full(n, math.nan)
-    rates[rows[ok]], delay[rows[ok]] = np.exp(res.x[ok]), -1.0 / res.f_x[ok]
+    rates[rows], delay[rows] = np.exp(x), -1.0 / f
     return rates, delay

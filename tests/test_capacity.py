@@ -18,6 +18,7 @@ from secnet.capacity import (
     optimize_fixed_system,
     scaling_approximation,
 )
+from secnet.equilibrium import solve_epsilons
 from secnet.errors import ConvergenceError, InfeasibleError
 
 from conftest import capacity_limit_fixed_system, make_scenario
@@ -401,6 +402,19 @@ class TestMinDelay:
                                       np.repeat(interarrival, 2))[1]
         assert np.all(delays >= delay)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the 96-rate scan steps over the feasible window 0.1 % below the "
+        "capacity limit and reports no rate"))
+    def test_minimum_just_below_the_capacity_limit(self, default_scenario):
+        # the window holds the capacity-optimal rate, where this demand is
+        # served; at 0.99 x the limit the scan finds R = 5.0376
+        opt = optimal_rate_fixed_band(default_scenario)
+        interarrival = np.array([10.0 / (0.999 * opt.capacity)])
+        assert np.isfinite(cap.operating_points(default_scenario, np.array([opt.rate]),
+                                                interarrival)[1][0])
+        [rate], [delay] = min_delay_over_rate(default_scenario, interarrival)
+        assert np.isfinite(rate) and np.isfinite(delay)
+
     def test_minimum_past_the_narrow_band_span(self):
         # the scan starts from the narrowest band's width, here a width-0.1
         # band of vacancy 1e-6 that carries nothing: the minimum lies past
@@ -414,3 +428,59 @@ class TestMinDelay:
         assert rate == pytest.approx(8.90204, rel=1e-5)
         assert delay == pytest.approx(24.2844, rel=1e-5)
         assert rate == pytest.approx(alone, rel=1e-5)
+
+    def test_polish_takes_few_solves(self, default_scenario, monkeypatch):
+        # one 96-rate scan, then a few three-point stencil solves: a polish
+        # of one point per solve took 11
+        rows = []
+
+        def counted(scenario, rates, demands=None):
+            rows.append(len(rates))
+            return solve_epsilons(scenario, rates, demands)
+
+        monkeypatch.setattr(cap, "solve_epsilons", counted)
+        [rate], [delay] = min_delay_over_rate(default_scenario,
+                                              interarrivals(default_scenario))
+        assert rows[0] == 96 and len(rows) - 1 <= 6
+        assert rate == pytest.approx(3.38397, rel=1e-4)
+        assert delay == pytest.approx(36.38487, rel=1e-4)
+
+    def test_dense_grid_oracle(self):
+        # random sets of 1-5 bands, identical and mixed, at three demands
+        # and one that no rate serves: each optimum is no worse than the best
+        # of 2,000 log-spaced rates over two scan steps either side of it,
+        # which hold its scan bracket, nor than its neighbours at 1e-6
+        rng = np.random.default_rng(2016)
+        step = (50.0 / 1e-2) ** (1 / 95)  # the scan's, from 1e-2 to 50 widths
+        served = 0
+        for i in range(10):
+            n = int(rng.integers(1, 6))
+            if i % 2:
+                bands = tuple(BandConfig(bandwidth=w, vacancy=v, bs_density=d)
+                              for w, v, d in zip(rng.choice([0.5, 1.0, 2.0], n),
+                                                 rng.uniform(0.3, 1.0, n),
+                                                 rng.uniform(0.5, 2.0, n)))
+            else:
+                bands = (BandConfig(bandwidth=1.0, vacancy=rng.uniform(0.3, 1.0),
+                                    bs_density=1.0),) * n
+            scn = replace(make_scenario(ratio=float(rng.choice([5.0, 50.0]))), bands=bands)
+            interarrival = 10.0 / np.append(10.0 ** rng.uniform(-2.0, 0.0, 3), 50.0)
+            rates, delays = min_delay_over_rate(scn, interarrival)
+            assert np.isnan(rates[-1]) and np.isnan(delays[-1])
+            for rate, delay, t in zip(rates, delays, interarrival):
+                if np.isnan(rate):
+                    # no rate from the scan's first point to past R/W = 1024 serves
+                    grid = np.geomspace(1e-2 * min(b.bandwidth for b in bands),
+                                        1100.0 * max(b.bandwidth for b in bands), 2000)
+                    assert np.isnan(delay)
+                    assert not np.isfinite(cap.operating_points(
+                        scn, grid, np.full(len(grid), t))[1]).any()
+                    continue
+                served += 1
+                grid = np.geomspace(rate / step**2, rate * step**2, 2000)
+                best = cap.operating_points(scn, grid, np.full(len(grid), t))[1].min()
+                assert delay <= (1.0 + 1e-9) * best
+                near = cap.operating_points(scn, rate * np.array([1.0 - 1e-6, 1.0 + 1e-6]),
+                                            np.full(2, t))[1]
+                assert np.all(near >= delay)
+        assert served >= 20

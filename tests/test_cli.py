@@ -670,15 +670,9 @@ scale = log
 
     def test_capped_delay_polish_exits_numerical(self, tmp_path, capsys, monkeypatch):
         # a row whose polish reaches its iteration cap fails the whole run:
-        # no row is written from it
-        find_minimum = cap.find_minimum
-
-        def capped(*args, **kwargs):
-            res = find_minimum(*args, **kwargs)
-            res.status[:] = -2
-            return res
-
-        monkeypatch.setattr(cap, "find_minimum", capped)
+        # no row is written from it.  Every row of this sweep needs more
+        # than one stencil step
+        monkeypatch.setattr(cap, "_MAX_STEPS", 1)
         cfg = write(tmp_path, "c.ini", TestTradeoffCommand.SWEEP.replace(
             "fixed_rate = 4\n", ""))
         assert run(["tradeoff", "--config", cfg]) == EXIT_NUMERICAL
