@@ -11,9 +11,11 @@ event-driven loop (the tests pin exact agreement with such a reference
 loop) but runs as vectorized scans over blocks of ``_BLOCK`` outages or
 sessions, each going on from the state the block before left (the FCFS
 running sum and maximum, the open busy period, the previous completion).
-The sweep takes in each block's busy periods as it is drawn and drops them
-once no session reads them: a run holds its sessions, its outputs and a
-few blocks, however many outages it draws.
+The outage stream never ends: the sweep takes in each block's busy periods
+as it is drawn, until the last session has completed, and drops them once
+no session reads them.  So a run makes one pass at any load, past the
+stability boundary too, and holds its sessions, its outputs and a few
+blocks, however many outages it draws.
 
 Ties are deterministic by construction: an outage arriving exactly at a
 session completion instant does not delay it (the session has already
@@ -21,7 +23,6 @@ received its full service), while a session arrival at the same instant
 queues behind the outage.
 """
 
-import itertools
 import math
 from copy import deepcopy
 from dataclasses import dataclass
@@ -114,8 +115,8 @@ def _fcfs_departures(arrivals, work, carry=(0.0, -math.inf)):
 def _busy_periods(arrivals, frees):
     """(starts, ends) of the busy periods of an FCFS queue whose jobs arrive
     at ``arrivals`` and leave at the nondecreasing ``frees``."""
-    before = _after(-math.inf, frees)  # a job opens a period if it finds it free
-    opens = arrivals >= before
+    before = _after(-math.inf, frees)  # a job opens a period if it finds it free,
+    opens = arrivals > before  # not if it arrives at the instant it empties
     return arrivals[opens], np.append(before[opens][1:], frees[-1])
 
 
@@ -132,20 +133,18 @@ def _outage_draws(rng, cfg, m):
                cfg.outage_duration.sample(rng, size))
 
 
-def _outage_stream(rng, cfg, horizon, chunks):
-    """The busy periods of an outage stream that leads with an empty outage
-    at 0, as ``_session_sweep`` takes them, drawn from ``rng`` a block at a
-    time: first the chunks listed as [outage count, last arrival] in
-    ``chunks``, then chunks sized to pass ``horizon``, listed there with the
-    last arrival inf until drawn."""
+def _outage_stream(rng, cfg, horizon):
+    """The busy periods of an endless outage stream that leads with an empty
+    outage at 0, as ``_session_sweep`` takes them, drawn from ``rng`` a block
+    at a time in chunks: each sized to pass ``horizon`` while the stream
+    falls short of it, and then to pass twice the span drawn so far."""
     last, fcfs, start, free = 0.0, (0.0, 0.0), 0.0, 0.0
-    i = 0
-    while i < len(chunks) or last < horizon:
-        if i == len(chunks):
-            m = int((horizon - last) / cfg.outage_interarrival_mean * 1.2) + 100
-            chunks.append([m, math.inf])
+    while True:
+        if last >= horizon:  # the sweep still waits on a session
+            horizon = 2.0 * last
+        m = int((horizon - last) / cfg.outage_interarrival_mean * 1.2) + 100
         gaps = 0.0  # the chunk's running sum of gaps, bit for bit as one cumsum
-        for arrivals, durations in _outage_draws(rng, cfg, chunks[i][0]):
+        for arrivals, durations in _outage_draws(rng, cfg, m):
             arrivals[0] += gaps
             np.cumsum(arrivals, out=arrivals)
             gaps = arrivals[-1]
@@ -155,8 +154,7 @@ def _outage_stream(rng, cfg, horizon, chunks):
             piece = _busy_periods(np.append(start, arrivals), np.append(free, frees))
             yield piece
             start, free = piece[0][-1], frees[-1]
-        chunks[i][1] = last = arrivals[-1]
-        i += 1
+        last = arrivals[-1]
 
 
 def _blocks(lo, hi):
@@ -174,21 +172,21 @@ def _session_sweep(arr_s, service, periods):
     them.  ``periods`` yields pieces (starts, ends) of the busy periods, the
     first at 0, each opening with the last period of the one before, whose
     end may still grow.  A session enters the clock once it arrives before
-    that last period, and returns to real time once its completion does."""
+    that last period, and returns to real time once its completion does; the
+    sweep takes pieces until every session has returned, and raises if
+    ``periods`` runs out first."""
     n = len(arr_s)
     kept = np.zeros((3, 1))  # starts, ends and blocked time before, of the periods kept
     completions, first_service = np.empty_like(arr_s), np.empty_like(arr_s)
     a, carry, a_avail = 0, (0.0, -math.inf), 0.0  # the sessions in the clock
-    b, b_avail, done, raw = 0, 0.0, -math.inf, -math.inf  # those back in real time
-    for piece in itertools.chain(periods, [None]):
-        final = piece is None  # the last period known ends where it has so far
-        if not final:
-            # blocked time before each period: the running sum goes on, bit for bit
-            blocked = np.cumsum(np.append(kept[2, -1], piece[1] - piece[0]))[:-1]
-            kept = np.concatenate([kept[:, :-1], [*piece, blocked]], axis=1)
-            starts, ends, blocked = kept
-            avail = starts - blocked  # A at each start
-        for blk in _blocks(a, n if final else np.searchsorted(arr_s, starts[-1])):
+    b, b_avail, raw = 0, 0.0, -math.inf  # those back in real time
+    for piece in periods:
+        # blocked time before each period: the running sum goes on, bit for bit
+        blocked = np.cumsum(np.append(kept[2, -1], piece[1] - piece[0]))[:-1]
+        kept = np.concatenate([kept[:, :-1], [*piece, blocked]], axis=1)
+        starts, ends, blocked = kept
+        avail = starts - blocked  # A at each start
+        for blk in _blocks(a, np.searchsorted(arr_s, starts[-1])):
             arr, work = arr_s[blk], service[blk]
             k = np.searchsorted(starts, arr, "right") - 1
             avail_at_arrival = arr - blocked[k] - (np.minimum(arr, ends[k]) - starts[k])
@@ -201,7 +199,7 @@ def _session_sweep(arr_s, service, periods):
                 raise AssertionError("service accounting violated in session sweep")
             completions[blk] = completion_avail
             a, a_avail = blk.stop, completion_avail[-1]
-        stop = a if final else b + np.searchsorted(completions[b:a], avail[-1], "right")
+        stop = b + np.searchsorted(completions[b:a], avail[-1], "right")
         for blk in _blocks(b, stop):
             completion_avail = completions[blk]
             # invert A: a completion landing exactly on a busy start resolves to
@@ -210,11 +208,9 @@ def _session_sweep(arr_s, service, periods):
             completed = ends[k] + (completion_avail - avail[k])
             # service start in real time: the later of arrival and the previous
             # completion, pushed past any outage busy period covering that instant
-            # (the first of a block reads the completion after the fix below)
-            cand = np.maximum(arr_s[blk], _after(
-                done if blk.start % _BLOCK == 0 else raw, completed))
+            cand = np.maximum(arr_s[blk], _after(raw, completed))
             # a service start at or past the last period known waits for its end
-            cut = len(cand) if final else np.searchsorted(cand, starts[-1])
+            cut = np.searchsorted(cand, starts[-1])
             if cut:
                 b, raw = blk.start + cut, completed[cut - 1]
                 b_avail = completion_avail[cut - 1]
@@ -222,14 +218,14 @@ def _session_sweep(arr_s, service, periods):
                 np.maximum(cand, ends[np.searchsorted(starts, cand, "right") - 1], out=fs)
                 # a service that rounds away in the clock (1e-12 at A = 4e4) completes
                 # at its first service start, not at the start of the period it waited in
-                done = np.maximum(completed[:cut], fs, out=completions[blk.start:b])[-1]
+                np.maximum(completed[:cut], fs, out=completions[blk.start:b])
             if cut < len(completed):
                 break
         if b == n:  # no session reads the outages still to come
-            break
+            return completions, first_service
         # keep the period the next session's completion can resolve to first
         kept = kept[:, max(np.searchsorted(avail, b_avail) - 1, 0):]
-    return completions, first_service
+    raise ValueError(f"outage stream ended with {n - b} of {n} sessions unreturned")
 
 
 def _busy_time(starts, ends, window_start, window_end):
@@ -252,7 +248,9 @@ def _busy_fractions(starts, ends, edges):
 
 
 def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
-    """Simulate the queue for ``horizon_sessions`` completed sessions."""
+    """Simulate the queue for ``horizon_sessions`` completed sessions in one
+    sweep, which draws outages until the last session completes, at any load
+    (an unstable one warns)."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.horizon_sessions
     arr_s = rng.exponential(cfg.session_interarrival_mean, n)
@@ -266,16 +264,10 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
             f"unstable load: rho_s + rho_o = {cfg.rho_s + cfg.rho_o:.3f} >= 1"
         )
 
-    # the outage stream must cover the whole simulated span
+    # the outages are drawn from the state after the sessions, as the sweep reads them
     horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
-    chunks = []
-    while True:  # each pass draws the outages from the state after the sessions
-        completions, first_service = _session_sweep(
-            arr_s, service, _outage_stream(deepcopy(rng), cfg, horizon, chunks))
-        # every completion must lie inside the simulated outage stream
-        if completions[-1] <= chunks[-1][1]:
-            break
-        horizon = completions[-1] + 10.0 * cfg.outage_interarrival_mean
+    completions, first_service = _session_sweep(
+        arr_s, service, _outage_stream(rng, cfg, horizon))
     del service
 
     if np.any(completions[1:] < completions[:-1]):

@@ -417,7 +417,11 @@ def queue_config(rho_s=0.2, rho_o=0.3, alpha_o=0.5, n=100_000, seed=0,
 
 def sweep(arr_s, service, arr_o, dur_o):
     """Session completions and first service starts of the vectorized sweep
-    on an outage stream that leads with the empty outage at 0."""
+    on an outage stream that leads with the empty outage at 0, ended by an
+    empty outage at the largest float, before which every session returns
+    (inf would make the sweep subtract inf from inf)."""
+    arr_o = np.append(arr_o, np.finfo(float).max)
+    dur_o = np.append(dur_o, 0.0)
     frees, _ = _fcfs_departures(arr_o, dur_o)
     return _session_sweep(arr_s, service, [_busy_periods(arr_o, frees)])
 
@@ -426,8 +430,9 @@ def queue_case(cfg):
     """Session and outage streams of a run, drawn as ``run_priority_queue``
     draws them, the session completions and first service starts of the
     vectorized sweep, and the number of sweeps: while a completion lies
-    past the last outage, the whole outage stream is drawn longer and its
-    busy periods and the sweep are computed afresh."""
+    past the last outage, the outage stream is drawn a chunk longer, one
+    that doubles its span, and the sweep of the whole stream is computed
+    afresh."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.horizon_sessions
     arr_s = np.cumsum(rng.exponential(cfg.session_interarrival_mean, n))
@@ -445,7 +450,7 @@ def queue_case(cfg):
         sweeps += 1
         if completions[-1] <= arr_o[-1]:
             return arr_s, service, arr_o, dur_o, completions, first_starts, sweeps
-        horizon = completions[-1] + 10.0 * cfg.outage_interarrival_mean
+        horizon = 2.0 * arr_o[-1]
 
 
 def small_queue_case():
@@ -464,6 +469,13 @@ def assert_draws_as_run_priority_queue(cfg, arr_s, completions, first_starts):
 # rho_s + rho_o = 1.2: the last completion outruns the first outage chunk, so
 # the run extends its outage stream
 EXTENDED = queue_config(rho_s=0.9, rho_o=0.3, n=5000, seed=0)
+# unstable runs whose last completion lies 1.2, 2.7 and 19 times past the span
+# the first outage chunk is sized for
+UNSTABLE = {
+    "rho_s-0.9-rho_o-0.3": EXTENDED,
+    "rho_s-0.3-rho_o-0.9": queue_config(rho_s=0.3, rho_o=0.9, n=5000, seed=0),
+    "rho_s-0.2-rho_o-0.99": queue_config(rho_s=0.2, rho_o=0.99, n=5000, seed=0),
+}
 
 
 # (arrivals, services, outage arrivals, outage durations) on dyadic times,
@@ -476,6 +488,18 @@ BOUNDARY_STREAMS = {
     # the service rounds away next to the availability 5e4 at arrival, so the
     # clock's inverse alone would complete the session at the busy start 5e4
     "service-below-clock-ulp": ([5e4 + 1], [2.0 ** -40], [0.0, 5e4], [0.0, 2.0]),
+    # a session after one whose service rounds away: arriving inside the
+    # period the first waited in, arriving after it, and after two such
+    "after-clamp-arrival-inside": ([5e4 + 1, 5e4 + 1.5], [2.0 ** -40, 0.5],
+                                   [0.0, 5e4], [0.0, 2.0]),
+    "after-clamp-arrival-after": ([5e4 + 1, 5e4 + 3], [2.0 ** -40, 0.5],
+                                  [0.0, 5e4], [0.0, 2.0]),
+    "after-two-clamps": ([5e4 + 1, 5e4 + 1.5, 5e4 + 1.75], [2.0 ** -40] * 2 + [0.5],
+                         [0.0, 5e4], [0.0, 2.0]),
+    # an outage arriving as the busy period ends goes on with it
+    "outage-at-busy-end": ([5e4 + 1], [0.5], [0.0, 5e4, 5e4 + 2], [0.0, 2.0, 1.0]),
+    "clamp-before-outage-at-busy-end": ([5e4 + 1], [2.0 ** -40],
+                                        [0.0, 5e4, 5e4 + 2], [0.0, 2.0, 1.0]),
 }
 
 
@@ -515,13 +539,37 @@ class TestQueueSim:
         assert_draws_as_run_priority_queue(
             queue_config(n=2000), arr_s, completions, first_starts)
 
-    def test_extended_outage_stream_matches_whole_stream_recompute(self):
+    @pytest.mark.parametrize("cfg", UNSTABLE.values(), ids=UNSTABLE.keys())
+    def test_extended_outage_stream_matches_whole_stream_recompute(self, cfg):
         # the run goes on from the carried outage state (last arrival, work
         # sum, running maximum, open busy period); sweeping the whole longer
         # stream afresh must give the same bits
-        arr_s, _, _, _, completions, first_starts, sweeps = queue_case(EXTENDED)
+        arr_s, _, _, _, completions, first_starts, sweeps = queue_case(cfg)
         assert sweeps > 1
-        assert_draws_as_run_priority_queue(EXTENDED, arr_s, completions, first_starts)
+        assert_draws_as_run_priority_queue(cfg, arr_s, completions, first_starts)
+
+    @pytest.mark.parametrize("cfg", UNSTABLE.values(), ids=UNSTABLE.keys())
+    def test_one_sweep_per_run(self, monkeypatch, cfg):
+        # the sweep draws outages until the last session returns, with no
+        # second sweep on a longer stream
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _session_sweep(*args)
+
+        monkeypatch.setattr(queue_sim, "_session_sweep", counted)
+        run_priority_queue(cfg)
+        assert len(calls) == 1
+
+    def test_stream_ending_before_the_last_return_raises(self):
+        # no terminal period: the last outage's period may still grow, so
+        # the session arriving after it never returns to real time
+        arr_o, dur_o = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+        frees, _ = _fcfs_departures(arr_o, dur_o)
+        with pytest.raises(ValueError, match="1 of 2 sessions unreturned"):
+            _session_sweep(np.array([0.5, 3.0]), np.array([0.25, 1.0]),
+                           [_busy_periods(arr_o, frees)])
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_block_invariance(self, monkeypatch, block):
