@@ -17,6 +17,11 @@ no session reads them.  So a run makes one pass at any load, past the
 stability boundary too, and holds its sessions, its outputs and a few
 blocks, however many outages it draws.
 
+A run draws three streams: session arrivals and file sizes from
+``default_rng(seed)``, outage gaps and outage durations each from its own
+generator spawned from it.  numpy's draws do not depend on how a run of
+them is split, so neither do the results on ``_BLOCK``.
+
 Ties are deterministic by construction: an outage arriving exactly at a
 session completion instant does not delay it (the session has already
 received its full service), while a session arrival at the same instant
@@ -24,7 +29,6 @@ queues behind the outage.
 """
 
 import math
-from copy import deepcopy
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -120,41 +124,23 @@ def _busy_periods(arrivals, frees):
     return arrivals[opens], np.append(before[opens][1:], frees[-1])
 
 
-def _outage_draws(rng, cfg, m):
-    """The m arrival gaps, then the m durations, of an outage chunk as one
-    call each draws them from ``rng`` (numpy's draws do not depend on how a
-    run of them is split), in pieces of ``_BLOCK``: the gaps from a copy of
-    ``rng``, the durations from ``rng`` once it has skipped the gaps."""
-    gaps, sizes = deepcopy(rng), [min(_BLOCK, m - lo) for lo in range(0, m, _BLOCK)]
-    for size in sizes:
-        rng.standard_exponential(size)
-    for size in sizes:
-        yield (gaps.exponential(cfg.outage_interarrival_mean, size),
-               cfg.outage_duration.sample(rng, size))
-
-
-def _outage_stream(rng, cfg, horizon):
+def _outage_stream(cfg, gaps, durations):
     """The busy periods of an endless outage stream that leads with an empty
-    outage at 0, as ``_session_sweep`` takes them, drawn from ``rng`` a block
-    at a time in chunks: each sized to pass ``horizon`` while the stream
-    falls short of it, and then to pass twice the span drawn so far."""
+    outage at 0, as ``_session_sweep`` takes them, drawn ``_BLOCK`` outages
+    at a time: the arrival gaps from ``gaps``, the durations from
+    ``durations``."""
     last, fcfs, start, free = 0.0, (0.0, 0.0), 0.0, 0.0
     while True:
-        if last >= horizon:  # the sweep still waits on a session
-            horizon = 2.0 * last
-        m = int((horizon - last) / cfg.outage_interarrival_mean * 1.2) + 100
-        gaps = 0.0  # the chunk's running sum of gaps, bit for bit as one cumsum
-        for arrivals, durations in _outage_draws(rng, cfg, m):
-            arrivals[0] += gaps
-            np.cumsum(arrivals, out=arrivals)
-            gaps = arrivals[-1]
-            arrivals += last
-            frees, fcfs = _fcfs_departures(arrivals, durations, fcfs)
-            # the open period goes first, as the job it has been so far
-            piece = _busy_periods(np.append(start, arrivals), np.append(free, frees))
-            yield piece
-            start, free = piece[0][-1], frees[-1]
+        arrivals = gaps.exponential(cfg.outage_interarrival_mean, _BLOCK)
+        arrivals[0] += last  # the running sum goes on, bit for bit as one cumsum
+        np.cumsum(arrivals, out=arrivals)
         last = arrivals[-1]
+        frees, fcfs = _fcfs_departures(
+            arrivals, cfg.outage_duration.sample(durations, _BLOCK), fcfs)
+        # the open period goes first, as the job it has been so far
+        piece = _busy_periods(np.append(start, arrivals), np.append(free, frees))
+        yield piece
+        start, free = piece[0][-1], frees[-1]
 
 
 def _blocks(lo, hi):
@@ -264,10 +250,8 @@ def run_priority_queue(cfg: QueueSimConfig) -> SimReport:
             f"unstable load: rho_s + rho_o = {cfg.rho_s + cfg.rho_o:.3f} >= 1"
         )
 
-    # the outages are drawn from the state after the sessions, as the sweep reads them
-    horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
     completions, first_service = _session_sweep(
-        arr_s, service, _outage_stream(rng, cfg, horizon))
+        arr_s, service, _outage_stream(cfg, *rng.spawn(2)))
     del service
 
     if np.any(completions[1:] < completions[:-1]):

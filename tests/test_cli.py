@@ -749,10 +749,19 @@ sessions = 100000
             assert all(r["passed"] == "1" for r in rows)
             assert any(c.startswith("# seed = ") for c in comments)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the simulator's 1e-9 service accounting check is absolute, and "
+        "from an availability clock of 2**22 on one ulp of it is 1.9e-9"))
+    def test_long_validate_run_exits(self, tmp_path):
+        cfg = write(tmp_path, "v.ini", self.VAL.replace(
+            "sessions = 100000", "sessions = 400000"))
+        assert run(["validate", "--config", cfg,
+                    "--out", str(tmp_path / "v.csv")]) in (EXIT_OK, EXIT_VALIDATION)
+
     def test_negative_control_corrupted_epsilon(self, tmp_path, monkeypatch):
         # the simulated queue runs at a service probability 10 % below the
         # analytic model's, and both checks must catch it (at seed 0 they read
-        # 0.304 and 0.060 corrupted, 0.0067 and 0.0033 as they are)
+        # 0.308 and 0.064 corrupted, 0.0070 and 0.0018 as they are)
         sim_config = cli._queue_sim_config
         cfg = write(tmp_path, "v.ini", self.VAL)
         out = str(tmp_path / "v.csv")

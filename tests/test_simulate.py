@@ -25,7 +25,6 @@ from secnet.simulate.queue_sim import (
     _busy_periods,
     _busy_time,
     _fcfs_departures,
-    _outage_draws,
     _session_sweep,
 )
 from secnet.simulate import queue_sim, spatial
@@ -429,32 +428,32 @@ def sweep(arr_s, service, arr_o, dur_o):
 def queue_case(cfg):
     """Session and outage streams of a run, drawn as ``run_priority_queue``
     draws them, the session completions and first service starts of the
-    vectorized sweep, and the number of sweeps: while a completion lies
-    past the last outage, the outage stream is drawn a chunk longer, one
-    that doubles its span, and the sweep of the whole stream is computed
-    afresh."""
+    vectorized sweep, and the number of sweeps: the outage stream starts
+    with about 1.1 times the sessions' arrival span, and while a completion
+    lies past its last outage it is drawn twice as long, in one running
+    sum, and the sweep of the whole stream is computed afresh."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.horizon_sessions
     arr_s = np.cumsum(rng.exponential(cfg.session_interarrival_mean, n))
     service = cfg.file_size.sample(rng, n) / cfg.rate
-    horizon = arr_s[-1] * 1.02 + 100.0 * cfg.outage_interarrival_mean
+    gaps, durations = rng.spawn(2)
     arr_o = dur_o = np.zeros(1)
+    m = int(1.1 * arr_s[-1] / cfg.outage_interarrival_mean)
     sweeps = 0
     while True:
-        while arr_o[-1] < horizon:
-            m = int((horizon - arr_o[-1]) / cfg.outage_interarrival_mean * 1.2) + 100
-            arr_o = np.concatenate([arr_o, arr_o[-1] + np.cumsum(
-                rng.exponential(cfg.outage_interarrival_mean, m))])
-            dur_o = np.concatenate([dur_o, cfg.outage_duration.sample(rng, m)])
+        more = gaps.exponential(cfg.outage_interarrival_mean, m)
+        more[0] += arr_o[-1]
+        arr_o = np.concatenate([arr_o, np.cumsum(more)])
+        dur_o = np.concatenate([dur_o, cfg.outage_duration.sample(durations, m)])
         completions, first_starts = sweep(arr_s, service, arr_o, dur_o)
         sweeps += 1
         if completions[-1] <= arr_o[-1]:
             return arr_s, service, arr_o, dur_o, completions, first_starts, sweeps
-        horizon = 2.0 * arr_o[-1]
+        m = len(arr_o)
 
 
 def small_queue_case():
-    """``queue_case`` of a 2000-session run, which one outage chunk covers,
+    """``queue_case`` of a 2000-session run, which one sweep covers,
     without its sweep count."""
     return queue_case(queue_config(n=2000))[:6]
 
@@ -466,11 +465,11 @@ def assert_draws_as_run_priority_queue(cfg, arr_s, completions, first_starts):
     assert np.array_equal((completions - first_starts)[k0:], rep.arrays["spans"])
 
 
-# rho_s + rho_o = 1.2: the last completion outruns the first outage chunk, so
-# the run extends its outage stream
+# rho_s + rho_o = 1.2: the last session completes at 1.23 times the last
+# arrival time, so the run draws outages well past the sessions' arrival span
 EXTENDED = queue_config(rho_s=0.9, rho_o=0.3, n=5000, seed=0)
-# unstable runs whose last completion lies 1.2, 2.7 and 19 times past the span
-# the first outage chunk is sized for
+# unstable runs whose last completion lies at 1.23, 2.9 and 20 times the last
+# arrival time, which ``queue_case`` covers in 2, 3 and 6 sweeps
 UNSTABLE = {
     "rho_s-0.9-rho_o-0.3": EXTENDED,
     "rho_s-0.3-rho_o-0.9": queue_config(rho_s=0.3, rho_o=0.9, n=5000, seed=0),
@@ -573,7 +572,9 @@ class TestQueueSim:
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_block_invariance(self, monkeypatch, block):
-        cfgs = [queue_config(n=2000), EXTENDED]
+        cfgs = [queue_config(n=2000), EXTENDED,
+                queue_config(n=2000, outage_shape=0.5),
+                queue_config(n=2000, outage_shape=3.0)]
         base = [run_priority_queue(cfg) for cfg in cfgs]
         monkeypatch.setattr(queue_sim, "_BLOCK", block)
         for a, b in zip(base, map(run_priority_queue, cfgs)):
@@ -599,7 +600,8 @@ class TestQueueSim:
         # outnumber the n = 2e5 sessions 8 to 1; whole-stream temporaries of
         # the outage FCFS recursion and busy periods took about 6 m floats.
         # Second case, 12 to 1, bounded with no term in m: a run holding its
-        # outage chunk or all its busy periods took 5 n + 400 blocks of floats
+        # whole outage stream or all its busy periods took 5 n + 400 blocks
+        # of floats
         frequent = QueueSimConfig(
             session_interarrival_mean=0.2, outage_interarrival_mean=0.02,
             file_size=SizeDistribution("exponential", 0.06),
@@ -619,19 +621,18 @@ class TestQueueSim:
                 tracemalloc.stop()
             assert peak < 8 * (5 * n + floats_per_outage * m + 16 * queue_sim._BLOCK)
 
-    @pytest.mark.parametrize("outage_shape", [1.0, 0.5, 3.0])
-    def test_two_cursor_draw_is_the_one_call_draw(self, outage_shape):
-        # 1e5 outages, seven blocks, the last a part one
-        cfg = queue_config(outage_shape=outage_shape)
-        m = 100_000
-        one_call, two_cursor = np.random.default_rng(4), np.random.default_rng(4)
-        gaps = one_call.exponential(cfg.outage_interarrival_mean, m)
-        durations = cfg.outage_duration.sample(one_call, m)
-        pieces = list(_outage_draws(two_cursor, cfg, m))
-        assert len(pieces) == -(-m // queue_sim._BLOCK)
-        assert np.array_equal(np.concatenate([g for g, _ in pieces]), gaps)
-        assert np.array_equal(np.concatenate([d for _, d in pieces]), durations)
-        assert two_cursor.bit_generator.state == one_call.bit_generator.state
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the 1e-9 service accounting check is absolute, and from an "
+        "availability clock of 2**22 on one ulp of it is 1.9e-9"))
+    def test_long_run_passes_the_accounting_check(self):
+        # 1e6 sessions at rho_s 0.25 and rho_o 0.3: the clock passes 4.2e6
+        # about 60 % of the way through the sessions
+        cfg = QueueSimConfig(
+            session_interarrival_mean=10.0, outage_interarrival_mean=10.0,
+            file_size=SizeDistribution("exponential", 2.5),
+            outage_duration=SizeDistribution("exponential", 3.0),
+            rate=1.0, horizon_sessions=1_000_000, seed=0)
+        run_priority_queue(cfg)
 
     def test_busy_time_is_interval_union_measure(self):
         arr_s, _, _, _, completions, _ = small_queue_case()
